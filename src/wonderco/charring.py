@@ -18,9 +18,12 @@ is at most the cutoff are exact; beyond the cutoff they are lower bounds.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .rootsys import (
     Root,
@@ -30,6 +33,7 @@ from .rootsys import (
     half_sum_positive,
     reflect_weight,
     root_inner,
+    root_lattice_coords,
     root_to_weight,
     weight_to_root,
 )
@@ -322,16 +326,19 @@ class Grading:
     values: tuple[int, ...]
 
     def degree(self, w: Weight) -> int:
-        return sum(v * c for v, c in zip(self.values, w.coords))
+        return sum(map(operator.mul, self.values, w.coords))
+
+    @cached_property
+    def simple_root_degrees(self) -> tuple[int, ...]:
+        """Degree of each simple root; root degrees are linear in these."""
+        c = self.system.cartan
+        n = self.system.rank
+        return tuple(
+            sum(self.values[i] * c[i][j] for i in range(n)) for j in range(n)
+        )
 
     def root_degree(self, r: Root) -> int:
-        c = self.system.cartan
-        return sum(
-            self.values[i] * c[i][j] * r.coords[j]
-            for i in range(self.system.rank)
-            for j in range(self.system.rank)
-            if r.coords[j] and c[i][j]
-        )
+        return sum(map(operator.mul, self.simple_root_degrees, r.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,8 @@ class TruncatedSeries:
 
     Internally terms are keyed by the offset ``mu - numerator_exponent`` in
     simple-root coordinates; all offsets lie in the nonnegative cone spanned
-    by the denominator roots.
+    by the denominator roots.  Fields are set once and ``offsets`` is a
+    read-only view, so a cached series cannot be altered.
     """
 
     __slots__ = (
@@ -363,7 +371,7 @@ class TruncatedSeries:
         denominator: tuple[Root, ...],
         window: tuple[int, int],
         height_cutoff: int,
-        offsets: dict[tuple[int, ...], int],
+        offsets: Mapping[tuple[int, ...], int],
     ):
         if window[0] > window[1]:
             raise ValueError(f"empty window {window}")
@@ -373,7 +381,12 @@ class TruncatedSeries:
         self.denominator = tuple(sorted(denominator, key=lambda r: r.coords))
         self.window = window
         self.height_cutoff = height_cutoff
-        self.offsets = offsets
+        self.offsets = MappingProxyType(offsets)
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"TruncatedSeries.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     # -- bookkeeping helpers
 
@@ -381,36 +394,47 @@ class TruncatedSeries:
         return self.grading.degree(self.numerator_exponent)
 
     def weight_of(self, offset: tuple[int, ...]) -> Weight:
-        shift = Weight(
+        return Weight(
             tuple(
-                sum(
-                    self.system.cartan[i][j] * offset[j]
-                    for j in range(self.system.rank)
-                )
-                for i in range(self.system.rank)
+                b + sum(map(operator.mul, row, offset))
+                for b, row in zip(self.numerator_exponent.coords, self.system.cartan)
             )
         )
-        return self.numerator_exponent + shift
 
     def _offset_degrees(self) -> dict[tuple[int, ...], int]:
         """Degree of each stored term, computed linearly in the offset."""
-        n = self.system.rank
-        cartan = self.system.cartan
-        values = self.grading.values
-        per_root = tuple(
-            sum(values[i] * cartan[i][j] for i in range(n)) for j in range(n)
-        )
+        per_root = self.grading.simple_root_degrees
         base = self.base_degree()
         return {
-            o: base + sum(d * x for d, x in zip(per_root, o) if x)
-            for o in self.offsets
+            o: base + sum(map(operator.mul, per_root, o)) for o in self.offsets
         }
 
-    def offset_of(self, w: Weight) -> tuple[Fraction, ...]:
-        return weight_to_root(self.system, w - self.numerator_exponent)
+    def offset_of(self, w: Weight) -> tuple[int, ...] | None:
+        """The offset of ``w`` from the numerator exponent; None when the
+        difference is off the root lattice."""
+        return root_lattice_coords(self.system, w - self.numerator_exponent)
+
+    def term_coords(self) -> dict[tuple[int, ...], int]:
+        """The stored terms keyed by the fundamental coordinates of their
+        weights, for callers that combine series before building weights.
+
+        Computed a coordinate at a time over all terms: coordinate i is the
+        numerator's plus row i of the Cartan matrix against the offsets.
+        """
+        n = len(self.offsets)
+        by_root = list(zip(*self.offsets))
+        coords = []
+        for b, row in zip(self.numerator_exponent.coords, self.system.cartan):
+            acc = [b] * n
+            for c, xs in zip(row, by_root):
+                if c:
+                    scaled = map(operator.mul, xs, itertools.repeat(c))
+                    acc = list(map(operator.add, acc, scaled))
+            coords.append(acc)
+        return dict(zip(zip(*coords), self.offsets.values()))
 
     def terms(self) -> dict[Weight, int]:
-        return {self.weight_of(o): m for o, m in self.offsets.items()}
+        return {Weight(c): m for c, m in self.term_coords().items()}
 
     def is_certified(self, w: Weight) -> bool:
         """True when the stored multiplicity of ``w`` is exact: integral
@@ -419,16 +443,13 @@ class TruncatedSeries:
         if not self.window[0] <= d <= self.window[1]:
             return False
         off = self.offset_of(w)
-        if any(x.denominator != 1 for x in off):
+        if off is None:
             return True  # off-lattice weights never occur: zero is exact
-        return sum(x for x in off) <= self.height_cutoff
+        return sum(off) <= self.height_cutoff
 
     def multiplicity(self, w: Weight) -> int:
         off = self.offset_of(w)
-        if any(x.denominator != 1 for x in off):
-            return 0
-        key = tuple(int(x) for x in off)
-        return self.offsets.get(key, 0)
+        return 0 if off is None else self.offsets.get(off, 0)
 
     def min_degree(self) -> int | None:
         degs = self._offset_degrees().values()

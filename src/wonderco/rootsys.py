@@ -15,9 +15,11 @@ Everything is an immutable value; all operations are pure functions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 __all__ = [
     "Root",
@@ -34,6 +36,7 @@ __all__ = [
     "fundamental_weight",
     "root_to_weight",
     "weight_to_root",
+    "root_lattice_coords",
     "reflect_root",
     "reflect_weight",
     "weyl_element",
@@ -374,6 +377,34 @@ def weight_to_root(system: RootSystem, weight: Weight) -> tuple[Fraction, ...]:
         )
         for i in range(n)
     )
+
+
+@lru_cache(maxsize=None)
+def _scaled_cartan_inverse(
+    system: RootSystem,
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The inverse Cartan matrix as integer rows over one common denominator."""
+    inv = _cartan_inverse(system)
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inv), den
+
+
+def root_lattice_coords(
+    system: RootSystem, weight: Weight
+) -> tuple[int, ...] | None:
+    """Simple-root coordinates of a root-lattice weight, None off the lattice.
+
+    The integer counterpart of :func:`weight_to_root`: each coordinate is
+    an integer dot product divided exactly by the common denominator.
+    """
+    rows, den = _scaled_cartan_inverse(system)
+    out = []
+    for row in rows:
+        q, r = divmod(sum(map(mul, row, weight.coords)), den)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
 
 
 def pairing(system: RootSystem, x: Root | Weight, i: int) -> int:

@@ -17,6 +17,7 @@ stratum is a cell closure, the second is its image under the block swap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,12 +27,7 @@ from .charring import (
     Grading,
     TruncatedSeries,
     add,
-    expand_inverse,
-    grade_project,
-    multiply,
     restrict_window,
-    series_of_weight,
-    widen_window_down,
 )
 from .rootsys import (
     Root,
@@ -55,12 +51,12 @@ __all__ = [
     "component_cell",
     "one_line",
     "closure_contains",
+    "covering_cells",
     "kl_sets",
     "cell_exponent",
     "kempf_character",
     "unstable_character_bounds",
     "cousin_terms",
-    "grade_slice",
     "swap_blocks_weight",
 ]
 
@@ -165,6 +161,18 @@ def closure_contains(outer: SchubertCell, inner: SchubertCell) -> bool:
     )
 
 
+@lru_cache(maxsize=1)
+def covering_cells() -> tuple[SchubertCell, ...]:
+    """The first stratum's open cell, then its codimension-one boundary
+    cells: the three closures whose series bound the stratum."""
+    top = component_cell("F1")
+    return (top,) + tuple(
+        c
+        for c in enumerate_cells()
+        if c.codim == top.codim + 1 and closure_contains(top, c)
+    )
+
+
 # ---------------------------------------------------------------------------
 # inversion sets
 
@@ -192,6 +200,7 @@ def _graded_lex(r: Root) -> tuple:
     return (sum(r.coords), tuple(-c for c in r.coords))
 
 
+@lru_cache(maxsize=32)
 def kl_sets(w: WeylElement) -> InversionData:
     """Inversion data of a cell: how ``w`` moves the radical roots."""
     _check_minimal(w)
@@ -212,15 +221,16 @@ def kl_sets(w: WeylElement) -> InversionData:
 # ---------------------------------------------------------------------------
 # character series
 
-@lru_cache(maxsize=1)
-def _parabolic_longest() -> WeylElement:
-    return longest_parabolic(GRASS_SYSTEM, LEVI)
+@lru_cache(maxsize=32)
+def _exponent_element(w: WeylElement) -> WeylElement:
+    # the Weyl product is the costly part of an exponent; one per cell
+    return w * longest_parabolic(GRASS_SYSTEM, LEVI)
 
 
 def cell_exponent(w: WeylElement, k: int) -> Weight:
     """The exponent w w0(k varpi_3), w0 the Levi longest element."""
     lam = Weight(tuple(k * int(i == 2) for i in range(5)))
-    return act(w * _parabolic_longest(), lam)
+    return act(_exponent_element(w), lam)
 
 
 def _numerator(w: WeylElement, k: int) -> Weight:
@@ -228,6 +238,59 @@ def _numerator(w: WeylElement, k: int) -> Weight:
     for alpha in kl_sets(w).K:
         num = num + root_to_weight(GRASS_SYSTEM, alpha)
     return num
+
+
+def _cone_offsets(
+    roots: tuple[Root, ...], base: int, window: tuple[int, int], cutoff: int
+) -> dict[tuple[int, ...], int]:
+    """Offsets of the expansion of 1 / prod (1 - e^beta) inside the window.
+
+    A term at offset o has degree ``base`` plus the grading of o.  The roots
+    are folded in one at a time with the running sum T(o) = S(o) + T(o -
+    beta), visiting terms by increasing height, and a term is extended only
+    while its height stays within the cutoff and its degree at most the
+    window top.  Every root has a nonnegative degree and a positive height,
+    so a term dropped on the way can never come back: the kept terms are
+    exactly those of the full cone with height at most the cutoff and degree
+    inside the window.  Offsets travel packed in one integer, a field of
+    ``bits`` per coordinate (none exceeds the cutoff) with the degree above
+    them, so a step along a root is a single addition.
+    """
+    lo, hi = window
+    if base > hi or cutoff < 0:
+        return {}
+    rank = GRASS_SYSTEM.rank
+    bits = max(1, cutoff.bit_length())
+    shifts = [bits * j for j in range(rank)]
+    deg_shift = bits * rank
+    limit = (hi - base + 1) << deg_shift
+    per_root = CSTAR_GRADING.simple_root_degrees
+    by_height: list[dict[int, int]] = [{} for _ in range(cutoff + 1)]
+    by_height[0][0] = 1
+    for beta in roots:
+        deg = sum(map(operator.mul, per_root, beta.coords))
+        if deg < 0:
+            raise ValueError("negative-degree denominator root in a product")
+        ht = sum(beta.coords)
+        step = sum(c << sh for c, sh in zip(beta.coords, shifts))
+        step += deg << deg_shift
+        for h in range(cutoff - ht + 1):
+            dst = by_height[h + ht]
+            for key, m in by_height[h].items():
+                key += step
+                if key < limit:
+                    dst[key] = dst.get(key, 0) + m
+    floor = (lo - base) << deg_shift
+    kept = {
+        key: m
+        for terms in by_height
+        for key, m in terms.items()
+        if key >= floor
+    }
+    # unpack a coordinate at a time over all kept terms
+    mask = (1 << bits) - 1
+    coords = [[(key >> sh) & mask for key in kept] for sh in shifts]
+    return dict(zip(zip(*coords), kept.values()))
 
 
 @lru_cache(maxsize=512)
@@ -239,32 +302,22 @@ def kempf_character(
 ) -> TruncatedSeries:
     """Local-cohomology character of a cell closure as a truncated series.
 
-    The window is in scaling degrees.  Factors are expanded on a window
-    reaching down to every base degree so products certify, then the
-    result is cut back (and, when the requested floor lies below the
-    support, soundly extended) to the requested window.  Results are
-    cached; treat the returned series as read-only.
+    The window is in scaling degrees.  The denominator has no root of
+    negative degree, so nothing lives below the numerator degree and the
+    whole window is certified up to the height cutoff.  Results are cached
+    and immutable.
     """
     lo, hi = window
-    data = kl_sets(w)
-    base = CSTAR_GRADING.degree(_numerator(w, k))
-    build_lo = min(0, lo, base)
-    series = series_of_weight(
-        GRASS_SYSTEM, CSTAR_GRADING, _numerator(w, k), (build_lo, hi), height_cutoff
+    if lo > hi:
+        raise ValueError(f"empty window {window}")
+    num = _numerator(w, k)
+    roots = kl_sets(w).J
+    offsets = _cone_offsets(
+        roots, CSTAR_GRADING.degree(num), window, height_cutoff
     )
-    # a negative numerator degree drags the product window down by the
-    # same amount, so the expansions must certify correspondingly higher
-    factor_hi = hi - min(0, base)
-    for beta in data.J:
-        series = multiply(
-            series,
-            expand_inverse(
-                GRASS_SYSTEM, CSTAR_GRADING, beta, (build_lo, factor_hi), height_cutoff
-            ),
-        )
-    if lo < series.window[0]:
-        series = widen_window_down(series, lo)
-    return restrict_window(series, window)
+    return TruncatedSeries(
+        GRASS_SYSTEM, CSTAR_GRADING, num, roots, window, height_cutoff, offsets
+    )
 
 
 def swap_blocks_weight(mu: Weight) -> Weight:
@@ -273,16 +326,14 @@ def swap_blocks_weight(mu: Weight) -> Weight:
     As a permutation of the six coordinate lines it is the product of the
     longest Weyl element with the Levi longest element.
     """
-    c = mu.coords
-    eps = [sum(c[j:]) for j in range(5)] + [0]
-    swapped = [eps[(i + 3) % 6] for i in range(6)]
-    return Weight(tuple(swapped[i] - swapped[i + 1] for i in range(5)))
+    return Weight(_swap_coords(mu.coords))
 
 
-def _window_character(series: TruncatedSeries) -> Character:
-    # every stored term of a restricted product survives the height and
-    # degree pruning, so the read-off is exact on its support
-    return Character(series.terms())
+def _swap_coords(c: tuple[int, ...]) -> tuple[int, ...]:
+    # with eps_j = c_j + ... + c_5 the coordinate-line values, the swap
+    # sends eps to (eps_4, eps_5, eps_6 = 0, eps_1, eps_2, eps_3); taking
+    # consecutive differences again gives the fundamental coordinates
+    return (c[3], c[4], -sum(c), c[0], c[1])
 
 
 def unstable_character_bounds(
@@ -303,26 +354,30 @@ def unstable_character_bounds(
     """
     lo, hi = window
     if component == "F2":
-        lower, upper = unstable_character_bounds(
-            "F1", -k, (-hi, -lo), height_cutoff
-        )
-        return (
-            lower.map_weights(swap_blocks_weight),
-            upper.map_weights(swap_blocks_weight),
-        )
-    if component != "F1":
+        k, window, swap = -k, (-hi, -lo), _swap_coords
+    elif component == "F1":
+        swap = None
+    else:
         raise ValueError(f"unknown component {component!r}")
-    top = component_cell("F1")
-    upper = _window_character(
-        kempf_character(top.w, k, window, height_cutoff)
+    # every stored term survives the height and degree pruning, so the
+    # read-off is exact on its support; terms meet in coordinate tuples
+    # and each weight is built once
+    top, *boundary = (
+        kempf_character(cell.w, k, window, height_cutoff)
+        for cell in covering_cells()
     )
-    lower = upper
-    for cell in enumerate_cells():
-        if cell.codim == top.codim + 1 and closure_contains(top, cell):
-            lower = lower - _window_character(
-                kempf_character(cell.w, k, window, height_cutoff)
-            )
-    return lower.floor_zero(), upper
+    upper = top.term_coords()
+    lower = dict(upper)
+    for series in boundary:
+        for c, m in series.term_coords().items():
+            lower[c] = lower.get(c, 0) - m
+    weights = {c: Weight(swap(c) if swap else c) for c in upper}
+    # boundary multiplicities are positive, so a positive difference sits
+    # on the support of the upper bound
+    return (
+        Character({weights[c]: m for c, m in lower.items() if m > 0}),
+        Character({weights[c]: m for c, m in upper.items()}),
+    )
 
 
 def cousin_terms(
@@ -365,8 +420,3 @@ def cousin_terms(
             total = series if total is None else add(total, series)
         out.append(restrict_window(total, window))
     return tuple(out)
-
-
-def grade_slice(series: TruncatedSeries, n: int) -> Character:
-    """All terms of one scaling degree; errors outside the window."""
-    return grade_project(series, n)

@@ -28,6 +28,7 @@ from .rootsys import (
     Weight,
     dominant_conjugate,
     half_sum_positive,
+    root_lattice_coords,
     root_to_weight,
     weight_to_root,
 )
@@ -35,13 +36,9 @@ from .satake import catalog_diagram, restricted_system
 from .schubert import (
     CSTAR_GRADING,
     GRASS_SYSTEM,
-    SchubertCell,
-    cell_exponent,
-    closure_contains,
-    component_cell,
-    enumerate_cells,
+    _numerator,
+    covering_cells,
     kempf_character,
-    kl_sets,
     swap_blocks_weight,
     unstable_character_bounds,
 )
@@ -364,24 +361,6 @@ def _doubled_weight(nu: Weight) -> Weight:
     return Weight((f2, f1, -f5, -f4))
 
 
-@lru_cache(maxsize=1)
-def _boundary_cells() -> tuple[SchubertCell, ...]:
-    top = component_cell("F1")
-    subs = [
-        c
-        for c in enumerate_cells()
-        if c.codim == top.codim + 1 and closure_contains(top, c)
-    ]
-    return (top, *subs)
-
-
-def _cell_numerator(cell: SchubertCell, k: int) -> Weight:
-    num = cell_exponent(cell.w, k)
-    for alpha in kl_sets(cell.w).K:
-        num = num + root_to_weight(GRASS_SYSTEM, alpha)
-    return num
-
-
 def _auto_height_cutoff(
     k: int, probes: set[Weight], f1_open: bool, f2_open: bool
 ) -> int:
@@ -398,19 +377,19 @@ def _auto_height_cutoff(
     if f2_open:
         targets |= {swap_blocks_weight(nu) for nu in probes}
     cutoff = _DEFAULT_CROSS_CUTOFF
-    for cell in _boundary_cells():
-        num = _cell_numerator(cell, k)
+    for cell in covering_cells():
+        num = _numerator(cell.w, k)
         for probe in targets:
-            off = weight_to_root(GRASS_SYSTEM, probe - num)
-            if all(x.denominator == 1 for x in off):
-                cutoff = max(cutoff, int(sum(off)))
+            off = root_lattice_coords(GRASS_SYSTEM, probe - num)
+            if off is not None:
+                cutoff = max(cutoff, sum(off))
     return cutoff
 
 
 def _stratum_series(k: int, window: tuple[int, int], cutoff: int):
     return tuple(
         kempf_character(cell.w, k, window, cutoff)
-        for cell in _boundary_cells()
+        for cell in covering_cells()
     )
 
 

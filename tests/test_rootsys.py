@@ -1,5 +1,6 @@
 """Tests for root systems, Weyl words, and coset combinatorics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -140,6 +141,25 @@ def test_weight_to_root_fractional():
         Fraction(2, 3),
         Fraction(1, 3),
     )
+
+
+@pytest.mark.parametrize("system", SMALL_SYSTEMS + [A5], ids=lambda s: s.type_label)
+def test_root_lattice_coords_match_fractions(system):
+    # the integer map agrees with the exact rational one: the same
+    # coordinates on the root lattice, None off it
+    n = system.rank
+    span = range(-3, 4) if n <= 2 else range(-1, 2)
+    hits = 0
+    for coords in itertools.product(span, repeat=n):
+        w = Weight(coords)
+        exact = rs.weight_to_root(system, w)
+        got = rs.root_lattice_coords(system, w)
+        if all(x.denominator == 1 for x in exact):
+            assert got == tuple(int(x) for x in exact)
+            hits += 1
+        else:
+            assert got is None
+    assert hits > 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ from collections import Counter
 
 import pytest
 
-from wonderco.charring import TruncationError
+from wonderco.charring import (
+    TruncationError,
+    expand_inverse,
+    grade_project,
+    multiply,
+    restrict_window,
+    series_of_weight,
+    widen_window_down,
+)
 from wonderco.rootsys import (
     Root,
     Weight,
@@ -18,13 +26,14 @@ from wonderco.schubert import (
     CSTAR_GRADING,
     GRASS_SYSTEM,
     LEVI,
+    _cone_offsets,
     cell_exponent,
     cell_for_fixed_point,
     closure_contains,
     component_cell,
+    covering_cells,
     cousin_terms,
     enumerate_cells,
-    grade_slice,
     kempf_character,
     kl_sets,
     one_line,
@@ -106,6 +115,32 @@ def numerator_weight(w, k):
     for alpha in kl_sets(w).K:
         num = num + root_to_weight(GRASS_SYSTEM, alpha)
     return num
+
+
+def chain_kempf(w, k, window, cutoff):
+    """The Kempf series as a pairwise chain of charring primitives: one
+    expanded factor per denominator root, multiplied in, then widened and
+    cut back to the requested window."""
+    lo, hi = window
+    num = numerator_weight(w, k)
+    base = CSTAR_GRADING.degree(num)
+    build_lo = min(0, lo, base)
+    series = series_of_weight(
+        GRASS_SYSTEM, CSTAR_GRADING, num, (build_lo, hi), cutoff
+    )
+    # a negative numerator degree drags the product window down by the
+    # same amount, so the factors must certify correspondingly higher
+    factor_hi = hi - min(0, base)
+    for beta in kl_sets(w).J:
+        series = multiply(
+            series,
+            expand_inverse(
+                GRASS_SYSTEM, CSTAR_GRADING, beta, (build_lo, factor_hi), cutoff
+            ),
+        )
+    if lo < series.window[0]:
+        series = widen_window_down(series, lo)
+    return restrict_window(series, window)
 
 
 def bruhat_leq(u, v):
@@ -210,6 +245,12 @@ class TestComponentCell:
         cells = enumerate_cells()
         assert next(c for c in cells if c.w == s1w).fixed_point == (1, 3, 6)
         assert next(c for c in cells if c.w == s5w).fixed_point == (2, 3, 5)
+
+    def test_covering_cells(self):
+        top, *rest = covering_cells()
+        assert top == f1_cell()
+        assert len(rest) == 2
+        assert {c.w for c in rest} == set(boundary_cells())
 
 
 class TestClosureOrder:
@@ -377,13 +418,66 @@ class TestKempfSeries:
 
     def test_slice_below_floor_is_empty(self):
         s = kempf_character(f1_cell().w, 2, (2, 16))
-        assert grade_slice(s, 4).terms == {}
-        assert grade_slice(s, 9).terms == {}
+        assert grade_project(s, 4).terms == {}
+        assert grade_project(s, 9).terms == {}
 
     def test_slice_outside_window_raises(self):
         s = kempf_character(f1_cell().w, 2, (2, 16))
         with pytest.raises(TruncationError, match="outside"):
-            grade_slice(s, 17)
+            grade_project(s, 17)
+
+    def test_rejects_negative_degree_root(self):
+        # no cell denominator has one; the guard keeps the expansion from
+        # certifying a window that terms below the floor could reach
+        with pytest.raises(ValueError, match="negative-degree"):
+            _cone_offsets((Root((0, 0, -1, 0, 0)),), 0, (0, 4), 6)
+
+    def test_cached_series_is_read_only(self):
+        w = f1_cell().w
+        s = kempf_character(w, 1, (1, 13))
+        before = dict(s.offsets)
+        with pytest.raises(TypeError):
+            s.offsets[(0, 0, 0, 0, 0)] = 7
+        with pytest.raises(TypeError):
+            del s.offsets[next(iter(before))]
+        with pytest.raises(AttributeError):
+            s.window = (0, 0)
+        again = kempf_character(w, 1, (1, 13))
+        assert again.offsets == before
+        assert again == kempf_character.__wrapped__(w, 1, (1, 13))
+
+    def test_matches_pairwise_chain(self):
+        # windows relative to the level: wide, single-grade, reaching below
+        # the numerator degree, and wholly below the support
+        shapes = [
+            lambda k: (k, k + 14),
+            lambda k: (k + 9, k + 9),
+            lambda k: (k - 6, k + 10),
+            lambda k: (k - 20, k - 4),
+        ]
+        levels = (-9, -4, -1, 2, 5)
+        seen = set()
+        for i, cell in enumerate(enumerate_cells()):
+            for j in (i, i + 7):
+                k = levels[j % len(levels)]
+                window = shapes[j % len(shapes)](k)
+                cutoff = (6, 12)[j % 2]
+                want = chain_kempf(cell.w, k, window, cutoff)
+                got = kempf_character(cell.w, k, window, cutoff)
+                assert got.window == want.window == window
+                assert got.height_cutoff == want.height_cutoff
+                assert got.numerator_exponent == want.numerator_exponent
+                assert got.denominator == want.denominator
+                assert got.offsets == want.offsets
+                base = CSTAR_GRADING.degree(want.numerator_exponent)
+                seen.add(("negative k", k < 0))
+                seen.add(("single grade", window[0] == window[1]))
+                seen.add(("floor below base", window[0] < base <= window[1]))
+                seen.add(("terms", bool(want.offsets)))
+                seen.add(("cutoff", cutoff))
+        for kind in ("negative k", "single grade", "floor below base", "terms"):
+            assert (kind, True) in seen and (kind, False) in seen
+        assert {("cutoff", 6), ("cutoff", 12)} <= seen
 
     def test_negative_level_narrow_window(self):
         # the numerator degree sits below the requested floor, so the
