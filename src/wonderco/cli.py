@@ -26,7 +26,8 @@ Output is tab-separated rows whose first field names the row, or JSON
 across reruns with the same flags and seed; timings are omitted for that
 reason.  Exit codes: 0 success, 1 value mismatch, 2 certification
 failure (a truncation window or search box too small to decide), 3
-invalid input.
+invalid input, 4 internal error (a consistency guard inside the library
+failed).
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_CERTIFICATION = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_BOUND = 12
 
@@ -791,6 +793,9 @@ def main(
     except (InputError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=err)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

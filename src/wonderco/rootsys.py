@@ -14,7 +14,6 @@ Everything is an immutable value; all operations are pure functions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -708,10 +707,6 @@ def system_to_dict(system: RootSystem) -> dict:
         "cartan": [list(row) for row in system.cartan],
         "positive_roots": [list(r.coords) for r in system.positive_roots],
     }
-
-
-def system_to_json(system: RootSystem) -> str:
-    return json.dumps(system_to_dict(system), sort_keys=True)
 
 
 def weight_from_json(data: list[int]) -> Weight:

@@ -22,13 +22,13 @@ from functools import lru_cache
 from .rootsys import (
     Root,
     RootSystem,
+    _simple_cartan,
     all_roots,
     build_root_system,
     coroot_pairing,
     is_root,
     simple_root,
 )
-from .rootsys import _simple_cartan  # noqa: F401  (series templates for labeling)
 
 __all__ = [
     "DiagramError",

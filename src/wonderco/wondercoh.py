@@ -23,14 +23,11 @@ from functools import lru_cache
 from .charring import Character, weyl_character
 from .gitgrass import sheaf_correspondence
 from .rootsys import (
-    Root,
     RootSystem,
     Weight,
-    dominant_conjugate,
     half_sum_positive,
     root_lattice_coords,
     root_to_weight,
-    weight_to_root,
 )
 from .satake import catalog_diagram, restricted_system
 from .schubert import (
@@ -125,23 +122,23 @@ def spanning_weight(a1: int, a2: int, b1: int, b2: int) -> Weight:
     )
 
 
-@lru_cache(maxsize=8)
-def _gamma_root_coords(gamma: Weight) -> tuple[int, ...]:
+def _valid_candidates(a1: int, a2: int, offsets):
+    """Yield (t1, t2, p, q) for the offsets whose candidate is valid.
+
+    The candidate ``lam + t1 g1 + t2 g2 + rho`` is ``(p, q, p, q)``; the
+    affine map (t1, t2) -> (p, q) is read off the block coordinates of
+    the boundary classes and rho.  Valid means regular (p, q and p + q
+    nonzero) with a positive offset exactly where the pairing is negative.
+    """
     data = spherical_data()
-    coords = weight_to_root(data.lattice, gamma)
-    return tuple(int(c) for c in coords)
-
-
-def _pair_value(nu: Weight, gamma: Weight) -> int:
-    # the invariant pairing against a boundary class, up to positive
-    # scale: the sum of coroot values over its simple-root support
-    return sum(c * f for c, f in zip(_gamma_root_coords(gamma), nu.coords))
-
-
-def _coroot_value(nu: Weight, alpha: Root) -> int:
-    # the doubled system is simply laced, so the coroot value is the dot
-    # product of simple-root coordinates with fundamental coordinates
-    return sum(a * f for a, f in zip(alpha.coords, nu.coords))
+    (g11, g12), (g21, g22), (r1, r2) = map(
+        _diagonal_coords, (*data.sigma_x, data.rho)
+    )
+    for t1, t2 in offsets:
+        p = a1 + r1 + t1 * g11 + t2 * g21
+        q = a2 + r2 + t1 * g12 + t2 * g22
+        if p and q and p + q and (t1 >= 1) == (p < 0) and (t2 >= 1) == (q < 0):
+            yield t1, t2, p, q
 
 
 # ---------------------------------------------------------------------------
@@ -151,71 +148,63 @@ def _coroot_value(nu: Weight, alpha: Root) -> int:
 def _required_radius(a1: int, a2: int) -> int:
     """Largest offset coordinate any valid candidate can have.
 
-    Each sign pattern forces a linear inequality on the offsets: both
-    pairings nonnegative bounds the offset sum by a1+a2, a single
-    negative pairing bounds it by -a1-2 (or -a2-2), and two negative
-    pairings bound it by -a1-a2-4.
+    With p + q = a1 + a2 + 2 + t1 + t2, each sign pattern of (p, q) bounds
+    the offsets: p, q >= 1 gives -(t1 + t2) <= a1 + a2, p <= -1 alone
+    2 t1 - t2 <= -a1 - 2 (q <= -1 alone: -a2 - 2), and p, q <= -1 gives
+    t1 + t2 <= -a1 - a2 - 4.
     """
     return max(0, a1 + a2, -a1 - 2, -a2 - 2, -a1 - a2 - 4)
 
 
 def _sign_pattern_ranges(a1: int, a2: int):
-    """Candidate offset pairs (t1, t2) for the four sign patterns.
+    """Candidate offset pairs (t1, t2) for the four sign patterns of (p, q).
 
-    The pattern of strictly positive offsets must match the pattern of
-    negative pairings, which forces the inequalities used below; every
-    valid offset pair appears, so scanning these is complete.
+    A positive offset must sit exactly where (p, q) is negative, which
+    forces the inequalities used below; every valid offset pair appears,
+    so scanning these is complete.
     """
     s = a1 + a2
     if s >= 0:
-        # both pairings nonnegative: nonpositive offsets, sum bounded
+        # p, q >= 1: nonpositive offsets, sum bounded
         for d1 in range(s + 1):
             for d2 in range(s - d1 + 1):
                 yield -d1, -d2
     m = -a1 - 2
     if m >= 2:
-        # first pairing negative only: 2 t1 - t2 <= -a1 - 2
+        # p <= -1 < q: 2 t1 - t2 <= -a1 - 2
         for c1 in range(1, m // 2 + 1):
             for d2 in range(m - 2 * c1 + 1):
                 yield c1, -d2
     m = -a2 - 2
     if m >= 2:
-        # second pairing negative only
+        # q <= -1 < p
         for c2 in range(1, m // 2 + 1):
             for d1 in range(m - 2 * c2 + 1):
                 yield -d1, c2
     s = -a1 - a2 - 4
     if s >= 2:
-        # both pairings negative: t1 + t2 <= -a1 - a2 - 4
+        # p, q <= -1: t1 + t2 <= -a1 - a2 - 4
         for c1 in range(1, s):
             for c2 in range(1, s - c1 + 1):
                 yield c1, c2
 
 
-def _shell_clear(lam: Weight, radius: int) -> None:
+def _shell_clear(a1: int, a2: int, radius: int) -> None:
     """Check the first offset layer outside the box for valid candidates.
 
     The analytic bound says none exist once the box covers the required
-    radius; this scans the layer anyway and refuses to certify if a
-    candidate slips through.
+    radius; this scans the layer's (p, q) anyway and refuses to certify
+    if a candidate slips through.
     """
-    data = spherical_data()
-    g1, g2 = data.sigma_x
     edge = radius + 1
     shell = [(t, s * edge) for t in range(-edge, edge + 1) for s in (-1, 1)]
     shell += [(s * edge, t) for t in range(-radius, radius + 1) for s in (-1, 1)]
-    for t1, t2 in shell:
-        nu = lam + g1.scale(t1) + g2.scale(t2) + data.rho
-        if any(_coroot_value(nu, a) == 0 for a in data.lattice.positive_roots):
-            continue
-        if ((t1 >= 1) == (_pair_value(nu, g1) < 0)) and (
-            (t2 >= 1) == (_pair_value(nu, g2) < 0)
-        ):
-            raise BoxTooSmallError(
-                f"a candidate at offsets ({t1}, {t2}) just outside the "
-                f"box of radius {radius} still satisfies the sign "
-                "constraints; enlarge the box"
-            )
+    for t1, t2, _, _ in _valid_candidates(a1, a2, shell):
+        raise BoxTooSmallError(
+            f"a candidate at offsets ({t1}, {t2}) just outside the "
+            f"box of radius {radius} still satisfies the sign "
+            "constraints; enlarge the box"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -225,9 +214,13 @@ def _graded_components(
     """All contributions of a bundle weight, grouped by cohomological degree.
 
     Returns (degree, dominant highest weights) pairs; the weight lists
-    keep multiplicity and are sorted on coordinates.
+    keep multiplicity and are sorted on coordinates.  Candidates are
+    scanned as shifted pairings p = a1+1+2t1-t2, q = a2+1-t1+2t2.  The
+    boundary classes are the doubled simple roots, so a candidate's
+    pairing with g1 (g2) is a positive multiple of p (q) and the two sign
+    patterns agree.  Each A2 reflection to the dominant chamber acts on
+    both factors of the doubled group and adds two to the length.
     """
-    data = spherical_data()
     a1, a2 = _diagonal_coords(lam)
     radius = 3 * (1 + abs(a1) + abs(a2)) if box is None else int(box)
     needed = _required_radius(a1, a2)
@@ -237,23 +230,20 @@ def _graded_components(
             f"({a1}, {a2}); the sign constraints stay satisfiable out to "
             f"radius {needed}"
         )
-    _shell_clear(lam, radius)
-    g1, g2 = data.sigma_x
-    found: dict[int, list[Weight]] = {}
-    for t1, t2 in _sign_pattern_ranges(a1, a2):
-        nu = lam + g1.scale(t1) + g2.scale(t2) + data.rho
-        plus, _, length, regular = dominant_conjugate(data.lattice, nu)
-        if not regular:
-            continue
-        if ((t1 >= 1) != (_pair_value(nu, g1) < 0)) or (
-            (t2 >= 1) != (_pair_value(nu, g2) < 0)
-        ):
-            continue
-        crossed = int(t1 >= 1) + int(t2 >= 1)
-        found.setdefault(length + crossed, []).append(plus - data.rho)
+    _shell_clear(a1, a2, radius)
+    r1, r2 = _diagonal_coords(spherical_data().rho)
+    found: dict[int, list[tuple[int, int]]] = {}
+    offsets = _sign_pattern_ranges(a1, a2)
+    for t1, t2, x, y in _valid_candidates(a1, a2, offsets):
+        length = 0
+        while x < 0 or y < 0:
+            x, y = (-x, x + y) if x < 0 else (x + y, -y)
+            length += 2
+        degree = length + (t1 >= 1) + (t2 >= 1)
+        found.setdefault(degree, []).append((x - r1, y - r2))
     return tuple(
-        (i, tuple(sorted(ws, key=lambda w: w.coords)))
-        for i, ws in sorted(found.items())
+        (i, tuple(Weight((x, y, x, y)) for x, y in sorted(pts)))
+        for i, pts in sorted(found.items())
     )
 
 
@@ -354,11 +344,6 @@ def _ambient_weight(omega: Weight, n: int) -> Weight | None:
     if rem % 3 != 0:
         return None
     return Weight((f1, f2, rem // 3, f4, f5))
-
-
-def _doubled_weight(nu: Weight) -> Weight:
-    f1, f2, _, f4, f5 = nu.coords
-    return Weight((f2, f1, -f5, -f4))
 
 
 def _auto_height_cutoff(

@@ -14,6 +14,7 @@ from wonderco.acceptance import AcceptanceConfig, AcceptanceReport, CriterionRes
 from wonderco.cli import (
     EXIT_CERTIFICATION,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     InputError,
@@ -298,6 +299,18 @@ class TestPlumbing:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate")[0] == EXIT_INPUT
+
+    def test_internal_guard_is_its_own_failure_class(self, monkeypatch):
+        def broken_guard(*args, **kwargs):
+            raise AssertionError("the doubled diagram must restrict to rank two")
+
+        monkeypatch.setattr(wonderco.cli, "h_character", broken_guard)
+        code, out, err = run_cli("cohomology", "--lambda", "1,1,0,0", "--i", "0")
+        assert code == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == (
+            "internal error: the doubled diagram must restrict to rank two\n"
+        )
 
     def test_signed_value_merge(self):
         argv = ["cohomology", "--lambda", "-4,2,0,0", "--i", "3"]

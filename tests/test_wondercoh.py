@@ -1,16 +1,26 @@
 """Tests for line-bundle cohomology on the compactified group."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wonderco.charring import Character, weyl_character, weyl_dimension
-from wonderco.rootsys import Weight, build_root_system
+from wonderco.rootsys import (
+    Weight,
+    build_root_system,
+    dominant_conjugate,
+    weight_to_root,
+)
 from wonderco.schubert import CSTAR_GRADING
 from wonderco.wondercoh import (
     BoxTooSmallError,
     CrossCheckReport,
     SphericalData,
+    _required_radius,
+    _shell_clear,
+    _sign_pattern_ranges,
     cross_validate_h3,
     h_character,
     serre_dual_check,
@@ -59,6 +69,44 @@ def oracle_components(a1, a2, i):
                     x, y = x + y, -y
             out.append((x - 1, y - 1, x - 1, y - 1))
     return sorted(out)
+
+
+def descent_components(lam):
+    """Second oracle: Weyl descent on the four-coordinate weights.
+
+    Each candidate lam + t1 g1 + t2 g2 + rho is built in ``Weight``
+    arithmetic, moved to the dominant chamber of the doubled system by
+    ``dominant_conjugate``, and tested against the boundary classes by the
+    invariant pairing through their simple-root coordinates.  Only the
+    candidate offsets come from the module; their completeness is checked
+    by the brute-force oracle above and by the shell scan.  Returns
+    {degree: sorted highest-weight coordinates}.
+    """
+    data = spherical_data()
+    g1, g2 = data.sigma_x
+    gamma_roots = []
+    for g in data.sigma_x:
+        coords = weight_to_root(data.lattice, g)
+        assert all(c.denominator == 1 for c in coords)
+        gamma_roots.append([int(c) for c in coords])
+
+    def pairing(nu, k):
+        return sum(c * f for c, f in zip(gamma_roots[k], nu.coords))
+
+    a1, a2 = lam.coords[:2]
+    out = {}
+    for t1, t2 in _sign_pattern_ranges(a1, a2):
+        nu = lam + g1.scale(t1) + g2.scale(t2) + data.rho
+        plus, _, length, regular = dominant_conjugate(data.lattice, nu)
+        if not regular:
+            continue
+        if (t1 >= 1) != (pairing(nu, 0) < 0) or (
+            (t2 >= 1) != (pairing(nu, 1) < 0)
+        ):
+            continue
+        degree = length + (t1 >= 1) + (t2 >= 1)
+        out.setdefault(degree, []).append((plus - data.rho).coords)
+    return {i: sorted(ws) for i, ws in out.items()}
 
 
 class TestSphericalData:
@@ -161,6 +209,27 @@ class TestComponentEnumeration:
                         for w in tchoudjem_components(diag(a1, a2), i)
                     ]
                     assert got == oracle_components(a1, a2, i), (a1, a2, i)
+
+    def test_matches_descent_oracle_on_coefficient_box(self):
+        # every bundle of the radius-5 coefficient box (acceptance c7)
+        bundles = {
+            spanning_weight(*c)
+            for c in itertools.product(range(-5, 6), repeat=4)
+        }
+        assert len(bundles) == 1041
+        for lam in bundles:
+            want = descent_components(lam)
+            for i in range(0, 9):
+                got = [w.coords for w in tchoudjem_components(lam, i)]
+                assert got == want.get(i, []), (lam.coords, i)
+
+    def test_shell_scan_catches_candidate_outside_box(self):
+        # (6, 6) needs radius 12; at radius 3 its valid offset (-4, -4)
+        # lies on the first layer outside the box
+        assert _required_radius(6, 6) == 12
+        with pytest.raises(BoxTooSmallError, match=r"\(-4, -4\) just outside"):
+            _shell_clear(6, 6, 3)
+        _shell_clear(6, 6, 12)
 
     def test_non_diagonal_rejected(self):
         with pytest.raises(ValueError, match="block-diagonal"):
