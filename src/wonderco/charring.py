@@ -1,8 +1,10 @@
 """Character-ring arithmetic.
 
 Finitely supported characters over a weight lattice, irreducible characters
-via the Freudenthal recursion, and truncated expansions of products of
-geometric series 1/(1 - e^beta).
+via the Freudenthal recursion, and the container for truncated expansions of
+products of geometric series 1/(1 - e^beta) with the operations that read
+and combine finished series.  The series themselves are built in one pass
+over their cone by :func:`wonderco.schubert.kempf_character`.
 
 A :class:`TruncatedSeries` represents
 
@@ -45,14 +47,9 @@ __all__ = [
     "TruncationError",
     "weyl_character",
     "weyl_dimension",
-    "expand_inverse",
-    "multiply",
     "add",
     "restrict_window",
-    "widen_window_down",
     "grade_project",
-    "series_unit",
-    "series_of_weight",
 ]
 
 
@@ -337,9 +334,6 @@ class Grading:
             sum(self.values[i] * c[i][j] for i in range(n)) for j in range(n)
         )
 
-    def root_degree(self, r: Root) -> int:
-        return sum(map(operator.mul, self.simple_root_degrees, r.coords))
-
 
 # ---------------------------------------------------------------------------
 # truncated series
@@ -455,10 +449,6 @@ class TruncatedSeries:
         degs = self._offset_degrees().values()
         return min(degs) if degs else None
 
-    def max_degree(self) -> int | None:
-        degs = self._offset_degrees().values()
-        return max(degs) if degs else None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)
@@ -479,142 +469,14 @@ class TruncatedSeries:
 DEFAULT_HEIGHT_CUTOFF = 12
 
 
-def series_unit(
-    system: RootSystem,
-    grading: Grading,
-    window: tuple[int, int],
-    height_cutoff: int = DEFAULT_HEIGHT_CUTOFF,
-) -> TruncatedSeries:
-    """The series e^0."""
-    return series_of_weight(
-        system, grading, Weight((0,) * system.rank), window, height_cutoff
-    )
-
-
-def series_of_weight(
-    system: RootSystem,
-    grading: Grading,
-    w: Weight,
-    window: tuple[int, int],
-    height_cutoff: int = DEFAULT_HEIGHT_CUTOFF,
-) -> TruncatedSeries:
-    """The one-term series e^w."""
-    zero = (0,) * system.rank
-    d = grading.degree(w)
-    offsets = {zero: 1} if window[0] <= d <= window[1] else {}
-    return TruncatedSeries(system, grading, w, (), window, height_cutoff, offsets)
-
-
-def expand_inverse(
-    system: RootSystem,
-    grading: Grading,
-    beta: Root,
-    window: tuple[int, int],
-    height_cutoff: int | None = None,
-) -> TruncatedSeries:
-    """Geometric series sum_{k>=0} e^{k beta} for a positive root ``beta``.
-
-    A strictly positive degree bounds the expansion by the window alone; a
-    zero or negative degree needs the explicit height cutoff (each step adds
-    at least one unit of height, so the cutoff keeps the sum finite).
-    """
-    if any(c < 0 for c in beta.coords):
-        raise ValueError(f"{beta.coords} is not a positive root")
-    deg = grading.root_degree(beta)
-    if height_cutoff is None:
-        if deg <= 0:
-            raise ValueError(
-                f"root {beta.coords} has degree {deg} <= 0; "
-                "an explicit height cutoff is required"
-            )
-        height_cutoff = DEFAULT_HEIGHT_CUTOFF
-    ht = sum(beta.coords)
-    offsets: dict[tuple[int, ...], int] = {}
-    k = 0
-    while k * ht <= height_cutoff and (deg <= 0 or k * deg <= window[1]):
-        if window[0] <= k * deg <= window[1]:
-            offsets[tuple(k * c for c in beta.coords)] = 1
-        k += 1
-    return TruncatedSeries(
-        system,
-        grading,
-        Weight((0,) * system.rank),
-        (beta,),
-        window,
-        height_cutoff,
-        offsets,
-    )
-
-
-def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product of two cone series.
-
-    A retained weight of the product is exact only if every splitting of it
-    lands inside both factors' windows and height cutoffs, so the product
-    window tops out at ``min`` over factors of (own top + partner's base
-    degree).  Both factor windows must reach down to their own base degree,
-    and negative-degree denominators are not supported here: with them no
-    degree window certifies a product (certification would be height-only).
-    """
-    if a.system != b.system:
-        raise ValueError("mismatched lattices")
-    if a.grading != b.grading:
-        raise ValueError("mismatched gradings")
-    floors = []
-    for s in (a, b):
-        if any(s.grading.root_degree(r) < 0 for r in s.denominator):
-            raise ValueError("negative-degree denominator root in a product")
-        # a sum of series can carry terms below its own base degree; the
-        # true floor is the lowest degree any term can have
-        floor = s.base_degree()
-        if s.offsets:
-            floor = min(floor, s.min_degree())
-        if s.window[0] > floor:
-            raise ValueError(
-                f"factor window {s.window} clips its degree floor "
-                f"{floor}; product would be uncertifiable"
-            )
-        floors.append(floor)
-    system = a.system
-    n = system.rank
-    cutoff = min(a.height_cutoff, b.height_cutoff)
-    base = a.numerator_exponent + b.numerator_exponent
-    d_max = min(a.window[1] + floors[1], b.window[1] + floors[0])
-    window = (min(floors[0] + floors[1], d_max), d_max)
-
-    out: dict[tuple[int, ...], int] = {}
-    deg_a = a._offset_degrees()
-    deg_b = b._offset_degrees()
-    height_b = {ob: sum(ob) for ob in b.offsets}
-    top = window[1]
-    for oa, ma in a.offsets.items():
-        ha = sum(oa)
-        da = deg_a[oa]
-        for ob, mb in b.offsets.items():
-            if ha + height_b[ob] > cutoff or da + deg_b[ob] > top:
-                continue
-            key = tuple(x + y for x, y in zip(oa, ob))
-            out[key] = out.get(key, 0) + ma * mb
-    return TruncatedSeries(
-        system,
-        a.grading,
-        base,
-        a.denominator + b.denominator,
-        window,
-        cutoff,
-        out,
-    )
-
-
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Sum of two series sharing a window.
 
     The terms of ``b`` are rebased onto ``a``'s numerator exponent, which
     must differ from ``b``'s by a root-lattice vector.  Both windows must
     reach down to both base degrees, so the sum is complete from its true
-    degree floor and stays a valid ``multiply`` factor.  The height cutoff
-    shrinks so that a height certified against the common base is certified
-    in both summands.
+    degree floor.  The height cutoff shrinks so that a height certified
+    against the common base is certified in both summands.
     """
     if a.system != b.system:
         raise ValueError("mismatched lattices")
@@ -673,37 +535,6 @@ def restrict_window(s: TruncatedSeries, window: tuple[int, int]) -> TruncatedSer
         window,
         s.height_cutoff,
         kept,
-    )
-
-
-def widen_window_down(s: TruncatedSeries, new_low: int) -> TruncatedSeries:
-    """Extend the certified window downward without recomputation.
-
-    Sound only when nothing can live below the current floor: every
-    denominator root must have nonnegative degree and the floor must not
-    exceed the base degree, so the added range is exactly zero.
-    """
-    if new_low > s.window[0]:
-        raise ValueError(
-            f"new floor {new_low} is above the current window {s.window}"
-        )
-    if any(s.grading.root_degree(r) < 0 for r in s.denominator):
-        raise ValueError(
-            "negative-degree denominator roots put terms below the floor"
-        )
-    if s.window[0] > s.base_degree():
-        raise ValueError(
-            f"window {s.window} starts above the base degree "
-            f"{s.base_degree()}; the gap below is not known to be empty"
-        )
-    return TruncatedSeries(
-        s.system,
-        s.grading,
-        s.numerator_exponent,
-        s.denominator,
-        (new_low, s.window[1]),
-        s.height_cutoff,
-        dict(s.offsets),
     )
 
 

@@ -531,22 +531,8 @@ def _cmd_cohomology(cfg: RunConfig, args, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 # acceptance
 
-def _report_lines(report: AcceptanceReport) -> list[str]:
-    lines = []
-    for r in report.results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"criterion {r.number:>2}/10 {status} {r.title}: {r.detail}"
-        )
-    good = sum(1 for r in report.results if r.passed)
-    lines.append(f"{good}/{len(report.results)} criteria passed")
-    return lines
-
-
 def _report_payload(report: AcceptanceReport) -> dict:
-    data = report.to_dict()
-    for entry in data["criteria"]:
-        entry.pop("elapsed", None)
+    data = report.to_dict(timed=False)
     data["exit_code"] = report.exit_code
     return data
 
@@ -569,7 +555,7 @@ def _cmd_acceptance(cfg: RunConfig, args, out: TextIO) -> int:
     if cfg.fmt == "json":
         _print_json(_report_payload(report), out)
     else:
-        _print_tsv([(line,) for line in _report_lines(report)], out)
+        _print_tsv([(line,) for line in report.lines(timed=False)], out)
     return report.exit_code
 
 

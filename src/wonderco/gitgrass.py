@@ -40,7 +40,6 @@ __all__ = [
     "block_swap",
     "intersection_dims",
     "is_semistable",
-    "is_stable",
     "unstable_component",
     "plucker_coordinates",
     "middle_components_nonzero",
@@ -213,13 +212,13 @@ def intersection_dims(u: SubspacePoint) -> tuple[int, int]:
 
 
 def is_semistable(u: SubspacePoint) -> bool:
+    """True when the plane meets each block in at most a line.
+
+    At this dimension the strict and non-strict thresholds coincide, so
+    semistable points are stable.
+    """
     d_v, d_vstar = intersection_dims(u)
     return d_v <= 1 and d_vstar <= 1
-
-
-def is_stable(u: SubspacePoint) -> bool:
-    # at this dimension the strict and non-strict thresholds coincide
-    return is_semistable(u)
 
 
 def unstable_component(u: SubspacePoint) -> str | None:

@@ -428,27 +428,36 @@ def restricted_system(d: SatakeDiagram) -> RestrictedSystem:
     )
 
 
+def _components(
+    vertices: range, edges: list[tuple[int, int]]
+) -> list[list[int]]:
+    """Connected components of a graph by union-find: each in the order of
+    ``vertices``, ordered by first vertex."""
+    parent = {v: v for v in vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for v in vertices:
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
 def _identify_type(
     cartan: tuple[tuple[int, ...], ...], divisible: list[bool]
 ) -> str:
     r = len(cartan)
-    comp_of = list(range(r))
-
-    def find(x: int) -> int:
-        while comp_of[x] != x:
-            comp_of[x] = comp_of[comp_of[x]]
-            x = comp_of[x]
-        return x
-
-    for i in range(r):
-        for j in range(r):
-            if i != j and cartan[i][j] != 0:
-                comp_of[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(r):
-        groups.setdefault(find(i), []).append(i)
+    bonds = [
+        (i, j) for i in range(r) for j in range(r) if i != j and cartan[i][j] != 0
+    ]
     labels = []
-    for verts in sorted(groups.values(), key=lambda g: g[0]):
+    for verts in _components(range(r), bonds):
         sub = tuple(
             tuple(cartan[i][j] for j in verts) for i in verts
         )
@@ -534,33 +543,14 @@ class DiagramComponent:
 def decompose(d: SatakeDiagram) -> tuple[DiagramComponent, ...]:
     n = d.system.rank
     c = d.system.cartan
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if c[i - 1][j - 1] != 0:
-                union(i, j)
-    bond_pieces: dict[int, set[int]] = {}
-    for i in range(1, n + 1):
-        bond_pieces.setdefault(find(i), set()).add(i)
-    halves_all = [frozenset(p) for p in bond_pieces.values()]
-    for a, b in d.arrows:
-        union(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
+    vertices = range(1, n + 1)
+    bonds = [
+        (i, j) for i in vertices for j in range(i + 1, n + 1) if c[i - 1][j - 1] != 0
+    ]
+    halves_all = [frozenset(p) for p in _components(vertices, bonds)]
 
     out = []
-    for verts in sorted(groups.values(), key=lambda g: g[0]):
+    for verts in _components(vertices, bonds + list(d.arrows)):
         vset = set(verts)
         halves = [h for h in halves_all if h <= vset]
         if len(halves) == 1:

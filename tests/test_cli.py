@@ -23,7 +23,6 @@ from wonderco.cli import (
     _parse_coefficients,
     _parse_matrix,
     _parse_window,
-    _report_lines,
     _report_payload,
     main,
 )
@@ -273,7 +272,7 @@ class TestReportRendering:
         return AcceptanceReport(AcceptanceConfig(), results)
 
     def test_lines_carry_no_timings(self):
-        lines = _report_lines(self._report())
+        lines = self._report().lines(timed=False)
         assert lines == [
             "criterion  1/10 PASS first: fine",
             "criterion  2/10 FAIL second: off",

@@ -23,7 +23,6 @@ from wonderco.gitgrass import (
     intersection_dims,
     invariant_generators,
     is_semistable,
-    is_stable,
     middle_components_nonzero,
     plucker_coordinates,
     point_from_json,
@@ -218,7 +217,7 @@ class TestIntersectionDims:
 class TestStability:
     def test_graph_points_semistable(self):
         assert is_semistable(graph_point([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        assert is_stable(graph_point([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+        assert is_semistable(graph_point([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
 
     def test_kernel_line_still_semistable(self):
         m = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
@@ -236,12 +235,6 @@ class TestStability:
         for u in fixed_points():
             d_v, d_vstar = intersection_dims(u)
             assert not (d_v >= 2 and d_vstar >= 2)
-
-    def test_stable_equals_semistable(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            u = random_point(rng)
-            assert is_stable(u) == is_semistable(u)
 
     def test_fixed_points_all_unstable(self):
         points = fixed_points()

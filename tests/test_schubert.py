@@ -5,15 +5,7 @@ from collections import Counter
 
 import pytest
 
-from wonderco.charring import (
-    TruncationError,
-    expand_inverse,
-    grade_project,
-    multiply,
-    restrict_window,
-    series_of_weight,
-    widen_window_down,
-)
+from wonderco.charring import TruncationError, grade_project
 from wonderco.rootsys import (
     Root,
     Weight,
@@ -117,30 +109,29 @@ def numerator_weight(w, k):
     return num
 
 
-def chain_kempf(w, k, window, cutoff):
-    """The Kempf series as a pairwise chain of charring primitives: one
-    expanded factor per denominator root, multiplied in, then widened and
-    cut back to the requested window."""
-    lo, hi = window
-    num = numerator_weight(w, k)
-    base = CSTAR_GRADING.degree(num)
-    build_lo = min(0, lo, base)
-    series = series_of_weight(
-        GRASS_SYSTEM, CSTAR_GRADING, num, (build_lo, hi), cutoff
-    )
-    # a negative numerator degree drags the product window down by the
-    # same amount, so the factors must certify correspondingly higher
-    factor_hi = hi - min(0, base)
+def brute_offsets(w, k, window, cutoff):
+    """The Kempf series offsets by direct convolution: every denominator
+    root is folded in as a full geometric factor, stopping each run where
+    the height passes the cutoff or the degree the window top, then terms
+    below the window floor are dropped."""
+    base = CSTAR_GRADING.degree(numerator_weight(w, k))
+    combos = {(0, 0, 0, 0, 0): 1}
     for beta in kl_sets(w).J:
-        series = multiply(
-            series,
-            expand_inverse(
-                GRASS_SYSTEM, CSTAR_GRADING, beta, (build_lo, factor_hi), cutoff
-            ),
-        )
-    if lo < series.window[0]:
-        series = widen_window_down(series, lo)
-    return restrict_window(series, window)
+        new = {}
+        for off, m in combos.items():
+            t = 0
+            while True:
+                key = tuple(off[i] + t * beta.coords[i] for i in range(5))
+                if sum(key) > cutoff or base + 2 * key[2] > window[1]:
+                    break
+                new[key] = new.get(key, 0) + m
+                t += 1
+        combos = new
+    return {
+        key: m
+        for key, m in combos.items()
+        if window[0] <= base + 2 * key[2] <= window[1]
+    }
 
 
 def bruhat_leq(u, v):
@@ -390,31 +381,42 @@ class TestKempfSeries:
         assert s.window == (0, 7)
 
     def test_matches_brute_convolution(self):
-        w = f1_cell().w
-        k, window, cutoff = 1, (1, 11), 7
-        data = kl_sets(w)
-        base = CSTAR_GRADING.degree(numerator_weight(w, k))
-        combos = {(0, 0, 0, 0, 0): 1}
-        for beta in data.J:
-            new = {}
-            for off, m in combos.items():
-                t = 0
-                while True:
-                    key = tuple(
-                        off[i] + t * beta.coords[i] for i in range(5)
-                    )
-                    if sum(key) > cutoff or base + 2 * key[2] > window[1]:
-                        break
-                    new[key] = new.get(key, 0) + m
-                    t += 1
-            combos = new
-        want = {
-            key: m
-            for key, m in combos.items()
-            if window[0] <= base + 2 * key[2] <= window[1]
-        }
-        series = kempf_character(w, k, window, height_cutoff=cutoff)
-        assert series.offsets == want
+        # one fixed F1 case at an odd cutoff, then two cases per cell with
+        # windows relative to the level: wide, single-grade, reaching below
+        # the numerator degree, and wholly below the support
+        shapes = [
+            lambda k: (k, k + 14),
+            lambda k: (k + 9, k + 9),
+            lambda k: (k - 6, k + 10),
+            lambda k: (k - 20, k - 4),
+        ]
+        levels = (-9, -4, -1, 2, 5)
+        cases = [(f1_cell().w, 1, (1, 11), 7)]
+        for i, cell in enumerate(enumerate_cells()):
+            for j in (i, i + 7):
+                k = levels[j % len(levels)]
+                window = shapes[j % len(shapes)](k)
+                cases.append((cell.w, k, window, (6, 12)[j % 2]))
+        seen = set()
+        for w, k, window, cutoff in cases:
+            want = brute_offsets(w, k, window, cutoff)
+            got = kempf_character(w, k, window, cutoff)
+            assert got.window == window
+            assert got.height_cutoff == cutoff
+            assert got.numerator_exponent == numerator_weight(w, k)
+            assert got.denominator == tuple(
+                sorted(kl_sets(w).J, key=lambda r: r.coords)
+            )
+            assert got.offsets == want
+            base = CSTAR_GRADING.degree(got.numerator_exponent)
+            seen.add(("negative k", k < 0))
+            seen.add(("single grade", window[0] == window[1]))
+            seen.add(("floor below base", window[0] < base <= window[1]))
+            seen.add(("terms", bool(want)))
+            seen.add(("cutoff", cutoff))
+        for kind in ("negative k", "single grade", "floor below base", "terms"):
+            assert (kind, True) in seen and (kind, False) in seen
+        assert {("cutoff", 6), ("cutoff", 12)} <= seen
 
     def test_slice_below_floor_is_empty(self):
         s = kempf_character(f1_cell().w, 2, (2, 16))
@@ -445,39 +447,6 @@ class TestKempfSeries:
         again = kempf_character(w, 1, (1, 13))
         assert again.offsets == before
         assert again == kempf_character.__wrapped__(w, 1, (1, 13))
-
-    def test_matches_pairwise_chain(self):
-        # windows relative to the level: wide, single-grade, reaching below
-        # the numerator degree, and wholly below the support
-        shapes = [
-            lambda k: (k, k + 14),
-            lambda k: (k + 9, k + 9),
-            lambda k: (k - 6, k + 10),
-            lambda k: (k - 20, k - 4),
-        ]
-        levels = (-9, -4, -1, 2, 5)
-        seen = set()
-        for i, cell in enumerate(enumerate_cells()):
-            for j in (i, i + 7):
-                k = levels[j % len(levels)]
-                window = shapes[j % len(shapes)](k)
-                cutoff = (6, 12)[j % 2]
-                want = chain_kempf(cell.w, k, window, cutoff)
-                got = kempf_character(cell.w, k, window, cutoff)
-                assert got.window == want.window == window
-                assert got.height_cutoff == want.height_cutoff
-                assert got.numerator_exponent == want.numerator_exponent
-                assert got.denominator == want.denominator
-                assert got.offsets == want.offsets
-                base = CSTAR_GRADING.degree(want.numerator_exponent)
-                seen.add(("negative k", k < 0))
-                seen.add(("single grade", window[0] == window[1]))
-                seen.add(("floor below base", window[0] < base <= window[1]))
-                seen.add(("terms", bool(want.offsets)))
-                seen.add(("cutoff", cutoff))
-        for kind in ("negative k", "single grade", "floor below base", "terms"):
-            assert (kind, True) in seen and (kind, False) in seen
-        assert {("cutoff", 6), ("cutoff", 12)} <= seen
 
     def test_negative_level_narrow_window(self):
         # the numerator degree sits below the requested floor, so the
