@@ -30,7 +30,6 @@ from .charring import TruncationError, weyl_character
 from .gitgrass import decompose_module, fixed_points, unstable_component
 from .opcrit import abstract_sweep, series_matrices, solution_set
 from .rootsys import (
-    Root,
     RootSystem,
     Weight,
     WeylElement,
@@ -655,11 +654,12 @@ def _check_oracles(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
         if not check_involution(diagram):
             return False, "mismatch", f"{name} does not induce an involution"
         roots = all_roots(diagram.system)
-        for coords in sorted(roots):
-            image = apply_theta(diagram, Root(coords))
-            if image.coords not in roots:
+        for root in sorted(roots):
+            coords = root.coords
+            image = apply_theta(diagram, root)
+            if image not in roots:
                 return False, "mismatch", f"{name} moves {coords} off the roots"
-            if apply_theta(diagram, image) != Root(coords):
+            if apply_theta(diagram, image) != root:
                 return False, "mismatch", f"{name} fails to square at {coords}"
     return (
         True,

@@ -127,7 +127,7 @@ class Character:
         return set(self.terms)
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].coords)
+        return sorted(self.terms.items())
 
     def to_tsv(self) -> str:
         lines = [
@@ -165,7 +165,7 @@ def _fund_gram(system: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
     d = _root_lengths(system)
     rows = [
         weight_to_root(
-            system, Weight(tuple(1 if j == i else 0 for j in range(system.rank)))
+            system, Weight(int(j == i) for j in range(system.rank))
         )
         for i in range(system.rank)
     ]
@@ -178,23 +178,18 @@ def _fund_gram(system: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
 def _form(system: RootSystem, x: Weight, y: Weight) -> Fraction:
     gram = _fund_gram(system)
     total = Fraction(0)
-    for i in range(system.rank):
-        if x.coords[i]:
-            row = gram[i]
-            for j in range(system.rank):
-                if y.coords[j]:
-                    total += x.coords[i] * y.coords[j] * row[j]
+    for xi, row in zip(x, gram):
+        if xi:
+            for yj, g in zip(y, row):
+                if yj:
+                    total += xi * yj * g
     return total
 
 
 def _form_weight_root(system: RootSystem, x: Weight, beta: Root) -> Fraction:
     d = _root_lengths(system)
     return sum(
-        (
-            x.coords[j] * d[j] * beta.coords[j]
-            for j in range(system.rank)
-            if x.coords[j] and beta.coords[j]
-        ),
+        (xj * dj * bj for xj, dj, bj in zip(x, d, beta) if xj and bj),
         Fraction(0),
     )
 
@@ -210,20 +205,17 @@ def _dominant_below(system: RootSystem, lam: Weight) -> list[Weight]:
     simple-root coordinates, so scanning that box is complete.
     """
     lowest = -dominant_representative(system, -lam)
-    box = weight_to_root(system, lam - lowest)
-    assert all(c.denominator == 1 and c >= 0 for c in box)
-    n = system.rank
-    cartan = system.cartan
-    found: list[tuple[int, tuple[int, ...]]] = []
-    for combo in itertools.product(*(range(int(c) + 1) for c in box)):
-        coords = tuple(
-            lam.coords[i]
-            - sum(cartan[i][j] * combo[j] for j in range(n) if combo[j])
-            for i in range(n)
+    box = root_lattice_coords(system, lam - lowest)
+    assert box is not None and all(c >= 0 for c in box)
+    found: list[tuple[int, Weight]] = []
+    for combo in itertools.product(*(range(c + 1) for c in box)):
+        mu = Weight(
+            li - sum(map(operator.mul, row, combo))
+            for li, row in zip(lam, system.cartan)
         )
-        if all(c >= 0 for c in coords):
-            found.append((sum(combo), coords))
-    return [Weight(c) for _, c in sorted(found)]
+        if mu.is_dominant():
+            found.append((sum(combo), mu))
+    return [mu for _, mu in sorted(found)]
 
 
 @lru_cache(maxsize=None)
@@ -274,8 +266,8 @@ def weyl_character(system: RootSystem, lam: Weight) -> Character:
                 if m is None:
                     # nu is above lam or outside the support: every further k
                     # only moves higher along alpha, so stop scanning
-                    diff = weight_to_root(system, lam - nu_plus)
-                    if any(x < 0 or x.denominator != 1 for x in diff):
+                    diff = root_lattice_coords(system, lam - nu_plus)
+                    if diff is None or any(x < 0 for x in diff):
                         break
                     m = 0
                 if m:
@@ -323,7 +315,7 @@ class Grading:
     values: tuple[int, ...]
 
     def degree(self, w: Weight) -> int:
-        return sum(map(operator.mul, self.values, w.coords))
+        return sum(map(operator.mul, self.values, w))
 
     @cached_property
     def simple_root_degrees(self) -> tuple[int, ...]:
@@ -372,7 +364,7 @@ class TruncatedSeries:
         self.system = system
         self.grading = grading
         self.numerator_exponent = numerator_exponent
-        self.denominator = tuple(sorted(denominator, key=lambda r: r.coords))
+        self.denominator = tuple(sorted(denominator))
         self.window = window
         self.height_cutoff = height_cutoff
         self.offsets = MappingProxyType(offsets)
@@ -389,10 +381,8 @@ class TruncatedSeries:
 
     def weight_of(self, offset: tuple[int, ...]) -> Weight:
         return Weight(
-            tuple(
-                b + sum(map(operator.mul, row, offset))
-                for b, row in zip(self.numerator_exponent.coords, self.system.cartan)
-            )
+            b + sum(map(operator.mul, row, offset))
+            for b, row in zip(self.numerator_exponent, self.system.cartan)
         )
 
     def _offset_degrees(self) -> dict[tuple[int, ...], int]:
@@ -408,9 +398,8 @@ class TruncatedSeries:
         difference is off the root lattice."""
         return root_lattice_coords(self.system, w - self.numerator_exponent)
 
-    def term_coords(self) -> dict[tuple[int, ...], int]:
-        """The stored terms keyed by the fundamental coordinates of their
-        weights, for callers that combine series before building weights.
+    def terms(self) -> dict[Weight, int]:
+        """The stored terms keyed by their weights.
 
         Computed a coordinate at a time over all terms: coordinate i is the
         numerator's plus row i of the Cartan matrix against the offsets.
@@ -418,17 +407,14 @@ class TruncatedSeries:
         n = len(self.offsets)
         by_root = list(zip(*self.offsets))
         coords = []
-        for b, row in zip(self.numerator_exponent.coords, self.system.cartan):
+        for b, row in zip(self.numerator_exponent, self.system.cartan):
             acc = [b] * n
             for c, xs in zip(row, by_root):
                 if c:
                     scaled = map(operator.mul, xs, itertools.repeat(c))
                     acc = list(map(operator.add, acc, scaled))
             coords.append(acc)
-        return dict(zip(zip(*coords), self.offsets.values()))
-
-    def terms(self) -> dict[Weight, int]:
-        return {Weight(c): m for c, m in self.term_coords().items()}
+        return dict(zip(map(Weight, zip(*coords)), self.offsets.values()))
 
     def is_certified(self, w: Weight) -> bool:
         """True when the stored multiplicity of ``w`` is exact: integral
@@ -444,10 +430,6 @@ class TruncatedSeries:
     def multiplicity(self, w: Weight) -> int:
         off = self.offset_of(w)
         return 0 if off is None else self.offsets.get(off, 0)
-
-    def min_degree(self) -> int | None:
-        degs = self._offset_degrees().values()
-        return min(degs) if degs else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -489,14 +471,13 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             "window floor above a summand's base degree; "
             "sum would be uncertifiable"
         )
-    delta = weight_to_root(
+    shift = root_lattice_coords(
         a.system, b.numerator_exponent - a.numerator_exponent
     )
-    if any(x.denominator != 1 for x in delta):
+    if shift is None:
         raise ValueError(
             "numerator exponents differ by a non-root-lattice vector"
         )
-    shift = tuple(int(x) for x in delta)
     n = a.system.rank
     cutoff = min(a.height_cutoff, b.height_cutoff + sum(shift))
     out = dict(a.offsets)

@@ -2,8 +2,11 @@
 
 Conventions used throughout the package:
 
-* ``Root`` coordinates are integers in the simple-root basis.
-* ``Weight`` coordinates are integers in the fundamental-weight basis.
+* ``Root`` and ``Weight`` are immutable tuples of ints with coordinatewise
+  ``+``/``-``: a ``Root`` in the simple-root basis, a ``Weight`` in the
+  fundamental-weight basis.  Constructors do not coerce, so callers pass
+  ints (parsers convert their input first), and ``.coords`` is the plain
+  coordinate tuple.
 * The Cartan matrix is indexed so that ``cartan[i][j] = <alpha_j, alpha_i_vee>``;
   consequently the fundamental coordinates of a root are ``C @ root_coords``
   and column ``j`` of ``C`` is ``alpha_j`` written in fundamental coordinates.
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, neg, sub
 
 __all__ = [
     "Root",
@@ -29,7 +32,6 @@ __all__ = [
     "pairing",
     "act",
     "coset_reps",
-    "dominant_conjugate",
     "half_sum_positive",
     "simple_root",
     "fundamental_weight",
@@ -41,66 +43,67 @@ __all__ = [
     "weyl_element",
     "identity_element",
     "longest_parabolic",
-    "weyl_group_order",
     "root_height",
     "root_inner",
     "coroot_pairing",
     "system_to_dict",
-    "weight_from_json",
 ]
 
 
-@dataclass(frozen=True)
-class Root:
+class _Vector(tuple):
+    """An immutable integer vector with coordinatewise arithmetic.
+
+    ``+``, ``-`` and unary ``-`` act coordinatewise, never as tuple
+    concatenation, and return the left operand's own type.  Ordering,
+    hashing and equality are those of the coordinate tuple, so a ``Root``
+    and a ``Weight`` with equal coordinates compare equal: no container
+    mixes them.  ``coords`` is a plain tuple, on which ``+`` concatenates.
+    """
+
+    __slots__ = ()
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    def __add__(self, other):
+        return type(self)(map(add, self, other))
+
+    def __sub__(self, other):
+        return type(self)(map(sub, self, other))
+
+    def __neg__(self):
+        return type(self)(map(neg, self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coords={tuple(self)!r})"
+
+
+class Root(_Vector):
     """A root, stored in simple-root coordinates."""
 
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coords))
+    __slots__ = ()
 
     def is_positive(self) -> bool:
-        return any(self.coords) and all(c >= 0 for c in self.coords)
+        return any(self) and all(c >= 0 for c in self)
 
     def is_negative(self) -> bool:
-        return any(self.coords) and all(c <= 0 for c in self.coords)
+        return any(self) and all(c <= 0 for c in self)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Vector):
     """A weight, stored in fundamental-weight coordinates."""
 
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+    __slots__ = ()
 
     def scale(self, k: int) -> "Weight":
-        return Weight(tuple(k * a for a in self.coords))
+        return Weight(k * a for a in self)
 
     def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
+        return all(c >= 0 for c in self)
 
     def is_strictly_dominant(self) -> bool:
-        return all(c > 0 for c in self.coords)
+        return all(c > 0 for c in self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,20 +287,12 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
 # cached per-system lookups
 
 @lru_cache(maxsize=None)
-def _root_set(system: RootSystem) -> frozenset[tuple[int, ...]]:
-    out = set()
-    for r in system.positive_roots:
-        out.add(r.coords)
-        out.add((-r).coords)
-    return frozenset(out)
-
-
-def all_roots(system: RootSystem) -> frozenset[tuple[int, ...]]:
-    return _root_set(system)
+def all_roots(system: RootSystem) -> frozenset[Root]:
+    return frozenset(system.positive_roots) | {-r for r in system.positive_roots}
 
 
 def is_root(system: RootSystem, root: Root) -> bool:
-    return root.coords in _root_set(system)
+    return root in all_roots(system)
 
 
 @lru_cache(maxsize=None)
@@ -315,30 +310,24 @@ def _reflection_matrix(system: RootSystem, i: int) -> tuple[tuple[int, ...], ...
 
 
 def root_height(root: Root) -> int:
-    return sum(root.coords)
+    return sum(root)
 
 
 def simple_root(system: RootSystem, i: int) -> Root:
     if not 1 <= i <= system.rank:
         raise IndexError(f"simple index {i} out of range 1..{system.rank}")
-    return Root(tuple(int(j == i - 1) for j in range(system.rank)))
+    return Root(int(j == i - 1) for j in range(system.rank))
 
 
 def fundamental_weight(system: RootSystem, i: int) -> Weight:
     if not 1 <= i <= system.rank:
         raise IndexError(f"simple index {i} out of range 1..{system.rank}")
-    return Weight(tuple(int(j == i - 1) for j in range(system.rank)))
+    return Weight(int(j == i - 1) for j in range(system.rank))
 
 
 def root_to_weight(system: RootSystem, root: Root) -> Weight:
     """Fundamental coordinates of a root: ``C @ root_coords``."""
-    c = system.cartan
-    return Weight(
-        tuple(
-            sum(c[i][j] * root.coords[j] for j in range(system.rank))
-            for i in range(system.rank)
-        )
-    )
+    return Weight(sum(map(mul, row, root)) for row in system.cartan)
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +360,7 @@ def weight_to_root(system: RootSystem, weight: Weight) -> tuple[Fraction, ...]:
     inv = _cartan_inverse(system)
     return tuple(
         sum(
-            (inv[i][j] * weight.coords[j] for j in range(n) if weight.coords[j]),
+            (inv[i][j] * weight[j] for j in range(n) if weight[j]),
             Fraction(0),
         )
         for i in range(n)
@@ -399,7 +388,7 @@ def root_lattice_coords(
     rows, den = _scaled_cartan_inverse(system)
     out = []
     for row in rows:
-        q, r = divmod(sum(map(mul, row, weight.coords)), den)
+        q, r = divmod(sum(map(mul, row, weight)), den)
         if r:
             return None
         out.append(q)
@@ -415,22 +404,19 @@ def pairing(system: RootSystem, x: Root | Weight, i: int) -> int:
     if not 1 <= i <= system.rank:
         raise IndexError(f"simple index {i} out of range 1..{system.rank}")
     if isinstance(x, Weight):
-        return x.coords[i - 1]
-    c = system.cartan[i - 1]
-    return sum(c[j] * x.coords[j] for j in range(system.rank))
+        return x[i - 1]
+    return sum(map(mul, system.cartan[i - 1], x))
 
 
 def reflect_root(system: RootSystem, i: int, root: Root) -> Root:
-    p = pairing(system, root, i)
-    coords = list(root.coords)
-    coords[i - 1] -= p
-    return Root(tuple(coords))
+    coords = list(root)
+    coords[i - 1] -= pairing(system, root, i)
+    return Root(coords)
 
 
 def reflect_weight(system: RootSystem, i: int, weight: Weight) -> Weight:
-    p = weight.coords[i - 1]
-    alpha_fund = tuple(system.cartan[k][i - 1] for k in range(system.rank))
-    return Weight(tuple(w - p * a for w, a in zip(weight.coords, alpha_fund)))
+    p = weight[i - 1]
+    return Weight(w - p * row[i - 1] for w, row in zip(weight, system.cartan))
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +526,10 @@ def longest_parabolic(system: RootSystem, subset: frozenset[int] | set[int]) -> 
         if not 1 <= i <= system.rank:
             raise IndexError(f"simple index {i} out of range 1..{system.rank}")
     # Send the subset-supported regular weight to its antidominant conjugate.
-    v = Weight(tuple(1 if (j + 1) in sub else 0 for j in range(system.rank)))
+    v = Weight(int(j + 1 in sub) for j in range(system.rank))
     word: list[int] = []
     while True:
-        i = next((i for i in sorted(sub) if v.coords[i - 1] > 0), None)
+        i = next((i for i in sorted(sub) if v[i - 1] > 0), None)
         if i is None:
             break
         v = reflect_weight(system, i, v)
@@ -602,48 +588,17 @@ def coset_reps(
     return tuple(sorted(reps, key=lambda w: (len(w), w.word)))
 
 
-def weyl_group_order(system: RootSystem) -> int:
-    """Order of the Weyl group, counted by exhaustive word closure."""
-    return len(coset_reps(system, set()))
-
-
 @lru_cache(maxsize=None)
 def dominant_representative(system: RootSystem, mu: Weight) -> Weight:
-    """Dominant representative of a weight's Weyl orbit.
-
-    Same descent as :func:`dominant_conjugate` but without constructing the
-    moving element, for callers that only need the chamber representative.
-    """
+    """Dominant representative of a weight's Weyl orbit, reached by
+    reflecting in the first simple root with a negative pairing until none
+    is left."""
     v = mu
     while True:
-        i = next((j + 1 for j, c in enumerate(v.coords) if c < 0), None)
+        i = next((j + 1 for j, c in enumerate(v) if c < 0), None)
         if i is None:
             return v
         v = reflect_weight(system, i, v)
-
-
-@lru_cache(maxsize=None)
-def dominant_conjugate(
-    system: RootSystem, mu: Weight
-) -> tuple[Weight, WeylElement, int, bool]:
-    """Dominant representative of a weight's Weyl orbit.
-
-    Returns ``(mu_plus, w, length, regular)`` with ``act(w, mu) = mu_plus``
-    dominant.  ``regular`` is True when the orbit is free, equivalently when
-    ``mu_plus`` is strictly dominant; in that case ``w`` is the unique element
-    moving ``mu`` to the dominant chamber and ``length`` is its Coxeter
-    length.
-    """
-    v = mu
-    applied: list[int] = []
-    while True:
-        i = next((j + 1 for j, c in enumerate(v.coords) if c < 0), None)
-        if i is None:
-            break
-        v = reflect_weight(system, i, v)
-        applied.append(i)
-    w = weyl_element(system, tuple(reversed(applied)))
-    return v, w, len(w), v.is_strictly_dominant()
 
 
 def half_sum_positive(system: RootSystem) -> Weight:
@@ -705,9 +660,5 @@ def system_to_dict(system: RootSystem) -> dict:
         "type": system.type_label,
         "rank": system.rank,
         "cartan": [list(row) for row in system.cartan],
-        "positive_roots": [list(r.coords) for r in system.positive_roots],
+        "positive_roots": [list(r) for r in system.positive_roots],
     }
-
-
-def weight_from_json(data: list[int]) -> Weight:
-    return Weight(tuple(int(v) for v in data))

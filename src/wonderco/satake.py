@@ -256,9 +256,7 @@ def theta_matrix(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
 
 def _apply(mat: tuple[tuple[int, ...], ...], r: Root) -> Root:
     n = len(mat)
-    return Root(
-        tuple(sum(mat[i][j] * r.coords[j] for j in range(n)) for i in range(n))
-    )
+    return Root(sum(mat[i][j] * r[j] for j in range(n)) for i in range(n))
 
 
 def apply_theta(d: SatakeDiagram, r: Root) -> Root:
@@ -279,11 +277,8 @@ def phi_split(d: SatakeDiagram) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
     theta_matrix(d)  # validate first
     fixed = []
     moved_positive = []
-    for coords in sorted(all_roots(d.system)):
-        r = Root(coords)
-        if all(
-            c == 0 or (j + 1) in d.black for j, c in enumerate(r.coords)
-        ):
+    for r in sorted(all_roots(d.system)):
+        if all(c == 0 or (j + 1) in d.black for j, c in enumerate(r)):
             fixed.append(r)
         elif r.is_positive():
             moved_positive.append(r)

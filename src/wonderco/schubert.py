@@ -182,14 +182,14 @@ def _radical_roots() -> tuple[Root, ...]:
     return tuple(
         r
         for r in GRASS_SYSTEM.positive_roots
-        if r.coords[2] > 0
+        if r[2] > 0
     )
 
 
 def _check_minimal(w: WeylElement) -> None:
     for i in LEVI:
-        image = act(w, Root(tuple(int(j + 1 == i) for j in range(5))))
-        if any(c < 0 for c in image.coords):
+        image = act(w, Root(int(j + 1 == i) for j in range(5)))
+        if any(c < 0 for c in image):
             raise ValueError(
                 "not a minimal coset representative: "
                 f"word {w.word} inverts a Levi simple root"
@@ -197,7 +197,7 @@ def _check_minimal(w: WeylElement) -> None:
 
 
 def _graded_lex(r: Root) -> tuple:
-    return (sum(r.coords), tuple(-c for c in r.coords))
+    return (sum(r), tuple(-c for c in r))
 
 
 @lru_cache(maxsize=32)
@@ -207,10 +207,10 @@ def kl_sets(w: WeylElement) -> InversionData:
     kept, flipped = [], []
     for beta in _radical_roots():
         image = act(w, beta)
-        if all(c >= 0 for c in image.coords):
+        if all(c >= 0 for c in image):
             kept.append(image)
         else:
-            flipped.append(Root(tuple(-c for c in image.coords)))
+            flipped.append(-image)
     return InversionData(
         tuple(sorted(kept, key=_graded_lex)),
         tuple(sorted(flipped, key=_graded_lex)),
@@ -229,7 +229,7 @@ def _exponent_element(w: WeylElement) -> WeylElement:
 
 def cell_exponent(w: WeylElement, k: int) -> Weight:
     """The exponent w w0(k varpi_3), w0 the Levi longest element."""
-    lam = Weight(tuple(k * int(i == 2) for i in range(5)))
+    lam = Weight(k * int(i == 2) for i in range(5))
     return act(_exponent_element(w), lam)
 
 
@@ -268,11 +268,12 @@ def _cone_offsets(
     by_height: list[dict[int, int]] = [{} for _ in range(cutoff + 1)]
     by_height[0][0] = 1
     for beta in roots:
-        deg = sum(map(operator.mul, per_root, beta.coords))
+        deg = sum(map(operator.mul, per_root, beta))
         if deg < 0:
-            raise ValueError("negative-degree denominator root in a product")
-        ht = sum(beta.coords)
-        step = sum(c << sh for c, sh in zip(beta.coords, shifts))
+            # no cell's J set has such a root: an internal invariant
+            raise AssertionError("negative-degree denominator root in a product")
+        ht = sum(beta)
+        step = sum(c << sh for c, sh in zip(beta, shifts))
         step += deg << deg_shift
         for h in range(cutoff - ht + 1):
             dst = by_height[h + ht]
@@ -326,14 +327,10 @@ def swap_blocks_weight(mu: Weight) -> Weight:
     As a permutation of the six coordinate lines it is the product of the
     longest Weyl element with the Levi longest element.
     """
-    return Weight(_swap_coords(mu.coords))
-
-
-def _swap_coords(c: tuple[int, ...]) -> tuple[int, ...]:
-    # with eps_j = c_j + ... + c_5 the coordinate-line values, the swap
+    # with eps_j = mu_j + ... + mu_5 the coordinate-line values, the swap
     # sends eps to (eps_4, eps_5, eps_6 = 0, eps_1, eps_2, eps_3); taking
     # consecutive differences again gives the fundamental coordinates
-    return (c[3], c[4], -sum(c), c[0], c[1])
+    return Weight((mu[3], mu[4], -sum(mu), mu[0], mu[1]))
 
 
 def unstable_character_bounds(
@@ -354,30 +351,27 @@ def unstable_character_bounds(
     """
     lo, hi = window
     if component == "F2":
-        k, window, swap = -k, (-hi, -lo), _swap_coords
-    elif component == "F1":
-        swap = None
-    else:
+        k, window = -k, (-hi, -lo)
+    elif component != "F1":
         raise ValueError(f"unknown component {component!r}")
     # every stored term survives the height and degree pruning, so the
-    # read-off is exact on its support; terms meet in coordinate tuples
-    # and each weight is built once
+    # read-off is exact on its support
     top, *boundary = (
         kempf_character(cell.w, k, window, height_cutoff)
         for cell in covering_cells()
     )
-    upper = top.term_coords()
+    upper = top.terms()
     lower = dict(upper)
     for series in boundary:
-        for c, m in series.term_coords().items():
-            lower[c] = lower.get(c, 0) - m
-    weights = {c: Weight(swap(c) if swap else c) for c in upper}
+        for w, m in series.terms().items():
+            lower[w] = lower.get(w, 0) - m
     # boundary multiplicities are positive, so a positive difference sits
     # on the support of the upper bound
-    return (
-        Character({weights[c]: m for c, m in lower.items() if m > 0}),
-        Character({weights[c]: m for c, m in upper.items()}),
-    )
+    lower = {w: m for w, m in lower.items() if m > 0}
+    if component == "F2":
+        lower = {swap_blocks_weight(w): m for w, m in lower.items()}
+        upper = {swap_blocks_weight(w): m for w, m in upper.items()}
+    return Character(lower), Character(upper)
 
 
 def cousin_terms(

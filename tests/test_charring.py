@@ -24,11 +24,11 @@ from wonderco.rootsys import (
     act,
     build_root_system,
     coset_reps,
-    dominant_conjugate,
     half_sum_positive,
     weight_to_root,
     weyl_element,
 )
+from weyl_descent import dominant_conjugate
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
