@@ -39,9 +39,9 @@ from .rootsys import (
     coset_reps,
     dominant_representative,
     half_sum_positive,
+    root_lattice_coords,
     root_to_weight,
     simple_root,
-    weight_to_root,
     weyl_element,
 )
 from .satake import apply_theta, catalog_diagram, catalog_names, check_involution
@@ -559,20 +559,19 @@ def _alternant_multiplicities(
     rho = half_sum_positive(system)
     n = system.rank
     cartan = system.cartan
-    base = weight_to_root(system, lam + rho)
     # w(lam+rho) - (lam+rho) lies in the root lattice, so against the
     # translate mu + rho = (lam+rho) - combo the partition argument is the
     # integer vector delta_w + combo
     deltas = []
     for w in weyl:
-        img = weight_to_root(system, act(w, lam + rho))
-        step = tuple(img[i] - base[i] for i in range(n))
-        assert all(x.denominator == 1 for x in step)
-        deltas.append(((-1) ** len(w.word), tuple(int(x) for x in step)))
+        step = root_lattice_coords(system, act(w, lam + rho) - (lam + rho))
+        assert step is not None
+        deltas.append(((-1) ** len(w.word), step))
     lowest = -dominant_representative(system, -lam)
-    box = weight_to_root(system, lam - lowest)
+    box = root_lattice_coords(system, lam - lowest)
+    assert box is not None
     out: dict[Weight, int] = {}
-    for combo in itertools.product(*(range(int(c) + 1) for c in box)):
+    for combo in itertools.product(*(range(c + 1) for c in box)):
         coords = tuple(
             lam.coords[i]
             - sum(cartan[i][j] * combo[j] for j in range(n) if combo[j])

@@ -23,7 +23,6 @@ import itertools
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -31,13 +30,12 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
+    _symmetrizer,
     dominant_representative,
     half_sum_positive,
     reflect_weight,
-    root_inner,
     root_lattice_coords,
     root_to_weight,
-    weight_to_root,
 )
 
 __all__ = [
@@ -141,65 +139,14 @@ class Character:
 
 
 # ---------------------------------------------------------------------------
-# invariant bilinear form on weights (wraps the root-coordinate form)
-#
-# With d the symmetrizer, (fundamental_i, alpha_j) = d_j delta_ij, so pairing
-# a weight in fundamental coordinates against a vector in root coordinates is
-# a single weighted dot product; no change of basis is needed.
-
-@lru_cache(maxsize=None)
-def _root_lengths(system: RootSystem) -> tuple[Fraction, ...]:
-    return tuple(
-        root_inner(
-            system,
-            tuple(1 if j == i else 0 for j in range(system.rank)),
-            tuple(1 if j == i else 0 for j in range(system.rank)),
-        )
-        / 2
-        for i in range(system.rank)
-    )
-
-
-@lru_cache(maxsize=None)
-def _fund_gram(system: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    d = _root_lengths(system)
-    rows = [
-        weight_to_root(
-            system, Weight(int(j == i) for j in range(system.rank))
-        )
-        for i in range(system.rank)
-    ]
-    return tuple(
-        tuple(rows[i][j] * d[j] for j in range(system.rank))
-        for i in range(system.rank)
-    )
-
-
-def _form(system: RootSystem, x: Weight, y: Weight) -> Fraction:
-    gram = _fund_gram(system)
-    total = Fraction(0)
-    for xi, row in zip(x, gram):
-        if xi:
-            for yj, g in zip(y, row):
-                if yj:
-                    total += xi * yj * g
-    return total
-
-
-def _form_weight_root(system: RootSystem, x: Weight, beta: Root) -> Fraction:
-    d = _root_lengths(system)
-    return sum(
-        (xj * dj * bj for xj, dj, bj in zip(x, d, beta) if xj and bj),
-        Fraction(0),
-    )
-
-
-# ---------------------------------------------------------------------------
 # irreducible characters
 
-def _dominant_below(system: RootSystem, lam: Weight) -> list[Weight]:
+def _dominant_below(
+    system: RootSystem, lam: Weight
+) -> list[tuple[Weight, tuple[int, ...]]]:
     """Dominant weights mu with lam - mu a nonnegative root-lattice vector,
-    ordered by increasing height of lam - mu.
+    each with the simple-root coordinates of lam - mu, ordered by
+    increasing height of lam - mu.
 
     Every such mu satisfies lam - mu <= lam - w0(lam) coordinatewise in
     simple-root coordinates, so scanning that box is complete.
@@ -207,15 +154,15 @@ def _dominant_below(system: RootSystem, lam: Weight) -> list[Weight]:
     lowest = -dominant_representative(system, -lam)
     box = root_lattice_coords(system, lam - lowest)
     assert box is not None and all(c >= 0 for c in box)
-    found: list[tuple[int, Weight]] = []
+    found: list[tuple[int, Weight, tuple[int, ...]]] = []
     for combo in itertools.product(*(range(c + 1) for c in box)):
         mu = Weight(
             li - sum(map(operator.mul, row, combo))
             for li, row in zip(lam, system.cartan)
         )
         if mu.is_dominant():
-            found.append((sum(combo), mu))
-    return [mu for _, mu in sorted(found)]
+            found.append((sum(combo), mu, combo))
+    return [(mu, combo) for _, mu, combo in sorted(found)]
 
 
 @lru_cache(maxsize=None)
@@ -234,53 +181,67 @@ def _orbit(system: RootSystem, mu: Weight) -> frozenset[Weight]:
     return frozenset(seen)
 
 
+@lru_cache(maxsize=None)
+def _scaled_roots(system: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Each positive root alpha as the vector (d_j alpha_j), so that
+    (nu, alpha) is its dot product with nu in fundamental coordinates."""
+    d = _symmetrizer(system)
+    return tuple(
+        tuple(map(operator.mul, d, alpha)) for alpha in system.positive_roots
+    )
+
+
 def weyl_character(system: RootSystem, lam: Weight) -> Character:
     """Character of the irreducible module with highest weight ``lam``.
 
     Multiplicities come from the Freudenthal recursion,
 
-        ((lam+rho, lam+rho) - (mu+rho, mu+rho)) m(mu)
+        (lam - mu, lam + mu + 2 rho) m(mu)
             = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha),
 
     evaluated on dominant weights in decreasing order and spread over Weyl
-    orbits.  Works uniformly for product systems.
+    orbits.  The form is the integer one of ``rootsys._symmetrizer``:
+    (nu, alpha) = sum_j nu_j d_j alpha_j with nu in fundamental and alpha
+    in simple-root coordinates, and the left factor is sum_j r_j d_j
+    (lam + mu + 2 rho)_j with r the root coordinates of lam - mu.  Both
+    sides are integers, and m(mu) is their exact quotient.  Works
+    uniformly for product systems.
     """
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
-    rho = half_sum_positive(system)
-    lam_norm = _form(system, lam + rho, lam + rho)
+    d = _symmetrizer(system)
+    lam_2rho = lam + half_sum_positive(system).scale(2)
+    steps = [
+        (root_to_weight(system, alpha), scaled)
+        for alpha, scaled in zip(system.positive_roots, _scaled_roots(system))
+    ]
     mult: dict[Weight, int] = {}
-    dominants = _dominant_below(system, lam)
-    for mu in dominants:
+    for mu, r in _dominant_below(system, lam):
         if mu == lam:
             mult[mu] = 1
             continue
-        total = Fraction(0)
-        for alpha in system.positive_roots:
-            alpha_w = root_to_weight(system, alpha)
-            k = 1
+        total = 0
+        for alpha_w, scaled in steps:
+            nu = mu
             while True:
-                nu = mu + alpha_w.scale(k)
+                nu = nu + alpha_w
                 nu_plus = dominant_representative(system, nu)
                 m = mult.get(nu_plus)
                 if m is None:
-                    # nu is above lam or outside the support: every further k
-                    # only moves higher along alpha, so stop scanning
+                    # nu is above lam or outside the support: every further
+                    # step only moves higher along alpha, so stop scanning
                     diff = root_lattice_coords(system, lam - nu_plus)
                     if diff is None or any(x < 0 for x in diff):
                         break
                     m = 0
                 if m:
-                    total += 2 * m * _form_weight_root(system, nu, alpha)
-                k += 1
-        denom = lam_norm - _form(system, mu + rho, mu + rho)
-        if total == 0:
-            m_mu = 0
-        else:
-            m_mu = total / denom
-            assert m_mu.denominator == 1 and m_mu > 0, (lam, mu, m_mu)
-            m_mu = int(m_mu)
-        if m_mu:
+                    total += 2 * m * sum(map(operator.mul, nu, scaled))
+        if total:
+            denom = sum(
+                rj * dj * (mj + sj) for rj, dj, mj, sj in zip(r, d, mu, lam_2rho)
+            )
+            m_mu, rem = divmod(total, denom)
+            assert rem == 0 and m_mu > 0, (lam, mu, total, denom)
             mult[mu] = m_mu
     out: dict[Weight, int] = {}
     for mu, m in mult.items():
@@ -290,17 +251,20 @@ def weyl_character(system: RootSystem, lam: Weight) -> Character:
 
 
 def weyl_dimension(system: RootSystem, lam: Weight) -> int:
-    """dim of the irreducible with highest weight lam, by the product formula."""
+    """dim of the irreducible with highest weight lam, by the product formula
+    prod_{alpha > 0} (lam + rho, alpha) / (rho, alpha), as one exact ratio
+    of integer products under the form of ``rootsys._symmetrizer``."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight {lam.coords} is not dominant")
     rho = half_sum_positive(system)
-    num = Fraction(1)
-    for alpha in system.positive_roots:
-        num *= _form_weight_root(system, lam + rho, alpha) / _form_weight_root(
-            system, rho, alpha
-        )
-    assert num.denominator == 1
-    return int(num)
+    lam_rho = lam + rho
+    num = den = 1
+    for scaled in _scaled_roots(system):
+        num *= sum(map(operator.mul, lam_rho, scaled))
+        den *= sum(map(operator.mul, rho, scaled))
+    dim, rem = divmod(num, den)
+    assert rem == 0
+    return dim
 
 
 # ---------------------------------------------------------------------------

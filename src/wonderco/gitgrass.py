@@ -17,7 +17,6 @@ reduced row-echelon form, so equality means equality of subspaces.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -46,8 +45,6 @@ __all__ = [
     "decompose_module",
     "invariant_generators",
     "sheaf_correspondence",
-    "point_to_json",
-    "point_from_json",
 ]
 
 # weights of the block bases under the two rank-2 torus factors: the first
@@ -329,21 +326,3 @@ def sheaf_correspondence(lam: Weight) -> SheafDescriptor:
             f"weight {lam.coords} is not block-diagonal (f1,f2,f1,f2)"
         )
     return SheafDescriptor(lam, f1 + f2, f2 - f1)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def point_to_json(u: SubspacePoint) -> str:
-    data = [
-        [[x.numerator, x.denominator] for x in row] for row in u.rows
-    ]
-    return json.dumps({"rows": data})
-
-
-def point_from_json(text: str) -> SubspacePoint:
-    data = json.loads(text)
-    rows = [
-        [Fraction(num, den) for num, den in row] for row in data["rows"]
-    ]
-    return subspace_point(rows)

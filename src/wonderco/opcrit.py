@@ -32,7 +32,6 @@ __all__ = [
     "solution_set",
     "joint_solution_set",
     "minimal_solutions",
-    "has_solutions",
     "joint_has_solutions",
     "Classification",
     "classify",
@@ -171,10 +170,6 @@ def joint_has_solutions(matrices: tuple[Matrix, ...] | list[Matrix]) -> bool:
         if _fm_feasible(pointed, r):
             return True
     return False
-
-
-def has_solutions(matrix: Matrix) -> bool:
-    return joint_has_solutions((matrix,))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "simple_root",
     "fundamental_weight",
     "root_to_weight",
-    "weight_to_root",
     "root_lattice_coords",
     "reflect_root",
     "reflect_weight",
@@ -46,7 +45,6 @@ __all__ = [
     "root_height",
     "root_inner",
     "coroot_pairing",
-    "system_to_dict",
 ]
 
 
@@ -331,7 +329,12 @@ def root_to_weight(system: RootSystem, root: Root) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(system: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
+def _cartan_inverse(
+    system: RootSystem,
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The inverse Cartan matrix as integer rows over one common
+    denominator: the least common denominator of its entries, which
+    divides the Cartan determinant."""
     n = system.rank
     aug = [
         [Fraction(system.cartan[i][j]) for j in range(n)]
@@ -347,34 +350,9 @@ def _cartan_inverse(system: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
-
-
-def weight_to_root(system: RootSystem, weight: Weight) -> tuple[Fraction, ...]:
-    """Simple-root coordinates of a weight (exact, possibly non-integral).
-
-    The coordinate vector solves cartan @ x = coords, evaluated with the
-    cached inverse of the Cartan matrix.
-    """
-    n = system.rank
-    inv = _cartan_inverse(system)
-    return tuple(
-        sum(
-            (inv[i][j] * weight[j] for j in range(n) if weight[j]),
-            Fraction(0),
-        )
-        for i in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def _scaled_cartan_inverse(
-    system: RootSystem,
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The inverse Cartan matrix as integer rows over one common denominator."""
-    inv = _cartan_inverse(system)
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(int(x * den) for x in row) for row in inv), den
+    inverse = [row[n:] for row in aug]
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inverse), den
 
 
 def root_lattice_coords(
@@ -382,10 +360,10 @@ def root_lattice_coords(
 ) -> tuple[int, ...] | None:
     """Simple-root coordinates of a root-lattice weight, None off the lattice.
 
-    The integer counterpart of :func:`weight_to_root`: each coordinate is
-    an integer dot product divided exactly by the common denominator.
+    Each coordinate is an integer dot product with a row of the inverse
+    Cartan matrix, divided exactly by its common denominator.
     """
-    rows, den = _scaled_cartan_inverse(system)
+    rows, den = _cartan_inverse(system)
     out = []
     for row in rows:
         q, r = divmod(sum(map(mul, row, weight)), den)
@@ -610,9 +588,16 @@ def half_sum_positive(system: RootSystem) -> Weight:
 # invariant bilinear form
 
 @lru_cache(maxsize=None)
-def _symmetrizer(system: RootSystem) -> tuple[Fraction, ...]:
-    """d_i with diag(d) @ C symmetric, normalized to d=1 on each component's
-    first node; gives the invariant form via (alpha_i, alpha_j) = d_i c_ij."""
+def _symmetrizer(system: RootSystem) -> tuple[int, ...]:
+    """Positive integers d_i with diag(d) @ C symmetric.
+
+    They give the invariant form through (alpha_i, alpha_j) = d_i c_ij, so
+    d_i = (alpha_i, alpha_i) / 2 and (fundamental_i, alpha_j) = d_j
+    delta_ij.  Each component's first node starts at 1 and the rest follow
+    along the bonds; the resulting rationals are then scaled by the least
+    common multiple of their denominators, which keeps the form integral
+    on the root lattice (for example B2 gives (2, 1), G2 (1, 3)).
+    """
     n = system.rank
     c = system.cartan
     d: list[Fraction | None] = [None] * n
@@ -627,14 +612,17 @@ def _symmetrizer(system: RootSystem) -> tuple[Fraction, ...]:
                 if i != j and c[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * Fraction(c[i][j], c[j][i])
                     stack.append(j)
-    return tuple(x for x in d)  # type: ignore[misc]
+    scale = math.lcm(*(x.denominator for x in d))
+    return tuple(int(x * scale) for x in d)
 
 
-def root_inner(system: RootSystem, a, b) -> Fraction:
-    """(x, y) for vectors in simple-root coordinates (ints or Fractions)."""
+def root_inner(system: RootSystem, a, b):
+    """(x, y) for vectors in simple-root coordinates, in the normalization
+    of :func:`_symmetrizer`: an int for integer vectors, a Fraction for
+    rational ones (such as half-integer restricted roots)."""
     d = _symmetrizer(system)
     c = system.cartan
-    total = Fraction(0)
+    total = 0
     for i in range(system.rank):
         if a[i] == 0:
             continue
@@ -645,20 +633,9 @@ def root_inner(system: RootSystem, a, b) -> Fraction:
 
 
 def coroot_pairing(system: RootSystem, x, beta) -> Fraction:
-    """<x, beta^vee> = 2 (x, beta) / (beta, beta), in root coordinates."""
+    """<x, beta^vee> = 2 (x, beta) / (beta, beta), in root coordinates,
+    exactly: always a Fraction, whatever the normalization of the form."""
     denom = root_inner(system, beta, beta)
     if denom == 0:
         raise ValueError("coroot of the zero vector")
-    return 2 * root_inner(system, x, beta) / denom
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def system_to_dict(system: RootSystem) -> dict:
-    return {
-        "type": system.type_label,
-        "rank": system.rank,
-        "cartan": [list(row) for row in system.cartan],
-        "positive_roots": [list(r) for r in system.positive_roots],
-    }
+    return Fraction(2 * root_inner(system, x, beta)) / denom

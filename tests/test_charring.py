@@ -25,14 +25,15 @@ from wonderco.rootsys import (
     build_root_system,
     coset_reps,
     half_sum_positive,
-    weight_to_root,
     weyl_element,
 )
-from weyl_descent import dominant_conjugate
+from weyl_descent import dominant_conjugate, weight_to_root
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
+G2 = build_root_system("G", 2)
+C3 = build_root_system("C", 3)
 A2xA2 = build_root_system("A2xA2")
 A5 = build_root_system("A", 5)
 
@@ -201,6 +202,8 @@ class TestWeylCharacter:
             (A2, (2, 1), 15),
             (A2, (3, 0), 10),
             (A2xA2, (1, 0, 0, 1), 9),
+            (G2, (1, 0), 7),
+            (G2, (0, 1), 14),
         ],
     )
     def test_dimensions(self, system, lam, dim):
@@ -217,6 +220,10 @@ class TestWeylCharacter:
             (A2, (3, 1)),
             (B2, (1, 1)),
             (A2xA2, (1, 1, 2, 0)),
+            (B2, (2, 1)),
+            (B2, (0, 2)),
+            (G2, (1, 1)),
+            (C3, (1, 1, 0)),
         ],
     )
     def test_matches_alternating_sum(self, system, lam):

@@ -25,8 +25,6 @@ from wonderco.gitgrass import (
     is_semistable,
     middle_components_nonzero,
     plucker_coordinates,
-    point_from_json,
-    point_to_json,
     sheaf_correspondence,
     subspace_point,
     torus_weight,
@@ -145,16 +143,6 @@ class TestSubspacePoints:
             subspace_point([E1, E2])
         with pytest.raises(ValueError, match="3x6"):
             subspace_point([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    def test_json_round_trip(self):
-        u = subspace_point(
-            [
-                (1, 0, 0, Fraction(1, 3), 0, 2),
-                (0, 1, 0, 0, Fraction(-2, 7), 0),
-                (0, 0, 1, 5, 0, Fraction(1, 2)),
-            ]
-        )
-        assert point_from_json(point_to_json(u)) == u
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)

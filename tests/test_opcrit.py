@@ -11,7 +11,6 @@ from wonderco.opcrit import (
     abstract_sweep,
     bordered_chain_matrix,
     classify,
-    has_solutions,
     joint_has_solutions,
     joint_solution_set,
     minimal_solutions,
@@ -149,7 +148,7 @@ class TestExistence:
     def test_enumerated_solutions_imply_existence(self, rows):
         m = tuple(tuple(row) for row in rows)
         if brute_solutions([m], 4):
-            assert has_solutions(m)
+            assert joint_has_solutions((m,))
 
 
 class TestClassify:

@@ -1,6 +1,8 @@
 """Every name a module lists in ``__all__`` resolves, and star-imports work."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -38,3 +40,16 @@ def test_star_import(name):
     namespace: dict = {}
     exec(f"from wonderco.{name} import *", namespace)
     assert set(getattr(load(name), "__all__", ())) <= set(namespace)
+
+
+def test_character_kernel_imports_no_fractions():
+    # the Freudenthal recursion and the dimension formula run on the
+    # integer form of rootsys; no rational arithmetic enters charring
+    tree = ast.parse(inspect.getsource(load("charring")))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "fractions" not in imported

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wonderco import rootsys as rs
 from wonderco.rootsys import Root, Weight
-from weyl_descent import dominant_conjugate
+from weyl_descent import dominant_conjugate, weight_to_root
 
 A1 = rs.build_root_system("A1")
 A2 = rs.build_root_system("A2")
@@ -191,16 +191,16 @@ def test_pairing_bilinear_in_weight(a, b, i):
 def test_root_weight_round_trip():
     for system in SMALL_SYSTEMS + [A5]:
         for r in system.positive_roots:
-            back = rs.weight_to_root(system, rs.root_to_weight(system, r))
-            assert back == tuple(Fraction(c) for c in r.coords)
+            back = rs.root_lattice_coords(system, rs.root_to_weight(system, r))
+            assert back == r.coords
 
 
 def test_weight_to_root_fractional():
-    # a fundamental weight of A2 is not in the root lattice
-    assert rs.weight_to_root(A2, rs.fundamental_weight(A2, 1)) == (
-        Fraction(2, 3),
-        Fraction(1, 3),
-    )
+    # a fundamental weight of A2 is not in the root lattice: its root
+    # coordinates are (2/3, 1/3), so three times it is 2 alpha_1 + alpha_2
+    omega = rs.fundamental_weight(A2, 1)
+    assert rs.root_lattice_coords(A2, omega) is None
+    assert rs.root_lattice_coords(A2, omega.scale(3)) == (2, 1)
 
 
 @pytest.mark.parametrize("system", SMALL_SYSTEMS + [A5], ids=lambda s: s.type_label)
@@ -212,7 +212,7 @@ def test_root_lattice_coords_match_fractions(system):
     hits = 0
     for coords in itertools.product(span, repeat=n):
         w = Weight(coords)
-        exact = rs.weight_to_root(system, w)
+        exact = weight_to_root(system, w)
         got = rs.root_lattice_coords(system, w)
         if all(x.denominator == 1 for x in exact):
             assert got == tuple(int(x) for x in exact)
@@ -220,6 +220,39 @@ def test_root_lattice_coords_match_fractions(system):
         else:
             assert got is None
     assert hits > 1
+
+
+# ---------------------------------------------------------------------------
+# invariant form
+
+FORM_SYSTEMS = [rs.build_root_system(label) for label in ("B2", "G2", "C3")]
+
+
+@pytest.mark.parametrize("system", FORM_SYSTEMS, ids=lambda s: s.type_label)
+def test_coroot_pairing_recovers_cartan_exactly(system):
+    n = system.rank
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            v = rs.coroot_pairing(
+                system, rs.simple_root(system, j), rs.simple_root(system, i)
+            )
+            assert type(v) is Fraction
+            assert v == system.cartan[i - 1][j - 1]
+    # half-integer vectors stay exact too
+    half = tuple(Fraction(1, 2) for _ in range(n))
+    v = rs.coroot_pairing(system, half, rs.simple_root(system, 1))
+    assert type(v) is Fraction
+
+
+@pytest.mark.parametrize("system", FORM_SYSTEMS, ids=lambda s: s.type_label)
+def test_root_inner_is_an_integer_symmetric_form(system):
+    roots = sorted(rs.all_roots(system))
+    for a in roots:
+        for b in roots:
+            v = rs.root_inner(system, a, b)
+            assert type(v) is int
+            assert v == rs.root_inner(system, b, a)
+        assert rs.root_inner(system, a, a) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +431,3 @@ def test_half_sum_positive():
         for r in system.positive_roots:
             total = total + rs.root_to_weight(system, r)
         assert total == rs.half_sum_positive(system).scale(2)
-
-
-def test_serialization_shape():
-    d = rs.system_to_dict(A2)
-    assert d["type"] == "A2" and d["rank"] == 2
-    assert d["cartan"] == [[2, -1], [-1, 2]]
-    assert [1, 0] in d["positive_roots"] and [1, 1] in d["positive_roots"]

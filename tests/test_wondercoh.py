@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wonderco.charring import Character, weyl_character, weyl_dimension
-from wonderco.rootsys import Weight, build_root_system, weight_to_root
+from wonderco.rootsys import Weight, build_root_system
 from wonderco.schubert import CSTAR_GRADING
 from wonderco.wondercoh import (
     BoxTooSmallError,
@@ -24,7 +24,7 @@ from wonderco.wondercoh import (
     tchoudjem_components,
     vanishing_profile,
 )
-from weyl_descent import dominant_conjugate
+from weyl_descent import dominant_conjugate, weight_to_root
 
 A5 = build_root_system("A5")
 

@@ -1,11 +1,14 @@
-"""Test-side Weyl descent that also records the moving element.
+"""Test-side Weyl descent and rational change of basis.
 
 Production code needs only the chamber representative
-(``rootsys.dominant_representative``); the oracles in the tests keep this
-separate copy, so they stay independent of the code they check.
+(``rootsys.dominant_representative``) and integer root-lattice coordinates
+(``rootsys.root_lattice_coords``); the oracles in the tests keep these
+separate copies, so they stay independent of the code they check.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from wonderco.rootsys import (
     RootSystem,
@@ -38,3 +41,30 @@ def dominant_conjugate(
         applied.append(i)
     w = weyl_element(system, tuple(reversed(applied)))
     return v, w, len(w), v.is_strictly_dominant()
+
+
+@lru_cache(maxsize=None)
+def _cartan_inverse(system: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse Cartan matrix in Fractions, by Gauss-Jordan elimination."""
+    n = system.rank
+    aug = [
+        [Fraction(system.cartan[i][j]) for j in range(n)]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def weight_to_root(system: RootSystem, weight: Weight) -> tuple[Fraction, ...]:
+    """Simple-root coordinates of a weight (exact, possibly non-integral):
+    the solution x of cartan @ x = weight."""
+    inv = _cartan_inverse(system)
+    return tuple(sum(map(mul, row, weight), Fraction(0)) for row in inv)
