@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import random
 import time
@@ -557,7 +558,6 @@ def _alternant_multiplicities(
     ``lam``, via the alternating sum of vector-partition counts over the
     Weyl group ``weyl``."""
     rho = half_sum_positive(system)
-    n = system.rank
     cartan = system.cartan
     # w(lam+rho) - (lam+rho) lies in the root lattice, so against the
     # translate mu + rho = (lam+rho) - combo the partition argument is the
@@ -570,23 +570,26 @@ def _alternant_multiplicities(
     lowest = -dominant_representative(system, -lam)
     box = root_lattice_coords(system, lam - lowest)
     assert box is not None
+    # the last coordinate of the box runs innermost, each step subtracting
+    # the last Cartan column from the weight
+    column = tuple(row[-1] for row in cartan)
     out: dict[Weight, int] = {}
-    for combo in itertools.product(*(range(c + 1) for c in box)):
+    for head in itertools.product(*(range(c + 1) for c in box[:-1])):
         coords = tuple(
-            lam.coords[i]
-            - sum(cartan[i][j] * combo[j] for j in range(n) if combo[j])
-            for i in range(n)
+            li - sum(map(operator.mul, row, head)) for li, row in zip(lam, cartan)
         )
-        if any(c < 0 for c in coords):
-            continue
-        m = 0
-        for sign, delta in deltas:
-            vec = tuple(delta[i] + combo[i] for i in range(n))
-            if any(x < 0 for x in vec):
-                continue
-            m += sign * counter(vec, 0)
-        if m:
-            out[Weight(coords)] = m
+        for last in range(box[-1] + 1):
+            if min(coords) >= 0:
+                combo = (*head, last)
+                m = 0
+                for sign, delta in deltas:
+                    vec = tuple(map(operator.add, delta, combo))
+                    if min(vec) < 0:
+                        continue
+                    m += sign * counter(vec, 0)
+                if m:
+                    out[Weight(coords)] = m
+            coords = tuple(map(operator.sub, coords, column))
     return out
 
 

@@ -30,7 +30,9 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
+    _parse_label,
     _symmetrizer,
+    build_root_system,
     dominant_representative,
     half_sum_positive,
     reflect_weight,
@@ -191,10 +193,9 @@ def _scaled_roots(system: RootSystem) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def weyl_character(system: RootSystem, lam: Weight) -> Character:
-    """Character of the irreducible module with highest weight ``lam``.
-
-    Multiplicities come from the Freudenthal recursion,
+def _freudenthal(system: RootSystem, lam: Weight) -> dict[Weight, int]:
+    """Weight multiplicities of the irreducible of a simple ``system`` with
+    highest weight ``lam``, from the Freudenthal recursion
 
         (lam - mu, lam + mu + 2 rho) m(mu)
             = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha),
@@ -204,11 +205,8 @@ def weyl_character(system: RootSystem, lam: Weight) -> Character:
     (nu, alpha) = sum_j nu_j d_j alpha_j with nu in fundamental and alpha
     in simple-root coordinates, and the left factor is sum_j r_j d_j
     (lam + mu + 2 rho)_j with r the root coordinates of lam - mu.  Both
-    sides are integers, and m(mu) is their exact quotient.  Works
-    uniformly for product systems.
+    sides are integers, and m(mu) is their exact quotient.
     """
-    if not lam.is_dominant():
-        raise ValueError(f"highest weight {lam.coords} is not dominant")
     d = _symmetrizer(system)
     lam_2rho = lam + half_sum_positive(system).scale(2)
     steps = [
@@ -243,11 +241,33 @@ def weyl_character(system: RootSystem, lam: Weight) -> Character:
             m_mu, rem = divmod(total, denom)
             assert rem == 0 and m_mu > 0, (lam, mu, total, denom)
             mult[mu] = m_mu
-    out: dict[Weight, int] = {}
-    for mu, m in mult.items():
-        for w in _orbit(system, mu):
-            out[w] = m
-    return Character(out)
+    return {w: m for mu, m in mult.items() for w in _orbit(system, mu)}
+
+
+def weyl_character(system: RootSystem, lam: Weight) -> Character:
+    """Character of the irreducible module with highest weight ``lam``.
+
+    ``build_root_system`` lays the simple factors of a label such as
+    ``"A2xA2"`` out block-diagonally in label order.  The irreducible of a
+    product is the outer tensor product of its factors' irreducibles, so
+    its character is the product of the factor characters of
+    :func:`_freudenthal` on the factors' slices of ``lam``: each weight is
+    the concatenation of one weight per factor.
+    """
+    if not lam.is_dominant():
+        raise ValueError(f"highest weight {lam.coords} is not dominant")
+    terms: dict[tuple[int, ...], int] = {(): 1}
+    blocks: list[tuple[int, ...]] = []
+    for series, r in _parse_label(system.type_label, None):
+        factor = build_root_system(series, r)
+        off = len(blocks)
+        blocks += (
+            (0,) * off + row + (0,) * (system.rank - off - r) for row in factor.cartan
+        )
+        part = _freudenthal(factor, Weight(lam[off : off + r]))
+        terms = {(*w, *v): m * k for w, m in terms.items() for v, k in part.items()}
+    assert tuple(blocks) == system.cartan, system.type_label
+    return Character({Weight(w): m for w, m in terms.items()})
 
 
 def weyl_dimension(system: RootSystem, lam: Weight) -> int:

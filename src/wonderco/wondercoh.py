@@ -266,10 +266,11 @@ def _dual_module_character(mu: Weight) -> Character:
 
 def h_character(lam: Weight, i: int, box: int | None = None) -> Character:
     """Character of the degree-i cohomology of the line bundle of ``lam``."""
-    total = Character({})
+    terms: dict[Weight, int] = {}
     for mu in tchoudjem_components(lam, i, box):
-        total = total + _dual_module_character(mu)
-    return total
+        for w, m in _dual_module_character(mu).terms.items():
+            terms[w] = terms.get(w, 0) + m
+    return Character(terms)
 
 
 def vanishing_profile(lam: Weight, box: int | None = None) -> frozenset[int]:

@@ -35,6 +35,9 @@ B2 = build_root_system("B", 2)
 G2 = build_root_system("G", 2)
 C3 = build_root_system("C", 3)
 A2xA2 = build_root_system("A2xA2")
+B2xA1 = build_root_system("B2xA1")
+A1xG2 = build_root_system("A1xG2")
+A1xA1xA1 = build_root_system("A1xA1xA1")
 A5 = build_root_system("A", 5)
 
 KEMPF_GRADING = Grading(A5, (1, 2, 3, 2, 1))
@@ -204,6 +207,7 @@ class TestWeylCharacter:
             (A2xA2, (1, 0, 0, 1), 9),
             (G2, (1, 0), 7),
             (G2, (0, 1), 14),
+            (B2xA1, (1, 0, 1), 10),
         ],
     )
     def test_dimensions(self, system, lam, dim):
@@ -224,6 +228,13 @@ class TestWeylCharacter:
             (B2, (0, 2)),
             (G2, (1, 1)),
             (C3, (1, 1, 0)),
+            # products: factors with their own symmetrizer scales, three
+            # factors, and weights that differ between equal factors
+            (B2xA1, (1, 1, 2)),
+            (A1xG2, (1, 1, 0)),
+            (A1xA1xA1, (2, 0, 1)),
+            (A2xA2, (0, 2, 1, 0)),
+            (A2xA2, (2, 1, 0, 3)),
         ],
     )
     def test_matches_alternating_sum(self, system, lam):

@@ -253,6 +253,17 @@ class TestHCharacter:
         assert h == weyl_character(data.lattice, diag(1, 0)).dual()
         assert h.dimension() == 9
 
+    def test_results_are_fresh(self):
+        # the module characters are cached; clearing a returned result
+        # must not reach the cache behind the next call
+        data = spherical_data()
+        expected = h_character(diag(1, 0), 0).terms.copy()
+        h_character(diag(1, 0), 0).terms.clear()
+        assert h_character(diag(1, 0), 0).terms == expected
+        expected = weyl_character(data.lattice, diag(1, 0)).terms.copy()
+        weyl_character(data.lattice, diag(1, 0)).terms.clear()
+        assert weyl_character(data.lattice, diag(1, 0)).terms == expected
+
     def test_outside_cone_empty(self):
         assert h_character(diag(-1, 0), 0) == Character({})
 
