@@ -43,7 +43,6 @@ from .rootsys import (
     root_lattice_coords,
     root_to_weight,
     simple_root,
-    weyl_element,
 )
 from .satake import apply_theta, catalog_diagram, catalog_names, check_involution
 from .schubert import (
@@ -55,6 +54,7 @@ from .schubert import (
     cell_for_fixed_point,
     closure_contains,
     component_cell,
+    covering_cells,
     enumerate_cells,
     kempf_character,
     kl_sets,
@@ -250,15 +250,16 @@ def _check_module_decomposition(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
 # criterion 3: inversion sets of the boundary cells
 
 
-def _boundary_words() -> dict[str, tuple[int, ...]]:
-    top = component_cell("F1").w.word
-    return {"w": top, "s1w": (1,) + top, "s5w": (5,) + top}
+def _covering_elements() -> dict[str, WeylElement]:
+    """The covering cells' Weyl elements under their fixture names, in
+    the order of ``covering_cells``: the open cell, then s5 w and s1 w."""
+    return dict(zip(("w", "s5w", "s1w"), (c.w for c in covering_cells())))
 
 
 def _check_inversion_sets(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
     golden = load_fixture("inversion_sets.json")
-    for name, word in _boundary_words().items():
-        data = kl_sets(weyl_element(GRASS_SYSTEM, word))
+    for name, w in _covering_elements().items():
+        data = kl_sets(w)
         for side in ("K", "L"):
             want = {tuple(v) for v in golden[name][side]}
             got = {r.coords for r in getattr(data, side)}
@@ -328,8 +329,7 @@ def _check_leading_exponents(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
                 "mismatch",
                 f"stored slope for {name} is not half the root combination",
             )
-    for name, word in _boundary_words().items():
-        w = weyl_element(GRASS_SYSTEM, word)
+    for name, w in _covering_elements().items():
         for k in range(0, 7):
             want = Weight(tuple(k * s for s in slopes[name]))
             got = cell_exponent(w, k)

@@ -435,6 +435,24 @@ class TruncatedSeries:
 DEFAULT_HEIGHT_CUTOFF = 12
 
 
+def _rebased(
+    s: TruncatedSeries, base: Weight
+) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]] | None:
+    """The terms of ``s`` keyed by their offsets from ``base`` instead of
+    from its numerator exponent, with the shift ``numerator - base`` in
+    simple-root coordinates; None when that difference is off the root
+    lattice.  A term's offset from ``base`` is its own plus the shift, so
+    one lattice solve moves every term, a coordinate at a time."""
+    shift = root_lattice_coords(s.system, s.numerator_exponent - base)
+    if shift is None:
+        return None
+    by_root = [
+        list(map(operator.add, xs, itertools.repeat(d))) if d else xs
+        for xs, d in zip(zip(*s.offsets), shift)
+    ]
+    return shift, dict(zip(zip(*by_root), s.offsets.values()))
+
+
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Sum of two series sharing a window.
 
@@ -455,18 +473,15 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             "window floor above a summand's base degree; "
             "sum would be uncertifiable"
         )
-    shift = root_lattice_coords(
-        a.system, b.numerator_exponent - a.numerator_exponent
-    )
-    if shift is None:
+    rebased = _rebased(b, a.numerator_exponent)
+    if rebased is None:
         raise ValueError(
             "numerator exponents differ by a non-root-lattice vector"
         )
-    n = a.system.rank
+    shift, moved = rebased
     cutoff = min(a.height_cutoff, b.height_cutoff + sum(shift))
     out = dict(a.offsets)
-    for ob, m in b.offsets.items():
-        key = tuple(ob[i] + shift[i] for i in range(n))
+    for key, m in moved.items():
         out[key] = out.get(key, 0) + m
     return TruncatedSeries(
         a.system,

@@ -26,6 +26,7 @@ from .charring import (
     Character,
     Grading,
     TruncatedSeries,
+    _rebased,
     add,
     restrict_window,
 )
@@ -360,14 +361,23 @@ def unstable_character_bounds(
         kempf_character(cell.w, k, window, height_cutoff)
         for cell in covering_cells()
     )
-    upper = top.terms()
-    lower = dict(upper)
+    # subtract in the open cell's offsets and read weights off once
+    diff = dict(top.offsets)
     for series in boundary:
-        for w, m in series.terms().items():
-            lower[w] = lower.get(w, 0) - m
+        rebased = _rebased(series, top.numerator_exponent)
+        if rebased is None:
+            raise AssertionError("boundary numerator off the open cell's lattice coset")
+        _, moved = rebased
+        for off, m in moved.items():
+            diff[off] = diff.get(off, 0) - m
+    upper = top.terms()
+    weight_at = dict(zip(top.offsets, upper))
     # boundary multiplicities are positive, so a positive difference sits
     # on the support of the upper bound
-    lower = {w: m for w, m in lower.items() if m > 0}
+    positive = {off: m for off, m in diff.items() if m > 0}
+    if not positive.keys() <= weight_at.keys():
+        raise AssertionError("positive lower bound off the upper bound's support")
+    lower = {weight_at[off]: m for off, m in positive.items()}
     if component == "F2":
         lower = {swap_blocks_weight(w): m for w, m in lower.items()}
         upper = {swap_blocks_weight(w): m for w, m in upper.items()}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charring import Character, weyl_character
+from .charring import Character, TruncatedSeries, weyl_character
 from .gitgrass import sheaf_correspondence
 from .rootsys import (
     RootSystem,
@@ -33,6 +33,7 @@ from .satake import catalog_diagram, restricted_system
 from .schubert import (
     CSTAR_GRADING,
     GRASS_SYSTEM,
+    SchubertCell,
     _numerator,
     covering_cells,
     kempf_character,
@@ -347,15 +348,39 @@ def _ambient_weight(omega: Weight, n: int) -> Weight | None:
     return Weight((f1, f2, rem // 3, f4, f5))
 
 
+def _binding_cell(k: int) -> SchubertCell:
+    """The covering cell whose series binds certification at level ``k``.
+
+    The three covering-cell numerators differ by root-lattice vectors, so
+    a probe's offset height in each series is its height over the open
+    cell's numerator minus that numerator difference's height.  The series
+    share one window and one cutoff, so the cell whose numerator has the
+    least height over the open cell's gives the largest offset heights:
+    a probe it certifies is certified by all three.
+    """
+    cells = covering_cells()
+    num_top = _numerator(cells[0].w, k)
+
+    def height(cell) -> int:
+        diff = root_lattice_coords(GRASS_SYSTEM, _numerator(cell.w, k) - num_top)
+        if diff is None:
+            raise AssertionError("covering-cell numerators off one lattice coset")
+        return sum(diff)
+
+    return min(cells, key=height)
+
+
 def _auto_height_cutoff(
     k: int, probes: set[Weight], f1_open: bool, f2_open: bool
 ) -> int:
     """Height cutoff large enough to certify the probe weights.
 
-    Certification compares each probe against every covering-cell
-    numerator; the cutoff must reach the largest integral offset height.
-    The mirror stratum reduces to the first at the same level with
-    swapped probes.
+    Certification must hold in every covering-cell series, so the cutoff
+    must reach each integral probe's largest offset height over the three
+    numerators.  That largest height is the one over the binding cell's
+    numerator (see ``_binding_cell``), so each probe is solved once.  The
+    mirror stratum reduces to the first at the same level with swapped
+    probes.
     """
     targets: set[Weight] = set()
     if f1_open:
@@ -363,20 +388,12 @@ def _auto_height_cutoff(
     if f2_open:
         targets |= {swap_blocks_weight(nu) for nu in probes}
     cutoff = _DEFAULT_CROSS_CUTOFF
-    for cell in covering_cells():
-        num = _numerator(cell.w, k)
-        for probe in targets:
-            off = root_lattice_coords(GRASS_SYSTEM, probe - num)
-            if off is not None:
-                cutoff = max(cutoff, sum(off))
+    num = _numerator(_binding_cell(k).w, k)
+    for probe in targets:
+        off = root_lattice_coords(GRASS_SYSTEM, probe - num)
+        if off is not None:
+            cutoff = max(cutoff, sum(off))
     return cutoff
-
-
-def _stratum_series(k: int, window: tuple[int, int], cutoff: int):
-    return tuple(
-        kempf_character(cell.w, k, window, cutoff)
-        for cell in covering_cells()
-    )
 
 
 def cross_validate_h3(
@@ -395,7 +412,11 @@ def cross_validate_h3(
     below -k-8; the bounds helper parameterizes the mirror through a
     level flip, hence it is queried at level -k.  Every comparison weight
     must be certified by all three covering-cell series, and failures are
-    reported rather than passed.
+    reported rather than passed.  The three series share one window and
+    one cutoff, and their numerators differ by root-lattice vectors, so a
+    weight's offset heights differ by constants: the series of the
+    binding cell (``_binding_cell``), where the heights are largest,
+    certifies a weight exactly when all three do.
     """
     data = spherical_data()
     desc = sheaf_correspondence(lam)
@@ -451,7 +472,8 @@ def cross_validate_h3(
 
     lower_by_comp: dict[str, dict[Weight, int]] = {}
     upper_total: dict[Weight, int] = {}
-    checkers: dict[str, tuple[tuple, object]] = {}
+    checkers: dict[str, tuple[TruncatedSeries, object]] = {}
+    binding = _binding_cell(k).w
     for comp, is_open in (("F1", f1_open), ("F2", f2_open)):
         if not is_open:
             continue
@@ -465,16 +487,16 @@ def cross_validate_h3(
             if CSTAR_GRADING.degree(w) == n:
                 upper_total[w] = upper_total.get(w, 0) + m
         if comp == "F1":
-            checkers[comp] = (_stratum_series(k, window, cutoff), None)
+            checkers[comp] = (kempf_character(binding, k, window, cutoff), None)
         else:
             checkers[comp] = (
-                _stratum_series(k, (-hi, -lo), cutoff), swap_blocks_weight,
+                kempf_character(binding, k, (-hi, -lo), cutoff),
+                swap_blocks_weight,
             )
 
     def comp_certified(comp: str, nu: Weight) -> bool:
         series, mapper = checkers[comp]
-        probe = mapper(nu) if mapper else nu
-        return all(s.is_certified(probe) for s in series)
+        return series.is_certified(mapper(nu) if mapper else nu)
 
     lower_total: dict[Weight, int] = {}
     for slice_ in lower_by_comp.values():

@@ -134,6 +134,28 @@ def brute_offsets(w, k, window, cutoff):
     }
 
 
+def weight_space_bounds(component, k, window, cutoff):
+    """Stratum bounds by subtraction in weight space: every covering-cell
+    series is read off to weights on its own, and the boundary characters
+    are subtracted weight by weight from the open cell's."""
+    lo, hi = window
+    if component == "F2":
+        k, window = -k, (-hi, -lo)
+    top, *boundary = (
+        kempf_character(cell.w, k, window, cutoff) for cell in covering_cells()
+    )
+    upper = top.terms()
+    lower = dict(upper)
+    for series in boundary:
+        for w, m in series.terms().items():
+            lower[w] = lower.get(w, 0) - m
+    lower = {w: m for w, m in lower.items() if m > 0}
+    if component == "F2":
+        lower = {swap_blocks_weight(w): m for w, m in lower.items()}
+        upper = {swap_blocks_weight(w): m for w, m in upper.items()}
+    return lower, upper
+
+
 def bruhat_leq(u, v):
     """Prefix-domination order on one-line permutations."""
     for i in range(1, len(u)):
@@ -538,6 +560,30 @@ class TestUnstableBounds:
     def test_unknown_component(self):
         with pytest.raises(ValueError, match="unknown component"):
             unstable_character_bounds("F3", 0, (0, 10))
+
+    @pytest.mark.parametrize(
+        "cutoff,widths",
+        [(6, (10, 40)), (12, (10,)), (17, ())],
+        ids=["cutoff6", "cutoff12", "cutoff17"],
+    )
+    def test_matches_weight_space_subtraction(self, cutoff, widths):
+        # single grades from each stratum's degree edge inward, as the
+        # cross-check reads them at cutoffs up to 17, and the wide windows
+        # of the bounds queries where they cost well under a second a
+        # level.  Level -3 is the one level where the three numerators
+        # coincide.
+        for comp, sign in (("F1", 1), ("F2", -1)):
+            for k in range(-9, 10):
+                edge = k + sign * 8
+                windows = [(edge + sign * j,) * 2 for j in (0, 4)]
+                windows += [tuple(sorted((k, k + sign * w))) for w in widths]
+                for window in windows:
+                    lower, upper = unstable_character_bounds(comp, k, window, cutoff)
+                    want_lower, want_upper = weight_space_bounds(
+                        comp, k, window, cutoff
+                    )
+                    assert upper.terms == want_upper, (comp, k, window)
+                    assert lower.terms == want_lower, (comp, k, window)
 
 
 class TestCousinTerms:

@@ -7,12 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wonderco.charring import Character, weyl_character, weyl_dimension
-from wonderco.rootsys import Weight, build_root_system
-from wonderco.schubert import CSTAR_GRADING
+from wonderco.rootsys import Weight, build_root_system, root_lattice_coords
+from wonderco.schubert import (
+    CSTAR_GRADING,
+    GRASS_SYSTEM,
+    _numerator,
+    covering_cells,
+    kempf_character,
+    swap_blocks_weight,
+)
 from wonderco.wondercoh import (
+    _DEFAULT_CROSS_CUTOFF,
     BoxTooSmallError,
     CrossCheckReport,
     SphericalData,
+    _auto_height_cutoff,
+    _binding_cell,
     _required_radius,
     _shell_clear,
     _sign_pattern_ranges,
@@ -426,3 +436,82 @@ class TestCrossValidation:
             assert rep.ok and rep.rows, ab
             for nu, low, found, up in rep.rows:
                 assert low <= found <= up
+
+
+def every_series_certified(series, probe):
+    """Certification as defined: every covering-cell series certifies."""
+    return all(s.is_certified(probe) for s in series)
+
+
+def every_numerator_cutoff(k, probes, f1_open, f2_open):
+    """The cutoff reaching each integral probe's offset height over every
+    covering-cell numerator, and at least the default."""
+    targets = set()
+    if f1_open:
+        targets |= probes
+    if f2_open:
+        targets |= {swap_blocks_weight(nu) for nu in probes}
+    cutoff = _DEFAULT_CROSS_CUTOFF
+    for cell in covering_cells():
+        num = _numerator(cell.w, k)
+        for probe in targets:
+            off = root_lattice_coords(GRASS_SYSTEM, probe - num)
+            if off is not None:
+                cutoff = max(cutoff, sum(off))
+    return cutoff
+
+
+class TestBindingCertification:
+    # w1 - w5 keeps the degree and leaves the root lattice; alpha3 moves
+    # the degree by two, out of any narrow window; twice the highest root
+    # adds 10 to every offset height
+    OFF_LATTICE = Weight((1, 0, 0, 0, -1))
+    ALPHA3 = Weight((0, -1, 2, -1, 0))
+    LIFT = Weight((2, 0, 0, 0, 2))
+
+    def test_binding_cell_switches_at_level_minus_four(self):
+        top, s5w, _ = covering_cells()
+        assert s5w.w.word == (1, 2, 4, 3)
+        for k in range(-9, 10):
+            assert _binding_cell(k) == (top if k >= -3 else s5w), k
+
+    @pytest.mark.parametrize("width", [0, 6])
+    def test_binding_series_matches_every_series(self, width):
+        # at cutoff 6 the probes straddle the cutoff in the binding series
+        # on every level
+        cut = 6
+        for k in range(-9, 10):
+            starts = (k + 8, k + 12) if width == 0 else (k + 8,)
+            for start in starts:
+                window = (start, start + width)
+                series = [
+                    kempf_character(c.w, k, window, cut) for c in covering_cells()
+                ]
+                binding = kempf_character(_binding_cell(k).w, k, window, cut)
+                stored = set().union(*(s.terms() for s in series))
+                probes = set(stored)
+                for w in stored:
+                    probes |= {w + self.OFF_LATTICE, w + self.ALPHA3, w - self.ALPHA3}
+                verdicts = set()
+                for p in probes:
+                    want = every_series_certified(series, p)
+                    assert binding.is_certified(p) == want, (k, window, p)
+                    verdicts.add(want)
+                # the probes reach both sides of the rule
+                assert verdicts == {True, False}, (k, window)
+                # the cutoff ignores the window; lifted by twice the
+                # highest root, every level's probes need more than the
+                # default cutoff.  The second stratum's probes arrive
+                # swapped into the ambient frame and the cutoff swaps
+                # them back.
+                reach = {
+                    w + lift for w in stored for lift in (self.LIFT, self.OFF_LATTICE)
+                }
+                ambient = {swap_blocks_weight(p) for p in reach}
+                for f1_open, f2_open, targets in (
+                    (True, False, reach),
+                    (False, True, ambient),
+                ):
+                    got = _auto_height_cutoff(k, targets, f1_open, f2_open)
+                    want = every_numerator_cutoff(k, targets, f1_open, f2_open)
+                    assert got == want, (k, window, f1_open, f2_open)
