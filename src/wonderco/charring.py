@@ -49,7 +49,6 @@ __all__ = [
     "weyl_dimension",
     "add",
     "restrict_window",
-    "grade_project",
 ]
 
 
@@ -76,9 +75,6 @@ class Character:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Character) and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover - characters are not hashed
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -113,9 +109,6 @@ class Character:
     def dimension(self) -> int:
         return sum(self.terms.values())
 
-    def floor_zero(self) -> "Character":
-        return Character({w: m for w, m in self.terms.items() if m > 0})
-
     def map_weights(self, f) -> "Character":
         out: dict[Weight, int] = {}
         for w, m in self.terms.items():
@@ -128,13 +121,6 @@ class Character:
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
         return sorted(self.terms.items())
-
-    def to_tsv(self) -> str:
-        lines = [
-            ",".join(str(c) for c in w.coords) + "\t" + str(m)
-            for w, m in self.sorted_items()
-        ]
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Character({len(self.terms)} terms, dim {self.dimension()})"
@@ -516,19 +502,3 @@ def restrict_window(s: TruncatedSeries, window: tuple[int, int]) -> TruncatedSer
         s.height_cutoff,
         kept,
     )
-
-
-def grade_project(s: TruncatedSeries, n: int) -> Character:
-    """All terms of degree exactly ``n``; raises outside the window."""
-    if not s.window[0] <= n <= s.window[1]:
-        raise TruncationError(
-            f"degree {n} outside certified window {s.window}; "
-            "re-run with a wider truncation"
-        )
-    out: dict[Weight, int] = {}
-    degrees = s._offset_degrees()
-    for off, m in s.offsets.items():
-        if degrees[off] == n:
-            w = s.weight_of(off)
-            out[w] = out.get(w, 0) + m
-    return Character(out)

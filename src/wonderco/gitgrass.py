@@ -6,9 +6,8 @@ with weight +1 on V and -1 on V*; the two copies of SL_3 act on the
 blocks.  This module computes weights of the 20 exterior-cube basis
 vectors, stability of 3-planes with respect to the scaling, the two
 unstable strata (too much intersection with one block), the block
-decomposition of the exterior cube, the invariant-ring generator families,
-and the translation of block-diagonal weights into (line bundle power,
-scaling grade) pairs.
+decomposition of the exterior cube, and the translation of block-diagonal
+weights into (line bundle power, scaling grade) pairs.
 
 All linear algebra is exact over rationals; points are canonicalized to
 reduced row-echelon form, so equality means equality of subspaces.
@@ -19,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .rootsys import Weight
 
@@ -27,7 +25,6 @@ __all__ = [
     "PluckerIndex",
     "SubspacePoint",
     "Summand",
-    "GeneratorFamily",
     "SheafDescriptor",
     "all_plucker_indices",
     "cstar_weight",
@@ -40,10 +37,7 @@ __all__ = [
     "intersection_dims",
     "is_semistable",
     "unstable_component",
-    "plucker_coordinates",
-    "middle_components_nonzero",
     "decompose_module",
-    "invariant_generators",
     "sheaf_correspondence",
 ]
 
@@ -229,30 +223,6 @@ def unstable_component(u: SubspacePoint) -> str | None:
     return None
 
 
-def plucker_coordinates(u: SubspacePoint) -> dict[PluckerIndex, Fraction]:
-    """All twenty 3x3 minors, keyed by index."""
-    out = {}
-    for p in all_plucker_indices():
-        cols = p.columns()
-        m = [[u.rows[r][c] for c in cols] for r in range(3)]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        out[p] = det
-    return out
-
-
-def middle_components_nonzero(u: SubspacePoint) -> bool:
-    """Whether the weight +1 and weight -1 components of the wedge-cube
-    vector are both nonzero; holds for every semistable point."""
-    coords = plucker_coordinates(u)
-    plus = any(v != 0 for p, v in coords.items() if cstar_weight(p) == 1)
-    minus = any(v != 0 for p, v in coords.items() if cstar_weight(p) == -1)
-    return plus and minus
-
-
 # ---------------------------------------------------------------------------
 # module structure
 
@@ -272,31 +242,6 @@ def decompose_module() -> tuple[Summand, ...]:
         Summand(Weight((0, 1, 0, 1)), 1, 9),
         Summand(Weight((1, 0, 1, 0)), -1, 9),
         Summand(Weight((0, 0, 0, 0)), -3, 1),
-    )
-
-
-@dataclass(frozen=True)
-class GeneratorFamily:
-    """A family of scaling-invariant generators, recorded by its exponents
-    on the four summands in weight order (3, 1, -1, -3)."""
-
-    exponents: tuple[int, int, int, int]
-    count: int
-
-    def cstar(self) -> int:
-        weights = (3, 1, -1, -3)
-        return sum(e * w for e, w in zip(self.exponents, weights))
-
-
-def invariant_generators() -> tuple[GeneratorFamily, ...]:
-    """Generator families of the scaling-invariant subring: bilinear pairs
-    across the middle summands, cubes of one middle block against the
-    opposite extreme coordinate, and the product of the two extremes."""
-    return (
-        GeneratorFamily((0, 1, 1, 0), 9 * 9),
-        GeneratorFamily((0, 3, 0, 1), comb(9 + 2, 3)),
-        GeneratorFamily((1, 0, 3, 0), comb(9 + 2, 3)),
-        GeneratorFamily((1, 0, 0, 1), 1),
     )
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "bordered_chain_matrix",
     "series_matrices",
     "abstract_sweep",
-    "SWEEP_LABELS",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -259,9 +258,6 @@ def _sweep_labels(max_rank: int) -> tuple[str, ...]:
                 labels.append(f"{series}{r}")
     labels.extend(f"BC{r}" for r in range(1, max_rank + 1))
     return tuple(labels)
-
-
-SWEEP_LABELS = _sweep_labels(8)
 
 
 def abstract_sweep(

@@ -34,15 +34,12 @@ __all__ = [
     "coset_reps",
     "half_sum_positive",
     "simple_root",
-    "fundamental_weight",
     "root_to_weight",
     "root_lattice_coords",
     "reflect_root",
     "reflect_weight",
     "weyl_element",
-    "identity_element",
     "longest_parabolic",
-    "root_height",
     "root_inner",
     "coroot_pairing",
 ]
@@ -307,20 +304,10 @@ def _reflection_matrix(system: RootSystem, i: int) -> tuple[tuple[int, ...], ...
     )
 
 
-def root_height(root: Root) -> int:
-    return sum(root)
-
-
 def simple_root(system: RootSystem, i: int) -> Root:
     if not 1 <= i <= system.rank:
         raise IndexError(f"simple index {i} out of range 1..{system.rank}")
     return Root(int(j == i - 1) for j in range(system.rank))
-
-
-def fundamental_weight(system: RootSystem, i: int) -> Weight:
-    if not 1 <= i <= system.rank:
-        raise IndexError(f"simple index {i} out of range 1..{system.rank}")
-    return Weight(int(j == i - 1) for j in range(system.rank))
 
 
 def root_to_weight(system: RootSystem, root: Root) -> Weight:
@@ -479,10 +466,6 @@ class WeylElement:
 
 def weyl_element(system: RootSystem, word: tuple[int, ...] | list[int]) -> WeylElement:
     return WeylElement(system, _canonicalize(system, tuple(word)))
-
-
-def identity_element(system: RootSystem) -> WeylElement:
-    return WeylElement(system, ())
 
 
 def act(w: WeylElement, x: Root | Weight):

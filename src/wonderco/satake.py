@@ -34,10 +34,8 @@ __all__ = [
     "DiagramError",
     "SatakeDiagram",
     "RestrictedSystem",
-    "DiagramComponent",
     "make_diagram",
     "parse_diagram",
-    "format_diagram",
     "catalog_names",
     "catalog_diagram",
     "CATALOG",
@@ -46,11 +44,9 @@ __all__ = [
     "apply_theta",
     "check_involution",
     "phi_split",
-    "minus_theta_fixed_whites",
     "restricted_system",
     "family_choices",
     "criterion_matrices",
-    "decompose",
 ]
 
 
@@ -138,15 +134,6 @@ def parse_diagram(text: str) -> SatakeDiagram:
     if type_label is None:
         raise DiagramError("missing 'type' line")
     return make_diagram(build_root_system(type_label), black, arrows)
-
-
-def format_diagram(d: SatakeDiagram) -> str:
-    lines = [f"type {d.system.type_label}"]
-    if d.black:
-        lines.append("black " + " ".join(str(i) for i in sorted(d.black)))
-    for a, b in d.arrows:
-        lines.append(f"arrow {a} {b}")
-    return "\n".join(lines)
 
 
 CATALOG: dict[str, str] = {
@@ -283,15 +270,6 @@ def phi_split(d: SatakeDiagram) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
         elif r.is_positive():
             moved_positive.append(r)
     return tuple(fixed), tuple(moved_positive)
-
-
-def minus_theta_fixed_whites(d: SatakeDiagram) -> tuple[int, ...]:
-    """White vertices whose simple root is negated by the involution."""
-    out = []
-    for i in d.whites():
-        if theta_of_simple(d, i) == -simple_root(d.system, i):
-            out.append(i)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -518,58 +496,3 @@ def family_choices(rs: RestrictedSystem):
 def criterion_matrices(rs: RestrictedSystem) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The distinct criterion matrices over all family selections, sorted."""
     return tuple(sorted({m for _, m in family_choices(rs)}))
-
-
-# ---------------------------------------------------------------------------
-# decomposition
-
-@dataclass(frozen=True)
-class DiagramComponent:
-    """A connected piece of a diagram (bonds and arrows both connect).
-
-    ``kind`` is "group" when the piece is two bond-connected halves swapped
-    by arrows (the doubled form of a single group), else "symmetric".
-    """
-
-    vertices: tuple[int, ...]
-    kind: str
-
-
-def decompose(d: SatakeDiagram) -> tuple[DiagramComponent, ...]:
-    n = d.system.rank
-    c = d.system.cartan
-    vertices = range(1, n + 1)
-    bonds = [
-        (i, j) for i in vertices for j in range(i + 1, n + 1) if c[i - 1][j - 1] != 0
-    ]
-    halves_all = [frozenset(p) for p in _components(vertices, bonds)]
-
-    out = []
-    for verts in _components(vertices, bonds + list(d.arrows)):
-        vset = set(verts)
-        halves = [h for h in halves_all if h <= vset]
-        if len(halves) == 1:
-            out.append(DiagramComponent(tuple(verts), "symmetric"))
-            continue
-        if len(halves) != 2:
-            raise DiagramError(
-                f"component {sorted(vset)} joins {len(halves)} bond pieces"
-            )
-        if vset & d.black:
-            raise DiagramError(
-                f"doubled component {sorted(vset)} contains black vertices"
-            )
-        h1, h2 = halves
-        for v in h1:
-            if d.arrow_partner(v) not in h2:
-                raise DiagramError(
-                    f"vertex {v} lacks an arrow into the opposite half"
-                )
-        for v, w in itertools.product(sorted(h1), sorted(h1)):
-            if c[v - 1][w - 1] != c[d.arrow_partner(v) - 1][d.arrow_partner(w) - 1]:
-                raise DiagramError(
-                    f"arrows of component {sorted(vset)} are not a diagram "
-                    "isomorphism between the halves"
-                )
-        out.append(DiagramComponent(tuple(verts), "group"))
-    return tuple(out)

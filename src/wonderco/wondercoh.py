@@ -31,7 +31,6 @@ from .rootsys import (
 )
 from .satake import catalog_diagram, restricted_system
 from .schubert import (
-    CSTAR_GRADING,
     GRASS_SYSTEM,
     SchubertCell,
     _numerator,
@@ -417,6 +416,13 @@ def cross_validate_h3(
     weight's offset heights differ by constants: the series of the
     binding cell (``_binding_cell``), where the heights are largest,
     certifies a weight exactly when all three do.
+
+    Only grade n is compared, so the bounds and the certifying series are
+    asked on the single-grade window (n, n), or (-n, -n) for the mirror,
+    whatever ``window`` is.  This is exact: the cone pruning keeps every
+    term of degree n whenever the window contains n, and every probe has
+    degree n (-n after the swap).  ``window`` only decides whether grade
+    n is covered at all, and is reported.
     """
     data = spherical_data()
     desc = sheaf_correspondence(lam)
@@ -478,19 +484,15 @@ def cross_validate_h3(
         if not is_open:
             continue
         level = k if comp == "F1" else -k
-        lower, upper = unstable_character_bounds(comp, level, window, cutoff)
-        lower_by_comp[comp] = {
-            w: m for w, m in lower.terms.items()
-            if CSTAR_GRADING.degree(w) == n
-        }
+        lower, upper = unstable_character_bounds(comp, level, (n, n), cutoff)
+        lower_by_comp[comp] = lower.terms
         for w, m in upper.terms.items():
-            if CSTAR_GRADING.degree(w) == n:
-                upper_total[w] = upper_total.get(w, 0) + m
+            upper_total[w] = upper_total.get(w, 0) + m
         if comp == "F1":
-            checkers[comp] = (kempf_character(binding, k, window, cutoff), None)
+            checkers[comp] = (kempf_character(binding, k, (n, n), cutoff), None)
         else:
             checkers[comp] = (
-                kempf_character(binding, k, (-hi, -lo), cutoff),
+                kempf_character(binding, k, (-n, -n), cutoff),
                 swap_blocks_weight,
             )
 

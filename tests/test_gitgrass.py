@@ -1,6 +1,5 @@
 """Tests for the scaling action on 3-planes in the split 6-space."""
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from wonderco.charring import weyl_character, weyl_dimension
 from wonderco.gitgrass import (
-    GeneratorFamily,
     PluckerIndex,
     all_plucker_indices,
     block_swap,
@@ -21,10 +19,7 @@ from wonderco.gitgrass import (
     fixed_points,
     graph_point,
     intersection_dims,
-    invariant_generators,
     is_semistable,
-    middle_components_nonzero,
-    plucker_coordinates,
     sheaf_correspondence,
     subspace_point,
     torus_weight,
@@ -53,13 +48,6 @@ def random_point(rng):
             return subspace_point(rows)
         except ValueError:
             continue
-
-
-def random_semistable(rng):
-    while True:
-        u = random_point(rng)
-        if is_semistable(u):
-            return u
 
 
 class TestPluckerIndices:
@@ -289,27 +277,8 @@ class TestStability:
 class TestPluckerCoordinates:
     def test_coordinate_point_supported_at_its_index(self):
         p = PluckerIndex((1, 3), (2,))
-        coords = plucker_coordinates(coordinate_point(p))
-        assert coords[p] != 0
-        assert all(v == 0 for q, v in coords.items() if q != p)
-
-    def test_not_all_zero(self):
-        rng = random.Random(11)
-        for _ in range(10):
-            u = random_point(rng)
-            assert any(v != 0 for v in plucker_coordinates(u).values())
-
-    def test_semistable_points_have_middle_components(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            u = random_semistable(rng)
-            assert middle_components_nonzero(u)
-
-    def test_extreme_fixed_points_fail_middle_test(self):
-        assert not middle_components_nonzero(subspace_point([E1, E2, E3]))
-        assert not middle_components_nonzero(
-            subspace_point([E1S, E2S, E3S])
-        )
+        units = [[int(j == col) for j in range(6)] for col in p.columns()]
+        assert coordinate_point(p).rows == tuple(map(tuple, units))
 
 
 class TestModuleDecomposition:
@@ -328,53 +297,6 @@ class TestModuleDecomposition:
     def test_dims_match_weyl_formula(self):
         for s in decompose_module():
             assert weyl_dimension(A2xA2, s.highest_weight) == s.dim
-
-
-class TestInvariantGenerators:
-    def test_families(self):
-        fams = invariant_generators()
-        assert [f.exponents for f in fams] == [
-            (0, 1, 1, 0),
-            (0, 3, 0, 1),
-            (1, 0, 3, 0),
-            (1, 0, 0, 1),
-        ]
-
-    def test_bilinear_family_count(self):
-        pairs = next(
-            f for f in invariant_generators() if f.exponents == (0, 1, 1, 0)
-        )
-        assert pairs.count == 81
-
-    def test_cubic_family_counts(self):
-        # degree-3 monomials on a 9-dimensional block
-        for exps in [(0, 3, 0, 1), (1, 0, 3, 0)]:
-            fam = next(
-                f for f in invariant_generators() if f.exponents == exps
-            )
-            assert fam.count == 165
-
-    def test_all_scaling_invariant(self):
-        for f in invariant_generators():
-            assert f.cstar() == 0
-
-    def test_counts_are_monomial_counts(self):
-        # each family enumerates the monomials of its multidegree
-        def monomials(dim, deg):
-            return len(
-                list(
-                    itertools.combinations_with_replacement(
-                        range(dim), deg
-                    )
-                )
-            )
-
-        for f in invariant_generators():
-            dims = (1, 9, 9, 1)
-            want = 1
-            for d, e in zip(dims, f.exponents):
-                want *= monomials(d, e)
-            assert f.count == want
 
 
 class TestSheafCorrespondence:

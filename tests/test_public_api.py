@@ -1,8 +1,10 @@
-"""Every name a module lists in ``__all__`` resolves, and star-imports work."""
+"""Every name a module lists in ``__all__`` resolves, star-imports work,
+and every export is called by the package or kept for a stated reason."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -53,3 +55,68 @@ def test_character_kernel_imports_no_fractions():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
     assert "fractions" not in imported
+
+
+# exports that no code of the package calls, each with why it stays
+UNCALLED_EXPORTS = {
+    "charring.weyl_dimension": "dimension oracle the character tests check against",
+    "gitgrass.torus_weight": "checks decompose_module's table of summands",
+    "gitgrass.block_swap": "geometric check behind schubert.swap_blocks_weight",
+    "schubert.cousin_terms": "ROADMAP item 1's planned Euler-characteristic route",
+    "charring.add": "sums cousin_terms' cell series (ROADMAP item 1)",
+    "charring.restrict_window": "trims cousin_terms' sums (ROADMAP item 1)",
+}
+
+
+def uncalled_exports() -> set[str]:
+    """``module.name`` of each export referenced by no code of the package
+    outside its own definition and the definitions of other such exports.
+
+    A load of a name resolves through the module's ``from .x import``
+    bindings, else to the module's own top-level definition.  Exports only
+    reached from uncalled ones are uncalled too, found by repeating the
+    scan until nothing changes.
+    """
+    spans: dict[str, tuple[str, int, int]] = {}
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for path in pathlib.Path(wonderco.__file__).parent.glob("*.py"):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        local = {
+            node.name: (node.lineno, node.end_lineno)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        exported = getattr(load(mod), "__all__", ()) if mod in MODULES else ()
+        for name in exported:
+            spans[f"{mod}.{name}"] = (mod, *local.get(name, (0, -1)))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                target = bound.get(node.id, f"{mod}.{node.id}")
+                uses.setdefault(target, []).append((mod, node.lineno))
+
+    def outside(mod: str, line: int, defs) -> bool:
+        return not any(m == mod and lo <= line <= hi for m, lo, hi in defs)
+
+    uncalled: set[str] = set()
+    while True:
+        skipped = [spans[key] for key in uncalled]
+        found = {
+            key
+            for key, own in spans.items()
+            if not any(
+                outside(mod, line, [own, *skipped]) for mod, line in uses.get(key, ())
+            )
+        }
+        if found == uncalled:
+            return found
+        uncalled = found
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    # a new export without a caller in the package needs an entry above
+    assert uncalled_exports() == set(UNCALLED_EXPORTS)

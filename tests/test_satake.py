@@ -11,11 +11,8 @@ from wonderco.satake import (
     catalog_names,
     check_involution,
     criterion_matrices,
-    decompose,
     family_choices,
-    format_diagram,
     make_diagram,
-    minus_theta_fixed_whites,
     parse_diagram,
     phi_split,
     restricted_system,
@@ -73,11 +70,6 @@ PHI_SPLIT_GOLDEN = {
 # construction and parsing
 
 class TestDiagramConstruction:
-    def test_round_trip(self):
-        for name in catalog_names():
-            d = catalog_diagram(name)
-            assert parse_diagram(format_diagram(d)) == d
-
     def test_catalog_complete(self):
         assert len(catalog_names()) == 18
         assert set(catalog_names()) == set(CATALOG)
@@ -185,12 +177,6 @@ class TestTheta:
         for r in phi1_plus:
             assert apply_theta(d, r) != r
 
-    def test_minus_fixed_whites(self):
-        assert minus_theta_fixed_whites(catalog_diagram("split-A1")) == (1,)
-        assert minus_theta_fixed_whites(catalog_diagram("split-A2")) == (1, 2)
-        assert minus_theta_fixed_whites(catalog_diagram("PGL6-PSp6")) == ()
-        assert minus_theta_fixed_whites(catalog_diagram("PSO5-SO4")) == ()
-
 
 # ---------------------------------------------------------------------------
 # restricted systems
@@ -270,36 +256,3 @@ class TestInvalidColorings:
         assert check_involution(d)
         with pytest.raises(DiagramError, match="not of symmetric-space type"):
             restricted_system(d)
-
-
-# ---------------------------------------------------------------------------
-# decomposition
-
-class TestDecompose:
-    def test_doubled_components(self):
-        for name in ("GxG-A1", "GxG-A2"):
-            comps = decompose(catalog_diagram(name))
-            assert len(comps) == 1
-            assert comps[0].kind == "group"
-
-    @pytest.mark.parametrize(
-        "name", [n for n in sorted(CATALOG) if not n.startswith("GxG")]
-    )
-    def test_simple_components(self, name):
-        comps = decompose(catalog_diagram(name))
-        assert len(comps) == 1
-        assert comps[0].kind == "symmetric"
-        assert comps[0].vertices == tuple(
-            range(1, catalog_diagram(name).system.rank + 1)
-        )
-
-    def test_disjoint_split_factors(self):
-        d = make_diagram(build_root_system("A2xA2"))
-        comps = decompose(d)
-        assert [c.vertices for c in comps] == [(1, 2), (3, 4)]
-        assert all(c.kind == "symmetric" for c in comps)
-
-    def test_unarrowed_product_stays_split(self):
-        d = make_diagram(build_root_system("A1xA1"))
-        comps = decompose(d)
-        assert [c.kind for c in comps] == ["symmetric", "symmetric"]

@@ -1,5 +1,6 @@
 """Tests for line-bundle cohomology on the compactified group."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -84,9 +85,11 @@ def descent_components(lam):
     arithmetic, moved to the dominant chamber of the doubled system by
     ``dominant_conjugate``, and tested against the boundary classes by the
     invariant pairing through their simple-root coordinates.  Only the
-    candidate offsets come from the module; their completeness is checked
-    by the brute-force oracle above and by the shell scan.  Returns
-    {degree: sorted highest-weight coordinates}.
+    candidate offsets come from the module, and sharing them is sound:
+    ``test_sign_pattern_ranges_cover_every_valid_offset`` checks, in plain
+    (p, q) arithmetic, that they hold every valid offset of each bundle
+    this oracle is run on.  Returns {degree: sorted highest-weight
+    coordinates}.
     """
     data = spherical_data()
     g1, g2 = data.sigma_x
@@ -228,6 +231,30 @@ class TestComponentEnumeration:
             for i in range(0, 9):
                 got = [w.coords for w in tchoudjem_components(lam, i)]
                 assert got == want.get(i, []), (lam.coords, i)
+
+    def test_sign_pattern_ranges_cover_every_valid_offset(self):
+        # the offsets the descent oracle shares with the module, checked
+        # against a brute-force scan of each coefficient-box bundle's
+        # (a1, a2) = lam + b1 g1 + b2 g2 in block coordinates: the sign
+        # constraints keep valid offsets within |a1| + |a2|, so the box
+        # below has slack on every side
+        pairs = {
+            (a1 + 2 * b1 - b2, a2 - b1 + 2 * b2)
+            for a1, a2, b1, b2 in itertools.product(range(-5, 6), repeat=4)
+        }
+        assert len(pairs) == 1041
+        for a1, a2 in pairs:
+            ranges = set(_sign_pattern_ranges(a1, a2))
+            radius = abs(a1) + abs(a2) + 6
+            for t1 in range(-radius, radius + 1):
+                for t2 in range(-radius, radius + 1):
+                    p = a1 + 1 + 2 * t1 - t2
+                    q = a2 + 1 - t1 + 2 * t2
+                    if p == 0 or q == 0 or p + q == 0:
+                        continue
+                    if (t1 >= 1) != (p < 0) or (t2 >= 1) != (q < 0):
+                        continue
+                    assert (t1, t2) in ranges, (a1, a2, t1, t2)
 
     def test_shell_scan_catches_candidate_outside_box(self):
         # (6, 6) needs radius 12; at radius 3 its valid offset (-4, -4)
@@ -416,6 +443,17 @@ class TestCrossValidation:
         assert not rep.certified
         assert not rep.ok
         assert any("does not contain" in msg for msg in rep.issues)
+
+    def test_wide_window_reports_single_grade_result(self):
+        # only grade n is compared, so a window around it changes nothing
+        # but the reported window
+        cases = (((-4, 2), None), ((2, -4), None), ((-4, 4), 10), ((-5, -5), None))
+        for ab, cutoff in cases:
+            rep = cross_validate_h3(diag(*ab), height_cutoff=cutoff)
+            wide = (rep.n - 3, rep.n + 2)
+            got = cross_validate_h3(diag(*ab), window=wide, height_cutoff=cutoff)
+            assert got.window == wide
+            assert dataclasses.replace(got, window=rep.window) == rep, ab
 
     def test_both_windows_deep_level(self):
         rep = cross_validate_h3(diag(-5, -5))
