@@ -60,18 +60,23 @@ class TruncationError(Exception):
 # characters
 
 class Character:
-    """A finitely supported integer combination of formal exponentials e^mu."""
+    """A finitely supported integer combination of formal exponentials e^mu.
+
+    ``terms`` is a read-only view built once and no field can be reassigned,
+    so a cached character cannot be altered.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Weight, int] | None = None):
-        self.terms: dict[Weight, int] = {
-            w: m for w, m in (terms or {}).items() if m != 0
-        }
+    def __init__(self, terms: Mapping[Weight, int] | None = None):
+        self.terms = MappingProxyType(
+            {w: m for w, m in (terms or {}).items() if m != 0}
+        )
 
-    @staticmethod
-    def of_weight(w: Weight, mult: int = 1) -> "Character":
-        return Character({w: mult})
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"Character.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Character) and self.terms == other.terms
@@ -79,45 +84,8 @@ class Character:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other: "Character") -> "Character":
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            out[w] = out.get(w, 0) + m
-        return Character(out)
-
-    def __sub__(self, other: "Character") -> "Character":
-        out = dict(self.terms)
-        for w, m in other.terms.items():
-            out[w] = out.get(w, 0) - m
-        return Character(out)
-
-    def __mul__(self, other: "Character") -> "Character":
-        out: dict[Weight, int] = {}
-        for w1, m1 in self.terms.items():
-            for w2, m2 in other.terms.items():
-                key = w1 + w2
-                out[key] = out.get(key, 0) + m1 * m2
-        return Character(out)
-
-    def dual(self) -> "Character":
-        """The character of the dual module: negated support."""
-        return Character({-w: m for w, m in self.terms.items()})
-
-    def multiplicity(self, w: Weight) -> int:
-        return self.terms.get(w, 0)
-
     def dimension(self) -> int:
         return sum(self.terms.values())
-
-    def map_weights(self, f) -> "Character":
-        out: dict[Weight, int] = {}
-        for w, m in self.terms.items():
-            key = f(w)
-            out[key] = out.get(key, 0) + m
-        return Character(out)
-
-    def support(self) -> set[Weight]:
-        return set(self.terms)
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
         return sorted(self.terms.items())

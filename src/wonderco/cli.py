@@ -165,14 +165,10 @@ def _coords_str(w: Weight) -> str:
     return ",".join(str(c) for c in w.coords)
 
 
-def _character_terms(ch: Character) -> list[tuple[Weight, int]]:
-    return sorted(ch.terms.items(), key=lambda kv: kv[0].coords)
-
-
 def _character_payload(ch: Character) -> dict:
     return {
         "dimension": ch.dimension(),
-        "terms": [[list(w.coords), m] for w, m in _character_terms(ch)],
+        "terms": [[list(w.coords), m] for w, m in ch.sorted_items()],
     }
 
 
@@ -509,7 +505,7 @@ def _cmd_cohomology(cfg: RunConfig, args, out: TextIO) -> int:
         ("profile", ",".join(str(i) for i in profile) or "-"),
         ("dimension", ch.dimension()),
     ]
-    for w, m in _character_terms(ch):
+    for w, m in ch.sorted_items():
         rows.append(("term", _coords_str(w), m))
     if report is not None:
         rows.append(("cross-component", report.component or "none"))

@@ -82,9 +82,6 @@ class Root(_Vector):
     def is_positive(self) -> bool:
         return any(self) and all(c >= 0 for c in self)
 
-    def is_negative(self) -> bool:
-        return any(self) and all(c <= 0 for c in self)
-
 
 class Weight(_Vector):
     """A weight, stored in fundamental-weight coordinates."""
@@ -96,9 +93,6 @@ class Weight(_Vector):
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self)
-
-    def is_strictly_dominant(self) -> bool:
-        return all(c > 0 for c in self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,9 +453,6 @@ class WeylElement:
         if self.system != other.system:
             raise ValueError("mismatched root systems")
         return weyl_element(self.system, self.word + other.word)
-
-    def inverse(self) -> "WeylElement":
-        return weyl_element(self.system, tuple(reversed(self.word)))
 
 
 def weyl_element(system: RootSystem, word: tuple[int, ...] | list[int]) -> WeylElement:

@@ -25,6 +25,7 @@ from .gitgrass import sheaf_correspondence
 from .rootsys import (
     RootSystem,
     Weight,
+    dominant_representative,
     half_sum_positive,
     root_lattice_coords,
     root_to_weight,
@@ -260,8 +261,15 @@ def tchoudjem_components(
 
 @lru_cache(maxsize=None)
 def _dual_module_character(mu: Weight) -> Character:
-    data = spherical_data()
-    return weyl_character(data.lattice, mu).dual()
+    """Character of the dual of the irreducible with highest weight ``mu``.
+
+    V(mu)* is isomorphic to V(-w0 mu), and -w0 mu is the dominant
+    representative of -mu, so this is exactly the negated character of
+    V(mu).  Irreducible characters are linearly independent, so a sum of
+    these is determined by its multiset of highest weights.
+    """
+    lattice = spherical_data().lattice
+    return weyl_character(lattice, dominant_representative(lattice, -mu))
 
 
 def h_character(lam: Weight, i: int, box: int | None = None) -> Character:
@@ -280,12 +288,20 @@ def vanishing_profile(lam: Weight, box: int | None = None) -> frozenset[int]:
 
 def serre_dual_check(lam: Weight, i: int, box: int | None = None) -> bool:
     """Verify duality: degree i of ``lam`` against the complementary
-    degree of the dualizing mirror ``-lam - canonical_shift``."""
+    degree of the dualizing mirror ``-lam - canonical_shift``.
+
+    Degree i is the sum of the V(mu)* over its components mu, and the dual
+    of the mirror's group the sum of the V(nu) = V(-w0 nu)*.  Irreducible
+    characters are linearly independent (``weyl_character`` is injective
+    on dominant weights), so the two characters agree exactly when the
+    multisets mu and -w0 nu do.
+    """
     data = spherical_data()
     mirror = -lam - data.canonical_shift
-    left = h_character(lam, i, box)
-    right = h_character(mirror, data.dim_y - i, box)
-    return left == right.dual()
+    left = tchoudjem_components(lam, i, box)
+    right = tchoudjem_components(mirror, data.dim_y - i, box)
+    duals = sorted(dominant_representative(data.lattice, -nu) for nu in right)
+    return list(left) == duals
 
 
 # ---------------------------------------------------------------------------

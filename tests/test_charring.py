@@ -5,8 +5,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from wonderco.charring import (
     Character,
@@ -97,68 +95,24 @@ def kostant_character(system, lam):
     return Character(terms)
 
 
+def negated(ch):
+    """The terms of the dual module's character: every weight negated."""
+    return {-w: m for w, m in ch.terms.items()}
+
+
 # ---------------------------------------------------------------------------
-# Character algebra
+# Character records
 
 class TestCharacter:
     def test_zero_multiplicities_dropped(self):
         c = Character({Weight((1, 0)): 2, Weight((0, 1)): 0})
         assert c.terms == {Weight((1, 0)): 2}
 
-    def test_ring_operations(self):
-        a = Character.of_weight(Weight((1, 0)))
-        b = Character.of_weight(Weight((0, 1)), 3)
-        assert (a + b).dimension() == 4
-        assert (a - a) == Character()
-        assert (a * b).terms == {Weight((1, 1)): 3}
-
-    def test_dual_negates_support(self):
-        c = Character({Weight((2, -1)): 1, Weight((0, 3)): 4})
-        assert c.dual().terms == {Weight((-2, 1)): 1, Weight((0, -3)): 4}
-        assert c.dual().dual() == c
-
-    def test_dual_is_multiplicative(self):
-        a = Character({Weight((1, 0)): 1, Weight((-1, 1)): 2})
-        b = Character({Weight((0, -1)): 3})
-        assert (a * b).dual() == a.dual() * b.dual()
-
-    def test_map_weights_merges(self):
-        c = Character({Weight((1, 2)): 1, Weight((2, 1)): 1})
-        folded = c.map_weights(lambda w: Weight(tuple(sorted(w.coords))))
-        assert folded.terms == {Weight((1, 2)): 2}
-
     def test_not_hashable(self):
-        # a character's terms are a mutable dict, so it must not be a key
+        # equality compares terms, and a read-only view of them has no
+        # hash either, so a character is never a dict key
         with pytest.raises(TypeError):
             hash(Character())
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                st.integers(-2, 2),
-            ),
-            max_size=5,
-        ),
-        st.lists(
-            st.tuples(
-                st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                st.integers(-2, 2),
-            ),
-            max_size=5,
-        ),
-    )
-    def test_product_distributes(self, pairs_a, pairs_b):
-        def build(pairs):
-            d = {}
-            for coords, m in pairs:
-                w = Weight(coords)
-                d[w] = d.get(w, 0) + m
-            return Character(d)
-
-        a, b = build(pairs_a), build(pairs_b)
-        c = Character.of_weight(Weight((1, -1)), 2)
-        assert (a + b) * c == a * c + b * c
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +142,7 @@ class TestWeylCharacter:
     def test_a2_adjoint(self):
         ch = weyl_character(A2, Weight((1, 1)))
         assert ch.dimension() == 8
-        assert ch.multiplicity(Weight((0, 0))) == 2
+        assert ch.terms.get(Weight((0, 0)), 0) == 2
         assert all(m == 1 for w, m in ch.terms.items() if w != Weight((0, 0)))
 
     @pytest.mark.parametrize(
@@ -240,24 +194,27 @@ class TestWeylCharacter:
     def test_product_system_factorizes(self):
         left = weyl_character(A2, Weight((2, 1)))
         right = weyl_character(A2, Weight((0, 2)))
-        embed_l = left.map_weights(lambda w: Weight(w.coords + (0, 0)))
-        embed_r = right.map_weights(lambda w: Weight((0, 0) + w.coords))
-        assert weyl_character(A2xA2, Weight((2, 1, 0, 2))) == embed_l * embed_r
+        outer = {
+            Weight(u.coords + v.coords): m * k
+            for u, m in left.terms.items()
+            for v, k in right.terms.items()
+        }
+        assert weyl_character(A2xA2, Weight((2, 1, 0, 2))).terms == outer
 
     def test_weyl_invariance(self):
         ch = weyl_character(A2, Weight((2, 1)))
         for word in [(1,), (2,), (1, 2), (2, 1, 2)]:
             w = weyl_element(A2, word)
-            assert ch.map_weights(lambda x: act(w, x)) == ch
+            assert {act(w, x): m for x, m in ch.terms.items()} == ch.terms
 
     def test_self_dual_adjoint(self):
         ch = weyl_character(A2, Weight((1, 1)))
-        assert ch.dual() == ch
+        assert negated(ch) == ch.terms
 
     def test_dual_is_lowest_weight_flip(self):
         lam = Weight((2, 0))
         ch = weyl_character(A2, lam)
-        assert ch.dual() == weyl_character(A2, Weight((0, 2)))
+        assert negated(ch) == weyl_character(A2, Weight((0, 2))).terms
 
 
 # ---------------------------------------------------------------------------

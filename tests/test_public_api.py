@@ -120,3 +120,46 @@ def uncalled_exports() -> set[str]:
 def test_every_export_has_a_caller_or_a_reason():
     # a new export without a caller in the package needs an entry above
     assert uncalled_exports() == set(UNCALLED_EXPORTS)
+
+
+# public methods that no code of the package calls, each with why it stays
+UNCALLED_METHODS: dict[str, str] = {}
+
+
+def uncalled_methods() -> set[str]:
+    """``module.Class.method`` of each public method of a public class whose
+    name is read as an attribute (``x.method``) nowhere in the package
+    outside its own definition.
+
+    The scan goes by attribute name, not by the receiver's type: any
+    attribute of the same name counts as a call, so a name shared by two
+    classes, such as ``multiplicity``, is called if either one is.
+    """
+    methods: dict[str, tuple[str, int, int]] = {}
+    reads: dict[str, list[tuple[str, int]]] = {}
+    for path in pathlib.Path(wonderco.__file__).parent.glob("*.py"):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    key = f"{mod}.{cls.name}.{node.name}"
+                    methods[key] = (mod, node.lineno, node.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((mod, node.lineno))
+    return {
+        key
+        for key, (own, lo, hi) in methods.items()
+        if all(
+            mod == own and lo <= line <= hi
+            for mod, line in reads.get(key.rsplit(".", 1)[1], ())
+        )
+    }
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    # a new public method without a caller in the package needs an entry
+    # above
+    assert uncalled_methods() == set(UNCALLED_METHODS)

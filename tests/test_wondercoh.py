@@ -24,6 +24,7 @@ from wonderco.wondercoh import (
     SphericalData,
     _auto_height_cutoff,
     _binding_cell,
+    _dual_module_character,
     _required_radius,
     _shell_clear,
     _sign_pattern_ranges,
@@ -42,6 +43,11 @@ A5 = build_root_system("A5")
 
 def diag(a1, a2):
     return Weight((a1, a2, a1, a2))
+
+
+def negated(ch):
+    """The terms of the dual module's character: every weight negated."""
+    return {-w: m for w, m in ch.terms.items()}
 
 
 def oracle_components(a1, a2, i):
@@ -287,18 +293,26 @@ class TestHCharacter:
     def test_fundamental_is_dual_module(self):
         data = spherical_data()
         h = h_character(diag(1, 0), 0)
-        assert h == weyl_character(data.lattice, diag(1, 0)).dual()
+        assert h.terms == negated(weyl_character(data.lattice, diag(1, 0)))
         assert h.dimension() == 9
 
-    def test_results_are_fresh(self):
-        # the module characters are cached; clearing a returned result
-        # must not reach the cache behind the next call
+    def test_cached_characters_are_read_only(self):
+        # the module characters are cached; no caller can write through a
+        # returned character into the cache behind the next call
         data = spherical_data()
-        expected = h_character(diag(1, 0), 0).terms.copy()
-        h_character(diag(1, 0), 0).terms.clear()
-        assert h_character(diag(1, 0), 0).terms == expected
-        expected = weyl_character(data.lattice, diag(1, 0)).terms.copy()
-        weyl_character(data.lattice, diag(1, 0)).terms.clear()
+        cached = _dual_module_character(diag(1, 0))
+        w = next(iter(cached.terms))
+        with pytest.raises(TypeError):
+            cached.terms[w] += 5
+        with pytest.raises(AttributeError):
+            cached.terms = {}
+        assert h_character(diag(1, 0), 0).dimension() == 9
+        expected = dict(weyl_character(data.lattice, diag(1, 0)).terms)
+        ch = weyl_character(data.lattice, diag(1, 0))
+        with pytest.raises(TypeError):
+            ch.terms[diag(1, 0)] = 5
+        with pytest.raises(AttributeError):
+            ch.terms = {}
         assert weyl_character(data.lattice, diag(1, 0)).terms == expected
 
     def test_outside_cone_empty(self):
@@ -311,7 +325,7 @@ class TestHCharacter:
     def test_middle_degree_nontrivial_module(self):
         data = spherical_data()
         h = h_character(diag(-4, 3), 3)
-        assert h == weyl_character(data.lattice, diag(0, 1)).dual()
+        assert h.terms == negated(weyl_character(data.lattice, diag(0, 1)))
 
     def test_top_degree_dimension(self):
         # dual to the sections of (1, 1): dimensions 64 + 1
@@ -367,7 +381,7 @@ class TestSerreDuality:
     def test_golden_pair_explicit(self):
         left = h_character(diag(-4, 2), 3)
         right = h_character(diag(1, -5), 5)
-        assert left == right.dual()
+        assert left.terms == negated(right)
 
     def test_mirror_weights(self):
         shift = spherical_data().canonical_shift
@@ -384,6 +398,26 @@ class TestSerreDuality:
     @settings(max_examples=40, deadline=None)
     def test_random(self, a1, a2, i):
         assert serre_dual_check(diag(a1, a2), i)
+
+    def test_matches_character_comparison(self):
+        # the character-level comparison serre_dual_check replaces, kept as
+        # its oracle: degree i against the negated character of degree
+        # 8 - i of the mirror (the compactified group has dimension 8),
+        # over every bundle of the radius-3 coefficient box
+        shift = spherical_data().canonical_shift
+        span = range(-3, 4)
+        bundles = {spanning_weight(*c) for c in itertools.product(span, repeat=4)}
+        disagree, fail = [], []
+        for lam in sorted(bundles):
+            mirror = -lam - shift
+            for i in range(9):
+                want = h_character(lam, i).terms == negated(h_character(mirror, 8 - i))
+                if serre_dual_check(lam, i) != want:
+                    disagree.append((lam.coords, i))
+                if not want:
+                    fail.append((lam.coords, i))
+        assert len(bundles) == 385
+        assert disagree == [] and fail == []
 
     def test_shift_without_boundary_classes_fails(self):
         # dropping the boundary classes from the dualizing twist breaks

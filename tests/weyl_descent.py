@@ -40,7 +40,7 @@ def dominant_conjugate(
         v = reflect_weight(system, i, v)
         applied.append(i)
     w = weyl_element(system, tuple(reversed(applied)))
-    return v, w, len(w), v.is_strictly_dominant()
+    return v, w, len(w), all(c > 0 for c in v)
 
 
 @lru_cache(maxsize=None)
