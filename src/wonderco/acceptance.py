@@ -29,7 +29,7 @@ from typing import Callable, TextIO
 
 from .charring import TruncationError, weyl_character
 from .gitgrass import decompose_module, fixed_points, unstable_component
-from .opcrit import abstract_sweep, series_matrices, solution_set
+from .opcrit import abstract_sweep, joint_solution_set, series_matrices
 from .rootsys import (
     RootSystem,
     Weight,
@@ -205,12 +205,12 @@ class AcceptanceReport:
 
 
 def _check_operator_sweep(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
-    sweep = abstract_sweep(max_rank=8, bc_policy="both")
+    sweep = abstract_sweep(max_rank=8)
     exists = {label for label, ok in sweep.items() if ok}
     if exists != {"A1", "A2", "BC1"}:
         return False, "mismatch", f"solutions found for {sorted(exists)}"
     for matrix in series_matrices("A2"):
-        pairs = solution_set(matrix, bound=12)
+        pairs = joint_solution_set((matrix,), 12)
         if not pairs:
             return False, "mismatch", "A2 admits no solutions up to bound 12"
         unequal = [p for p in pairs if len(set(p)) != 1]

@@ -86,7 +86,6 @@ class InputError(ValueError):
 class RunConfig:
     """Validated options shared by every subcommand."""
 
-    command: str
     window: tuple[int, int] | None
     height_cutoff: int
     box_radius: int | None
@@ -720,7 +719,6 @@ def _config_from_args(args) -> RunConfig:
         else DEFAULT_HEIGHT_CUTOFF
     )
     return RunConfig(
-        command=args.command,
         window=window,
         height_cutoff=cutoff,
         box_radius=args.box_radius,

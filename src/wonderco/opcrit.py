@@ -8,28 +8,27 @@ a monomial derivative along the boundary coordinates exactly when
 
 This module enumerates such vectors up to a bound, picks out the minimal
 ones (those that are not sums of two smaller admissible vectors), and
-decides outright existence with an exact Fourier-Motzkin elimination, so an
-empty enumeration can be certified rather than trusted.
+decides outright existence with an exact Fourier-Motzkin elimination on
+integer rows, so an empty enumeration can be certified rather than trusted.
 
 The sweep helpers build the matrices for abstract irreducible types: plain
 Cartan matrices for the reduced series, and for the nonreduced BC series
-either the bordered chain matrix alone (its last diagonal entry is 1,
-reflecting the halved doubled root) or, by default, that matrix joined with
-the Cartan matrix of the underlying reduced system.
+one joined system, the bordered chain matrix (its last diagonal entry is 1,
+reflecting the halved doubled root) together with the Cartan matrix of the
+underlying reduced system.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rootsys import build_root_system
 from .satake import RestrictedSystem, SatakeDiagram, criterion_matrices, restricted_system
 
 __all__ = [
     "Matrix",
-    "solution_set",
     "joint_solution_set",
     "minimal_solutions",
     "joint_has_solutions",
@@ -42,14 +41,19 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
-DEFAULT_BOUND = 100
 
-
-def _check_square(matrix: Matrix) -> int:
-    r = len(matrix)
-    if r == 0 or any(len(row) != r for row in matrix):
-        raise ValueError(f"criterion matrix must be square and nonempty: {matrix}")
-    return r
+def _rank(matrices: tuple[Matrix, ...]) -> int:
+    if not matrices:
+        raise ValueError("need at least one matrix")
+    ranks = set()
+    for m in matrices:
+        r = len(m)
+        if r == 0 or any(len(row) != r for row in m):
+            raise ValueError(f"criterion matrix must be square and nonempty: {m}")
+        ranks.add(r)
+    if len(ranks) != 1:
+        raise ValueError("matrices of mixed sizes")
+    return ranks.pop()
 
 
 def _admits(matrices: tuple[Matrix, ...], n: tuple[int, ...]) -> bool:
@@ -60,44 +64,38 @@ def _admits(matrices: tuple[Matrix, ...], n: tuple[int, ...]) -> bool:
     return True
 
 
+def _scan(matrices: tuple[Matrix, ...], bound: int) -> frozenset[tuple[int, ...]]:
+    r = len(matrices[0])
+    return frozenset(
+        n
+        for n in itertools.product(range(bound + 1), repeat=r)
+        if any(n) and _admits(matrices, n)
+    )
+
+
 def joint_solution_set(
-    matrices: tuple[Matrix, ...] | list[Matrix], bound: int = DEFAULT_BOUND
+    matrices: tuple[Matrix, ...] | list[Matrix], bound: int
 ) -> frozenset[tuple[int, ...]]:
     """Nonzero vectors 0 <= n_i <= bound admitted by every matrix."""
     matrices = tuple(matrices)
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    ranks = {_check_square(m) for m in matrices}
-    if len(ranks) != 1:
-        raise ValueError("matrices of mixed sizes")
-    r = ranks.pop()
     if not joint_has_solutions(matrices):
         return frozenset()
-    out = set()
-    for n in itertools.product(range(bound + 1), repeat=r):
-        if any(n) and _admits(matrices, n):
-            out.add(n)
-    return frozenset(out)
-
-
-def solution_set(matrix: Matrix, bound: int = DEFAULT_BOUND) -> frozenset[tuple[int, ...]]:
-    return joint_solution_set((matrix,), bound)
+    return _scan(matrices, bound)
 
 
 def minimal_solutions(
-    matrix: Matrix | tuple[Matrix, ...], bound: int = DEFAULT_BOUND
+    solutions: frozenset[tuple[int, ...]],
 ) -> tuple[tuple[int, ...], ...]:
-    """Admissible vectors that are not sums of two smaller admissible ones."""
-    matrices = (matrix,) if matrix and isinstance(matrix[0][0], int) else tuple(matrix)
-    sols = joint_solution_set(matrices, bound)
+    """The vectors of a solution set that are not sums of two smaller ones
+    in it."""
     out = []
-    for s in sols:
+    for s in solutions:
         decomposable = False
-        for a in sols:
+        for a in solutions:
             if a == s or any(x > y for x, y in zip(a, s)):
                 continue
             b = tuple(y - x for x, y in zip(a, s))
-            if any(b) and b in sols:
+            if any(b) and b in solutions:
                 decomposable = True
                 break
         if not decomposable:
@@ -108,67 +106,58 @@ def minimal_solutions(
 # ---------------------------------------------------------------------------
 # exact existence decision
 
-def _fm_feasible(ineqs: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int) -> bool:
-    """Feasibility of {a . x >= b} by Fourier-Motzkin elimination."""
-    system = [(tuple(a), b) for a, b in ineqs]
+def _fm_feasible(rows: list[tuple[tuple[int, ...], int]], nvars: int) -> bool:
+    """Rational feasibility of {a . x >= b} for integer rows, by
+    Fourier-Motzkin elimination.
+
+    Each lower bound on a variable is combined with each upper bound,
+    weighted by the other's coefficient magnitude, and the combined row is
+    divided by the gcd of its coefficients and bound, so every row stays
+    integral and reduced.
+    """
+    system = set(rows)
     for var in range(nvars):
-        lowers = []  # x_var >= expr
-        uppers = []  # x_var <= expr
-        rest = []
-        for a, b in system:
-            c = a[var]
-            if c == 0:
-                rest.append((a, b))
-                continue
-            scaled = tuple(x / abs(c) for x in a), b / abs(c)
+        lowers = []  # coefficient > 0
+        uppers = []  # coefficient < 0
+        rest = set()
+        for row in system:
+            c = row[0][var]
             if c > 0:
-                lowers.append(scaled)
+                lowers.append(row)
+            elif c < 0:
+                uppers.append(row)
             else:
-                uppers.append(scaled)
-        new = rest
+                rest.add(row)
         for (la, lb), (ua, ub) in itertools.product(lowers, uppers):
-            # la.x >= lb with la[var]=1, ua.x >= ub with ua[var]=-1; summing
-            # eliminates the variable
-            a = tuple(x + y for x, y in zip(la, ua))
-            new.append((a, lb + ub))
-        seen = set()
-        system = []
-        for a, b in new:
-            key = (a, b)
-            if key not in seen:
-                seen.add(key)
-                system.append((a, b))
+            p, q = -ua[var], la[var]
+            a = tuple(p * x + q * y for x, y in zip(la, ua))
+            b = p * lb + q * ub
+            g = math.gcd(*a, b)
+            if g > 1:
+                a, b = tuple(x // g for x in a), b // g
+            rest.add((a, b))
+        system = rest
     return all(b <= 0 for _, b in system)
 
 
 def joint_has_solutions(matrices: tuple[Matrix, ...] | list[Matrix]) -> bool:
     """True when some nonzero nonnegative integer vector is admissible.
 
-    Decided exactly: the constraints are homogeneous, so a rational point
-    with some coordinate at least 1 scales to an integer solution.
+    Decided exactly by one elimination: the homogeneous system, n >= 0,
+    and the single row sum(n) >= 1.  The constraints other than that row
+    form a cone, so a rational point of it scales to an integer solution,
+    and any nonzero solution scales to meet the row.
     """
     matrices = tuple(matrices)
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    r = _check_square(matrices[0])
-    base: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for m in matrices:
-        _check_square(m)
-        for i, row in enumerate(m):
-            coeffs = tuple(
-                Fraction(row[j] - (i == j)) for j in range(r)
-            )
-            base.append((coeffs, Fraction(0)))
-    for i in range(r):
-        unit = tuple(Fraction(int(j == i)) for j in range(r))
-        base.append((unit, Fraction(0)))
-    for i in range(r):
-        pointed = list(base)
-        unit = tuple(Fraction(int(j == i)) for j in range(r))
-        pointed.append((unit, Fraction(1)))
-        if _fm_feasible(pointed, r):
-            return True
-    return False
+    r = _rank(matrices)
+    rows = [
+        (tuple(row[j] - (i == j) for j in range(r)), 0)
+        for m in matrices
+        for i, row in enumerate(m)
+    ]
+    rows += [(tuple(int(j == i) for j in range(r)), 0) for i in range(r)]
+    rows.append(((1,) * r, 1))
+    return _fm_feasible(rows, r)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +174,19 @@ class Classification:
     minimal: tuple[tuple[int, ...], ...]
 
 
-def classify(d: SatakeDiagram, bound: int = DEFAULT_BOUND) -> Classification:
-    """Solve the criterion jointly over every family selection's matrix."""
+def classify(d: SatakeDiagram, bound: int) -> Classification:
+    """Solve the criterion jointly over every family selection's matrix:
+    one existence test, then one bounded scan when it passes."""
     rs = restricted_system(d)
     matrices = criterion_matrices(rs)
     exists = joint_has_solutions(matrices)
-    solutions = joint_solution_set(matrices, bound) if exists else frozenset()
-    minimal = minimal_solutions(matrices, bound) if exists else ()
+    solutions = _scan(matrices, bound) if exists else frozenset()
     return Classification(
         restricted=rs,
         matrices=matrices,
         exists=exists,
         solutions=solutions,
-        minimal=minimal,
+        minimal=minimal_solutions(solutions),
     )
 
 
@@ -221,23 +210,17 @@ def bordered_chain_matrix(r: int) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def series_matrices(label: str, bc_policy: str = "both") -> tuple[Matrix, ...]:
+def series_matrices(label: str) -> tuple[Matrix, ...]:
     """Criterion matrices for an abstract irreducible type label.
 
     Reduced labels ("A3", "G2", ...) give their Cartan matrix.  "BC<r>"
-    gives the bordered chain matrix, joined under the default policy with
-    the Cartan matrix of the underlying reduced system (B_r, or A_1 when
-    r = 1).
+    gives the bordered chain matrix joined with the Cartan matrix of the
+    underlying reduced system (B_r, or A_1 when r = 1).
     """
-    if bc_policy not in ("both", "displayed"):
-        raise ValueError(f"unknown bc_policy {bc_policy!r}")
     if label.startswith("BC"):
         r = int(label[2:])
-        displayed = bordered_chain_matrix(r)
-        if bc_policy == "displayed":
-            return (displayed,)
         reduced = "A1" if r == 1 else f"B{r}"
-        return (displayed, build_root_system(reduced).cartan)
+        return (bordered_chain_matrix(r), build_root_system(reduced).cartan)
     return (build_root_system(label).cartan,)
 
 
@@ -260,11 +243,9 @@ def _sweep_labels(max_rank: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def abstract_sweep(
-    max_rank: int = 8, bc_policy: str = "both"
-) -> dict[str, bool]:
+def abstract_sweep(max_rank: int = 8) -> dict[str, bool]:
     """Existence verdict for every irreducible type up to the given rank."""
     return {
-        label: joint_has_solutions(series_matrices(label, bc_policy))
+        label: joint_has_solutions(series_matrices(label))
         for label in _sweep_labels(max_rank)
     }

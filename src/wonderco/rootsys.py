@@ -41,7 +41,6 @@ __all__ = [
     "weyl_element",
     "longest_parabolic",
     "root_inner",
-    "coroot_pairing",
 ]
 
 
@@ -590,10 +589,11 @@ def _symmetrizer(system: RootSystem) -> tuple[int, ...]:
     return tuple(int(x * scale) for x in d)
 
 
-def root_inner(system: RootSystem, a, b):
-    """(x, y) for vectors in simple-root coordinates, in the normalization
-    of :func:`_symmetrizer`: an int for integer vectors, a Fraction for
-    rational ones (such as half-integer restricted roots)."""
+def root_inner(system: RootSystem, a, b) -> int:
+    """(x, y) for integer vectors in simple-root coordinates, in the
+    normalization of :func:`_symmetrizer`, as an int.  Coroot pairings
+    <x, beta^vee> = 2 (x, beta) / (beta, beta) are quotients of two such
+    values, the same for any normalization of the form."""
     d = _symmetrizer(system)
     c = system.cartan
     total = 0
@@ -604,12 +604,3 @@ def root_inner(system: RootSystem, a, b):
             if b[j] != 0 and c[i][j] != 0:
                 total += a[i] * b[j] * d[i] * c[i][j]
     return total
-
-
-def coroot_pairing(system: RootSystem, x, beta) -> Fraction:
-    """<x, beta^vee> = 2 (x, beta) / (beta, beta), in root coordinates,
-    exactly: always a Fraction, whatever the normalization of the form."""
-    denom = root_inner(system, beta, beta)
-    if denom == 0:
-        raise ValueError("coroot of the zero vector")
-    return Fraction(2 * root_inner(system, x, beta)) / denom

@@ -15,8 +15,8 @@ package; :func:`parse_diagram` accepts the same three-directive text format
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .rootsys import (
@@ -25,8 +25,8 @@ from .rootsys import (
     _simple_cartan,
     all_roots,
     build_root_system,
-    coroot_pairing,
     is_root,
+    root_inner,
     simple_root,
 )
 
@@ -279,13 +279,13 @@ def phi_split(d: SatakeDiagram) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
 class RestrictedSystem:
     """The restricted root data carried by the white classes.
 
+    Every restricted root is held as the integer root-lattice vector
+    gamma = alpha - theta(alpha), twice the restriction of alpha.
     ``classes`` lists the white vertex orbits under the arrow pairing;
-    ``gammas[k]`` is alpha_i - theta(alpha_i) for i in the k-th class (an
-    ambient root-lattice vector), twice the restricted simple root.
-    ``cartan`` is the restricted Cartan matrix, ``families[k]`` the positive
-    roots off the black span restricting onto the k-th restricted simple
-    root, and ``nonreduced`` records whether some restricted root occurs
-    together with its double.
+    ``gammas[k]`` is gamma of alpha_i for i in the k-th class.  ``cartan``
+    is the restricted Cartan matrix, ``families[k]`` the positive roots off
+    the black span with gamma equal to ``gammas[k]``, and ``nonreduced``
+    records whether some restricted root occurs together with its double.
     """
 
     diagram: SatakeDiagram
@@ -301,11 +301,8 @@ class RestrictedSystem:
         return len(self.classes)
 
 
-def _restriction(d: SatakeDiagram, r: Root) -> tuple[Fraction, ...]:
-    image = apply_theta(d, r)
-    return tuple(
-        Fraction(a - b, 2) for a, b in zip(r.coords, image.coords)
-    )
+def _gamma(d: SatakeDiagram, r: Root) -> Root:
+    return r - apply_theta(d, r)
 
 
 def restricted_system(d: SatakeDiagram) -> RestrictedSystem:
@@ -314,7 +311,10 @@ def restricted_system(d: SatakeDiagram) -> RestrictedSystem:
     Beyond the involution checks this enforces the symmetric-space axioms
     that the diagram alone does not guarantee: no root may have alpha +
     theta(alpha) again a root, and the restricted simple roots must pair
-    integrally.
+    integrally.  The pairing <sigma_j, sigma_i^vee> of restricted simple
+    roots is read off the gammas, 2 (gamma_j, gamma_i) / (gamma_i,
+    gamma_i), since the coroot pairing does not change when both roots are
+    doubled.
     """
     system = d.system
     theta_matrix(d)
@@ -340,50 +340,41 @@ def restricted_system(d: SatakeDiagram) -> RestrictedSystem:
                 "the diagram is not of symmetric-space type"
             )
 
-    sigmas = []
+    gammas = []
     for orbit in classes_t:
-        reps = {
-            _restriction(d, simple_root(system, i)) for i in orbit
-        }
+        reps = {_gamma(d, simple_root(system, i)) for i in orbit}
         if len(reps) != 1:
             raise DiagramError(
                 f"arrow class {orbit} has inconsistent restrictions"
             )
-        sigmas.append(next(iter(reps)))
-    gammas = []
-    for s in sigmas:
-        coords = tuple(2 * x for x in s)
-        if any(x.denominator != 1 for x in coords):
-            raise DiagramError("restricted simple root off the half lattice")
-        gammas.append(Root(tuple(int(x) for x in coords)))
+        gammas.append(reps.pop())
 
     r = len(classes_t)
     cartan_rows = []
     for i in range(r):
+        den = root_inner(system, gammas[i], gammas[i])
         row = []
         for j in range(r):
-            v = coroot_pairing(system, sigmas[j], sigmas[i])
-            if v.denominator != 1:
+            num = 2 * root_inner(system, gammas[j], gammas[i])
+            if num % den:
+                g = math.gcd(num, den)
                 raise DiagramError(
                     f"restricted pairing <sigma_{j + 1}, sigma_{i + 1}^vee> "
-                    f"= {v} is not an integer"
+                    f"= {num // g}/{den // g} is not an integer"
                 )
-            row.append(int(v))
+            row.append(num // den)
         cartan_rows.append(tuple(row))
     cartan = tuple(cartan_rows)
 
-    restrictions = {}
+    restrictions: dict[Root, list[Root]] = {}
     for alpha in phi1_plus:
-        restrictions.setdefault(_restriction(d, alpha), []).append(alpha)
-    sigma_set = set(restrictions)
-    sigma_set |= {tuple(-x for x in s) for s in sigma_set}
-    divisible = [
-        tuple(2 * x for x in s) in sigma_set for s in sigmas
-    ]
+        restrictions.setdefault(_gamma(d, alpha), []).append(alpha)
+    gamma_set = set(restrictions) | {-g for g in restrictions}
+    divisible = [Root(2 * x for x in g) in gamma_set for g in gammas]
 
     families = tuple(
-        tuple(sorted(restrictions.get(s, []), key=lambda x: x.coords))
-        for s in sigmas
+        tuple(sorted(restrictions.get(g, []), key=lambda x: x.coords))
+        for g in gammas
     )
     for orbit, fam in zip(classes_t, families):
         if not fam:
@@ -467,18 +458,18 @@ def _matrix_for(
     d = rs.diagram
     rows = []
     for alpha in choice:
-        negated = apply_theta(d, alpha) == -alpha
+        den = root_inner(d.system, alpha, alpha)
+        if apply_theta(d, alpha) == -alpha:
+            den *= 2
         row = []
         for gamma in rs.gammas:
-            v = coroot_pairing(d.system, gamma.coords, alpha.coords)
-            if negated:
-                v = v / 2
-            if v.denominator != 1:
+            num = 2 * root_inner(d.system, gamma, alpha)
+            if num % den:
                 raise DiagramError(
                     f"criterion entry <{gamma.coords}, {alpha.coords}^vee> "
                     f"is not an integer"
                 )
-            row.append(int(v))
+            row.append(num // den)
         rows.append(tuple(row))
     return tuple(rows)
 

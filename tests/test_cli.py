@@ -340,13 +340,13 @@ class TestPlumbing:
 
     def test_config_validation(self):
         with pytest.raises(InputError):
-            RunConfig("satake", (5, 1), 12, None, "tsv", 0)
+            RunConfig((5, 1), 12, None, "tsv", 0)
         with pytest.raises(InputError):
-            RunConfig("satake", None, 0, None, "tsv", 0)
+            RunConfig(None, 0, None, "tsv", 0)
         with pytest.raises(InputError):
-            RunConfig("satake", None, 12, -1, "tsv", 0)
+            RunConfig(None, 12, -1, "tsv", 0)
         with pytest.raises(InputError):
-            RunConfig("satake", None, 12, None, "xml", 0)
+            RunConfig(None, 12, None, "xml", 0)
 
 
 class TestDeterminism:

@@ -3,9 +3,11 @@
 import itertools
 
 import pytest
+from fm_reference import has_solutions as reference_has_solutions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wonderco import opcrit
 from wonderco.opcrit import (
     _sweep_labels,
     abstract_sweep,
@@ -15,7 +17,6 @@ from wonderco.opcrit import (
     joint_solution_set,
     minimal_solutions,
     series_matrices,
-    solution_set,
 )
 from wonderco.rootsys import build_root_system
 from wonderco.satake import catalog_diagram, catalog_names
@@ -41,42 +42,45 @@ def brute_solutions(matrices, bound):
     return out
 
 
+def square_matrices(r, count):
+    """``count`` random r x r matrices with entries in -2..3."""
+    row = st.tuples(*[st.integers(-2, 3)] * r)
+    return st.tuples(*[st.tuples(*[row] * r)] * count)
+
+
 class TestSolutionSet:
     def test_rank_one_all_positive(self):
-        assert solution_set(A1, 3) == {(1,), (2,), (3,)}
+        assert joint_solution_set((A1,), 3) == {(1,), (2,), (3,)}
 
     def test_rank_two_diagonal(self):
-        assert solution_set(A2, 3) == {(1, 1), (2, 2), (3, 3)}
+        assert joint_solution_set((A2,), 3) == {(1, 1), (2, 2), (3, 3)}
 
     def test_chain_of_three_empty(self):
         a3 = build_root_system("A", 3).cartan
-        assert solution_set(a3, 50) == frozenset()
+        assert joint_solution_set((a3,), 50) == frozenset()
 
     def test_doubled_bond_empty(self):
         b2 = build_root_system("B", 2).cartan
-        assert solution_set(b2, 50) == frozenset()
-
-    def test_default_bound(self):
-        assert len(solution_set(A1)) == 100
+        assert joint_solution_set((b2,), 50) == frozenset()
 
     def test_zero_vector_excluded(self):
-        assert (0,) not in solution_set(A1, 5)
-        assert (0, 0) not in solution_set(A2, 5)
+        assert (0,) not in joint_solution_set((A1,), 5)
+        assert (0, 0) not in joint_solution_set((A2,), 5)
 
     def test_lowered_corner_rank_one(self):
-        assert solution_set(bordered_chain_matrix(1), 3) == {(1,), (2,), (3,)}
+        assert joint_solution_set((bordered_chain_matrix(1),), 3) == {(1,), (2,), (3,)}
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_lowered_corner_higher_ranks_empty(self, r):
-        assert solution_set(bordered_chain_matrix(r), 20) == frozenset()
+        assert joint_solution_set((bordered_chain_matrix(r),), 20) == frozenset()
 
     def test_joint_rejects_mixed_sizes(self):
         with pytest.raises(ValueError):
-            joint_solution_set([A1, A2])
+            joint_solution_set([A1, A2], 3)
         with pytest.raises(ValueError):
-            joint_solution_set([])
+            joint_solution_set([], 3)
         with pytest.raises(ValueError):
-            joint_solution_set([((2, -1),)])
+            joint_solution_set([((2, -1),)], 3)
 
     def test_matches_brute_enumeration(self):
         for mats in ([A2], [A1], [bordered_chain_matrix(2)], [A2, A2]):
@@ -85,14 +89,15 @@ class TestSolutionSet:
 
 class TestMinimal:
     def test_generators(self):
-        assert minimal_solutions(A1, 10) == ((1,),)
-        assert minimal_solutions(A2, 10) == ((1, 1),)
-        assert minimal_solutions(bordered_chain_matrix(1), 10) == ((1,),)
+        corner = bordered_chain_matrix(1)
+        assert minimal_solutions(joint_solution_set((A1,), 10)) == ((1,),)
+        assert minimal_solutions(joint_solution_set((A2,), 10)) == ((1, 1),)
+        assert minimal_solutions(joint_solution_set((corner,), 10)) == ((1,),)
 
     def test_sums_of_minimal_are_solutions(self):
-        sols = solution_set(A2, 9)
-        for a in minimal_solutions(A2, 9):
-            for b in minimal_solutions(A2, 9):
+        sols = joint_solution_set((A2,), 9)
+        for a in minimal_solutions(sols):
+            for b in minimal_solutions(sols):
                 s = tuple(x + y for x, y in zip(a, b))
                 if all(c <= 9 for c in s):
                     assert s in sols
@@ -111,16 +116,12 @@ class TestExistence:
         assert "E7" in labels and "G2" in labels
 
     def test_displayed_policy(self):
-        assert series_matrices("BC3", "displayed") == (bordered_chain_matrix(3),)
-        assert len(series_matrices("BC3", "both")) == 2
-        assert series_matrices("A3") == (build_root_system("A", 3).cartan,)
-        with pytest.raises(ValueError):
-            series_matrices("BC2", "neither")
-
-    def test_displayed_policy_same_verdicts(self):
-        assert abstract_sweep(max_rank=4, bc_policy="displayed") == abstract_sweep(
-            max_rank=4, bc_policy="both"
+        # the displayed bordered chain matrix, joined with the reduced B3
+        assert series_matrices("BC3") == (
+            bordered_chain_matrix(3),
+            build_root_system("B", 3).cartan,
         )
+        assert series_matrices("A3") == (build_root_system("A", 3).cartan,)
 
     def test_bordered_matrix_shape(self):
         assert bordered_chain_matrix(3) == ((2, -1, 0), (-1, 2, -1), (0, -1, 1))
@@ -151,6 +152,20 @@ class TestExistence:
         if brute_solutions([m], 4):
             assert joint_has_solutions((m,))
 
+    @given(
+        st.one_of(
+            st.integers(1, 4).flatmap(lambda r: square_matrices(r, 1)),
+            # pairs stop at rank 3: the reference, one Fraction elimination
+            # per coordinate, took 14 s on a single rank-4 pair
+            st.integers(1, 3).flatmap(lambda r: square_matrices(r, 2)),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rational_reference(self, mats):
+        # one integer elimination with sum(n) >= 1 against the rational
+        # route that points each coordinate in turn
+        assert joint_has_solutions(mats) == reference_has_solutions(mats)
+
 
 class TestClassify:
     @pytest.mark.parametrize("name", sorted(catalog_names()))
@@ -164,6 +179,20 @@ class TestClassify:
         c = classify(catalog_diagram("split-A2"), bound=5)
         assert c.solutions == {(k, k) for k in range(1, 6)}
         assert c.minimal == ((1, 1),)
+
+    def test_one_elimination_and_one_scan(self, monkeypatch):
+        calls = {"_fm_feasible": 0, "_scan": 0}
+        for name in calls:
+            original = getattr(opcrit, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(opcrit, name, counted)
+        c = classify(catalog_diagram("GxG-A2"), bound=5)
+        assert c.minimal == ((1, 1),)
+        assert calls == {"_fm_feasible": 1, "_scan": 1}
 
     def test_compact_pair_matches_split_form(self):
         paired = classify(catalog_diagram("PGL6-PSp6"), bound=5)

@@ -44,10 +44,13 @@ def test_star_import(name):
     assert set(getattr(load(name), "__all__", ())) <= set(namespace)
 
 
-def test_character_kernel_imports_no_fractions():
+@pytest.mark.parametrize("name", ["charring", "satake", "opcrit"])
+def test_character_kernel_imports_no_fractions(name):
     # the Freudenthal recursion and the dimension formula run on the
-    # integer form of rootsys; no rational arithmetic enters charring
-    tree = ast.parse(inspect.getsource(load("charring")))
+    # integer form of rootsys; restricted roots are the integer vectors
+    # alpha - theta(alpha), and the criterion's elimination keeps integer
+    # rows; no rational arithmetic enters these modules
+    tree = ast.parse(inspect.getsource(load(name)))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

