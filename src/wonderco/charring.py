@@ -30,12 +30,12 @@ from .rootsys import (
     Root,
     RootSystem,
     Weight,
+    _orbit,
     _parse_label,
     _symmetrizer,
     build_root_system,
     dominant_representative,
     half_sum_positive,
-    reflect_weight,
     root_lattice_coords,
     root_to_weight,
 )
@@ -119,22 +119,6 @@ def _dominant_below(
         if mu.is_dominant():
             found.append((sum(combo), mu, combo))
     return [(mu, combo) for _, mu, combo in sorted(found)]
-
-
-@lru_cache(maxsize=None)
-def _orbit(system: RootSystem, mu: Weight) -> frozenset[Weight]:
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, system.rank + 1):
-                img = reflect_weight(system, i, w)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
 
 
 @lru_cache(maxsize=None)

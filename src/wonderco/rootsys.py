@@ -11,6 +11,12 @@ Conventions used throughout the package:
   consequently the fundamental coordinates of a root are ``C @ root_coords``
   and column ``j`` of ``C`` is ``alpha_j`` written in fundamental coordinates.
 * Simple-root indices in the public API are 1-based (``s_1 .. s_rank``).
+* Every Weyl-group computation is the descent of one integer weight:
+  reflect in the first simple index with a negative coordinate until the
+  weight is dominant, recording the indices (``_descend``).  A Weyl element
+  is stored as the descent word of its image of rho, its lexicographically
+  least reduced word; the minimal coset representatives of a parabolic are
+  the descent words of one weight orbit.
 
 Everything is an immutable value; all operations are pure functions.
 """
@@ -283,23 +289,14 @@ def is_root(system: RootSystem, root: Root) -> bool:
     return root in all_roots(system)
 
 
-@lru_cache(maxsize=None)
-def _reflection_matrix(system: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of s_i acting on simple-root coordinates (columns are images)."""
-    n = system.rank
-    c = system.cartan
-    return tuple(
-        tuple(
-            (1 if k == j else 0) - (c[i - 1][j] if k == i - 1 else 0)
-            for j in range(n)
-        )
-        for k in range(n)
-    )
+def _check_indices(system: RootSystem, indices) -> None:
+    for i in indices:
+        if not 1 <= i <= system.rank:
+            raise IndexError(f"simple index {i} out of range 1..{system.rank}")
 
 
 def simple_root(system: RootSystem, i: int) -> Root:
-    if not 1 <= i <= system.rank:
-        raise IndexError(f"simple index {i} out of range 1..{system.rank}")
+    _check_indices(system, (i,))
     return Root(int(j == i - 1) for j in range(system.rank))
 
 
@@ -359,8 +356,7 @@ def pairing(system: RootSystem, x: Root | Weight, i: int) -> int:
     For a weight this is its i-th fundamental coordinate; for a root it is
     row i of the Cartan matrix applied to the root's coordinates.
     """
-    if not 1 <= i <= system.rank:
-        raise IndexError(f"simple index {i} out of range 1..{system.rank}")
+    _check_indices(system, (i,))
     if isinstance(x, Weight):
         return x[i - 1]
     return sum(map(mul, system.cartan[i - 1], x))
@@ -380,66 +376,49 @@ def reflect_weight(system: RootSystem, i: int, weight: Weight) -> Weight:
 # ---------------------------------------------------------------------------
 # Weyl elements
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _descend(system: RootSystem, v: Weight) -> tuple[Weight, tuple[int, ...]]:
+    """Reflect ``v`` in the first simple index with a negative coordinate
+    until it is dominant; return the dominant weight and the indices used,
+    in order.
 
-
-def _identity_matrix(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _word_matrix(system: RootSystem, word: tuple[int, ...]):
-    """Action matrix on simple-root coordinates; word applies right to left."""
-    m = _identity_matrix(system.rank)
-    for i in word:
-        m = _mat_mul(m, _reflection_matrix(system, i))
-    return m
-
-
-def _word_from_matrices(system: RootSystem, m, minv) -> tuple[int, ...]:
-    """Lexicographically least reduced word, by greedy left-descent stripping.
-
-    ``i`` is a left descent of w exactly when w^{-1}(alpha_i) is negative;
-    stripping the smallest such descent at every step yields the lex-least
-    reduced word for w.  ``m``/``minv`` are the simple-root-coordinate action
-    matrices of w and its inverse.
+    If ``v = w(mu)`` with ``mu`` dominant and ``w`` minimal in its coset of
+    the stabilizer of ``mu``, the negative coordinates of ``v`` are exactly
+    the left descents of ``w``, so the indices spell the lexicographically
+    least reduced word of ``w``.
     """
-    n = system.rank
-    ident = _identity_matrix(n)
-    out: list[int] = []
-    while m != ident:
-        for i in range(1, n + 1):
-            if all(minv[k][i - 1] <= 0 for k in range(n)):
-                out.append(i)
-                s = _reflection_matrix(system, i)
-                m = _mat_mul(s, m)
-                minv = _mat_mul(minv, s)
-                break
-        else:  # pragma: no cover - would mean a non-identity element with no descent
-            raise AssertionError("no left descent found for non-identity element")
-    return tuple(out)
+    word: list[int] = []
+    while True:
+        i = next((j + 1 for j, c in enumerate(v) if c < 0), None)
+        if i is None:
+            return v, tuple(word)
+        v = reflect_weight(system, i, v)
+        word.append(i)
 
 
-def _canonicalize(system: RootSystem, word: tuple[int, ...]) -> tuple[int, ...]:
-    n = system.rank
-    for i in word:
-        if not 1 <= i <= n:
-            raise IndexError(f"simple index {i} out of range 1..{n}")
-    m = _word_matrix(system, word)
-    minv = _word_matrix(system, tuple(reversed(word)))
-    return _word_from_matrices(system, m, minv)
+@lru_cache(maxsize=None)
+def _orbit(system: RootSystem, mu: Weight) -> frozenset[Weight]:
+    """The Weyl orbit of a weight, by closure under simple reflections."""
+    seen = {mu}
+    frontier = [mu]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(1, system.rank + 1):
+                img = reflect_weight(system, i, w)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
 
 
 @dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element, stored as its canonical reduced word.
 
-    The canonical form is the lexicographically least reduced word, so word
-    equality is element equality; ``len(word)`` is the Coxeter length.
+    The canonical word is the descent word of ``w(rho)``: rho is regular, so
+    it is the lexicographically least reduced word of ``w``.  Word equality
+    is element equality, and ``len(word)`` is the Coxeter length.
     """
 
     system: RootSystem
@@ -455,7 +434,14 @@ class WeylElement:
 
 
 def weyl_element(system: RootSystem, word: tuple[int, ...] | list[int]) -> WeylElement:
-    return WeylElement(system, _canonicalize(system, tuple(word)))
+    """The element spelled by ``word`` (applied right to left), in
+    canonical form: the descent word of its image of rho."""
+    word = tuple(word)
+    _check_indices(system, word)
+    v = half_sum_positive(system)
+    for i in reversed(word):
+        v = reflect_weight(system, i, v)
+    return WeylElement(system, _descend(system, v)[1])
 
 
 def act(w: WeylElement, x: Root | Weight):
@@ -471,21 +457,18 @@ def act(w: WeylElement, x: Root | Weight):
 
 
 def longest_parabolic(system: RootSystem, subset: frozenset[int] | set[int]) -> WeylElement:
-    """Longest element of the parabolic subgroup generated by ``subset``."""
+    """Longest element of the parabolic subgroup generated by ``subset``.
+
+    It negates the parabolic's positive roots and permutes the others, so
+    it sends rho to rho minus the sum of the parabolic's positive roots.
+    """
     sub = set(subset)
-    for i in sub:
-        if not 1 <= i <= system.rank:
-            raise IndexError(f"simple index {i} out of range 1..{system.rank}")
-    # Send the subset-supported regular weight to its antidominant conjugate.
-    v = Weight(int(j + 1 in sub) for j in range(system.rank))
-    word: list[int] = []
-    while True:
-        i = next((i for i in sorted(sub) if v[i - 1] > 0), None)
-        if i is None:
-            break
-        v = reflect_weight(system, i, v)
-        word.append(i)
-    return weyl_element(system, tuple(reversed(word)))
+    _check_indices(system, sub)
+    v = half_sum_positive(system)
+    for r in system.positive_roots:
+        if all(c == 0 or j + 1 in sub for j, c in enumerate(r)):
+            v = v - root_to_weight(system, r)
+    return WeylElement(system, _descend(system, v)[1])
 
 
 def coset_reps(
@@ -493,63 +476,23 @@ def coset_reps(
 ) -> tuple[WeylElement, ...]:
     """Minimal-length representatives of W / W_P, sorted by length then word.
 
-    w is the minimal element of its coset exactly when it keeps every simple
-    root of the parabolic positive.  The set of minimal representatives is
-    closed downward under the left weak order, so a breadth-first closure
-    from the identity under length-increasing left multiplications finds all
-    of them.
+    The weight lam_P, the sum of the fundamental weights off the parabolic,
+    has stabilizer W_P, so its orbit points match the cosets.  For w minimal
+    in its coset, i is a left descent of w exactly when the i-th coordinate
+    of w(lam_P) is negative, so the descent word of each orbit point is the
+    canonical word of its minimal representative.
     """
-    n = system.rank
-    sub = sorted(set(parabolic_subset))
-    for i in sub:
-        if not 1 <= i <= n:
-            raise IndexError(f"simple index {i} out of range 1..{n}")
-
-    def col_positive(mat, j: int) -> bool:
-        return all(mat[k][j - 1] >= 0 for k in range(n))
-
-    ident = _identity_matrix(n)
-    seen = {ident}
-    frontier = [(ident, ident)]
-    elements = [ident]
-    inverses = {ident: ident}
-    while frontier:
-        nxt = []
-        for m, minv in frontier:
-            for i in range(1, n + 1):
-                # s_i * w is longer exactly when w^{-1}(alpha_i) is positive
-                if not col_positive(minv, i):
-                    continue
-                s = _reflection_matrix(system, i)
-                nm = _mat_mul(s, m)
-                if nm in seen:
-                    continue
-                if not all(col_positive(nm, j) for j in sub):
-                    continue
-                nminv = _mat_mul(minv, s)
-                seen.add(nm)
-                elements.append(nm)
-                inverses[nm] = nminv
-                nxt.append((nm, nminv))
-        frontier = nxt
-    reps = [
-        WeylElement(system, _word_from_matrices(system, m, inverses[m]))
-        for m in elements
-    ]
+    sub = set(parabolic_subset)
+    _check_indices(system, sub)
+    lam = Weight(int(j + 1 not in sub) for j in range(system.rank))
+    reps = [WeylElement(system, _descend(system, u)[1]) for u in _orbit(system, lam)]
     return tuple(sorted(reps, key=lambda w: (len(w), w.word)))
 
 
 @lru_cache(maxsize=None)
 def dominant_representative(system: RootSystem, mu: Weight) -> Weight:
-    """Dominant representative of a weight's Weyl orbit, reached by
-    reflecting in the first simple root with a negative pairing until none
-    is left."""
-    v = mu
-    while True:
-        i = next((j + 1 for j, c in enumerate(v) if c < 0), None)
-        if i is None:
-            return v
-        v = reflect_weight(system, i, v)
+    """Dominant representative of a weight's Weyl orbit."""
+    return _descend(system, mu)[0]
 
 
 def half_sum_positive(system: RootSystem) -> Weight:

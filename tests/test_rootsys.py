@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wonderco import rootsys as rs
 from wonderco.rootsys import Root, Weight
-from weyl_descent import dominant_conjugate, weight_to_root
+from weyl_descent import canonical_word, dominant_conjugate, weight_to_root, weyl_group
 
 A1 = rs.build_root_system("A1")
 A2 = rs.build_root_system("A2")
@@ -376,6 +376,63 @@ def test_longest_parabolic():
     assert (w0p * w0p).word == ()
     # full longest element of A2 has length 3
     assert len(rs.longest_parabolic(A2, {1, 2})) == 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rs.weyl_element(A2, (3,)),
+        lambda: rs.weyl_element(A2, (1, 0)),
+        lambda: rs.coset_reps(A2, {3}),
+        lambda: rs.coset_reps(A2, {0, 1}),
+        lambda: rs.longest_parabolic(A2, {3}),
+        lambda: rs.longest_parabolic(A2, {-1}),
+    ],
+    ids=["word-high", "word-zero", "cosets-high", "cosets-zero", "longest-high", "longest-negative"],
+)
+def test_simple_index_out_of_range(call):
+    with pytest.raises(IndexError, match="out of range"):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# the weight descent against the action-matrix oracle
+
+@pytest.mark.parametrize(
+    "label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A2xA2"]
+)
+def test_canonical_words_match_matrix_oracle(label):
+    system = rs.build_root_system(label)
+    words = [word for _, word in weyl_group(system)]
+    for word in words:
+        assert rs.weyl_element(system, word).word == word
+        for spelled in (word[::-1], word + (1,)):
+            assert rs.weyl_element(system, spelled).word == canonical_word(system, spelled)
+    assert [w.word for w in rs.coset_reps(system, set())] == sorted(
+        words, key=lambda word: (len(word), word)
+    )
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "A5"])
+def test_cosets_and_longest_parabolic_match_matrix_oracle(label):
+    system = rs.build_root_system(label)
+    group = weyl_group(system)
+    n = system.rank
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            # minimal representatives keep the parabolic's simple roots positive
+            minimal = [
+                word
+                for m, word in group
+                if all(m[k][j - 1] >= 0 for j in subset for k in range(n))
+            ]
+            assert [w.word for w in rs.coset_reps(system, set(subset))] == sorted(
+                minimal, key=lambda word: (len(word), word)
+            )
+            longest = max(
+                (word for _, word in group if set(word) <= set(subset)), key=len
+            )
+            assert rs.longest_parabolic(system, set(subset)).word == longest
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Test-side Weyl descent and rational change of basis.
+"""Test-side Weyl group, Weyl descent and rational change of basis.
 
-Production code needs only the chamber representative
-(``rootsys.dominant_representative``) and integer root-lattice coordinates
-(``rootsys.root_lattice_coords``); the oracles in the tests keep these
-separate copies, so they stay independent of the code they check.
+Production code reaches every Weyl element through one weight descent
+(``rootsys._descend``: canonical words, coset representatives, the longest
+parabolic element, the chamber representative) and needs only integer
+root-lattice coordinates (``rootsys.root_lattice_coords``).  The oracles in
+the tests keep separate routes, so they stay independent of the code they
+check: a Weyl element here is its integer action matrix on simple-root
+coordinates, and its canonical word comes from greedy left-descent
+stripping on those matrices.
 """
 
 from fractions import Fraction
@@ -15,8 +19,87 @@ from wonderco.rootsys import (
     Weight,
     WeylElement,
     reflect_weight,
-    weyl_element,
 )
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _reflection_matrix(system: RootSystem, i: int) -> Matrix:
+    """Matrix of s_i acting on simple-root coordinates (columns are images)."""
+    n = system.rank
+    c = system.cartan
+    return tuple(
+        tuple(int(k == j) - (c[i - 1][j] if k == i - 1 else 0) for j in range(n))
+        for k in range(n)
+    )
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _word_matrix(system: RootSystem, word) -> Matrix:
+    """Action matrix on simple-root coordinates; the word applies right to left."""
+    m = _identity(system.rank)
+    for i in word:
+        m = _mat_mul(m, _reflection_matrix(system, i))
+    return m
+
+
+def _stripped_word(system: RootSystem, m: Matrix, minv: Matrix) -> tuple[int, ...]:
+    """Lexicographically least reduced word of the element with action
+    matrix ``m`` and inverse ``minv``, by greedy left-descent stripping:
+    ``i`` is a left descent of w exactly when w^{-1}(alpha_i) is negative."""
+    n = system.rank
+    ident = _identity(n)
+    out: list[int] = []
+    while m != ident:
+        i = next(
+            i for i in range(1, n + 1) if all(minv[k][i - 1] <= 0 for k in range(n))
+        )
+        out.append(i)
+        s = _reflection_matrix(system, i)
+        m = _mat_mul(s, m)
+        minv = _mat_mul(minv, s)
+    return tuple(out)
+
+
+def canonical_word(system: RootSystem, word) -> tuple[int, ...]:
+    """Canonical (lexicographically least reduced) word of the element
+    spelled by ``word``."""
+    word = tuple(word)
+    return _stripped_word(
+        system, _word_matrix(system, word), _word_matrix(system, word[::-1])
+    )
+
+
+@lru_cache(maxsize=None)
+def weyl_group(system: RootSystem) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
+    """Every element of W as ``(action matrix, canonical word)``, found by a
+    breadth-first closure of the action matrices from the identity."""
+    ident = _identity(system.rank)
+    inverses = {ident: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(1, system.rank + 1):
+                s = _reflection_matrix(system, i)
+                nm = _mat_mul(s, m)
+                if nm not in inverses:
+                    inverses[nm] = _mat_mul(inverses[m], s)
+                    nxt.append(nm)
+        frontier = nxt
+    return tuple((m, _stripped_word(system, m, minv)) for m, minv in inverses.items())
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +122,7 @@ def dominant_conjugate(
             break
         v = reflect_weight(system, i, v)
         applied.append(i)
-    w = weyl_element(system, tuple(reversed(applied)))
+    w = WeylElement(system, canonical_word(system, reversed(applied)))
     return v, w, len(w), all(c > 0 for c in v)
 
 
