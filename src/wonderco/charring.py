@@ -15,6 +15,10 @@ truncation axes keep it finite: a window of degrees under a fixed grading
 cocharacter, and a cutoff on the height of the offset from the numerator
 exponent.  Within the window, multiplicities of weights whose offset height
 is at most the cutoff are exact; beyond the cutoff they are lower bounds.
+
+A series stores one packed integer key per term: its offset less an origin
+corner, a bit field per simple root, and that vector's degree on top, so
+degree and height are read off the fields (see :class:`TruncatedSeries`).
 """
 
 from __future__ import annotations
@@ -252,13 +256,44 @@ class Grading:
 # ---------------------------------------------------------------------------
 # truncated series
 
+def _key(vec: tuple[int, ...], bits: int, per_root: tuple[int, ...]) -> int:
+    """The packed key of an integer vector in simple-root coordinates:
+    coordinate j in the field at bit ``bits * j`` and the vector's degree
+    above all of them.  Keys are linear in the vector, so while every
+    coordinate stays in ``[0, 2**bits)`` a step along a lattice vector is
+    one addition of that vector's key."""
+    key = sum(c << bits * j for j, c in enumerate(vec))
+    return key + (sum(map(operator.mul, per_root, vec)) << bits * len(vec))
+
+
+def _pack(
+    offsets: Mapping[tuple[int, ...], int], per_root: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, dict[int, int]]:
+    """``origin, bits, packed`` of a :class:`TruncatedSeries` holding terms
+    keyed by offset tuples: the origin is the coordinatewise minimum of the
+    offsets and 0, and the fields are just wide enough for the rest."""
+    cols = list(zip(*offsets)) or [()] * len(per_root)
+    origin = tuple(min((0, *col)) for col in cols)
+    bits = max(1, *((max((0, *c)) - o).bit_length() for c, o in zip(cols, origin)))
+    return origin, bits, {
+        _key(tuple(map(operator.sub, off, origin)), bits, per_root): m
+        for off, m in offsets.items()
+    }
+
+
 class TruncatedSeries:
     """Windowed expansion of a cone series; see the module docstring.
 
-    Internally terms are keyed by the offset ``mu - numerator_exponent`` in
-    simple-root coordinates; all offsets lie in the nonnegative cone spanned
-    by the denominator roots.  Fields are set once and ``offsets`` is a
-    read-only view, so a cached series cannot be altered.
+    The stored form is ``packed``: each term's multiplicity keyed by the
+    :func:`_key` of its offset ``mu - numerator_exponent`` less the
+    ``origin`` corner, in fields of ``bits``.  A term's degree is
+    ``base_degree()`` plus the grading of ``origin`` plus
+    ``key >> bits * rank``, and its offset height is the sum of its fields
+    plus ``sum(origin)``.  Cone series have origin 0, so there the top
+    field is the degree above the base; a sum by :func:`add` may reach
+    below 0, and :func:`_pack` packs such tuple-keyed terms.  ``offsets``
+    is a tuple-keyed view unpacked on request.  Fields are set once and
+    ``packed`` is read-only, so a cached series cannot be altered.
     """
 
     __slots__ = (
@@ -268,7 +303,9 @@ class TruncatedSeries:
         "denominator",
         "window",
         "height_cutoff",
-        "offsets",
+        "origin",
+        "bits",
+        "packed",
     )
 
     def __init__(
@@ -279,7 +316,9 @@ class TruncatedSeries:
         denominator: tuple[Root, ...],
         window: tuple[int, int],
         height_cutoff: int,
-        offsets: Mapping[tuple[int, ...], int],
+        origin: tuple[int, ...],
+        bits: int,
+        packed: Mapping[int, int],
     ):
         if window[0] > window[1]:
             raise ValueError(f"empty window {window}")
@@ -289,7 +328,9 @@ class TruncatedSeries:
         self.denominator = tuple(sorted(denominator))
         self.window = window
         self.height_cutoff = height_cutoff
-        self.offsets = MappingProxyType(offsets)
+        self.origin = origin
+        self.bits = bits
+        self.packed = MappingProxyType(packed)
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
@@ -307,36 +348,47 @@ class TruncatedSeries:
             for b, row in zip(self.numerator_exponent, self.system.cartan)
         )
 
-    def _offset_degrees(self) -> dict[tuple[int, ...], int]:
-        """Degree of each stored term, computed linearly in the offset."""
-        per_root = self.grading.simple_root_degrees
-        base = self.base_degree()
-        return {
-            o: base + sum(map(operator.mul, per_root, o)) for o in self.offsets
-        }
-
     def offset_of(self, w: Weight) -> tuple[int, ...] | None:
         """The offset of ``w`` from the numerator exponent; None when the
         difference is off the root lattice."""
         return root_lattice_coords(self.system, w - self.numerator_exponent)
 
-    def terms(self) -> dict[Weight, int]:
-        """The stored terms keyed by their weights.
+    def _columns(self) -> list[list[int]]:
+        """The stored offsets unpacked, one list per simple root, in the
+        order of ``packed``."""
+        mask = (1 << self.bits) - 1
+        return [
+            [((key >> sh) & mask) + o for key in self.packed]
+            for sh, o in zip(itertools.count(0, self.bits), self.origin)
+        ]
 
-        Computed a coordinate at a time over all terms: coordinate i is the
-        numerator's plus row i of the Cartan matrix against the offsets.
-        """
-        n = len(self.offsets)
-        by_root = list(zip(*self.offsets))
+    def _weight_columns(self, by_root: list[list[int]]) -> list[list[int]]:
+        """Weights of terms given by offset columns, a coordinate at a time
+        over all terms: coordinate i is the numerator's plus row i of the
+        Cartan matrix against the offsets."""
         coords = []
         for b, row in zip(self.numerator_exponent, self.system.cartan):
-            acc = [b] * n
+            acc = itertools.repeat(b, len(self.packed))
             for c, xs in zip(row, by_root):
-                if c:
+                # chained lazily; the off-diagonal entries of a Cartan
+                # matrix are mostly -1, which needs no product
+                if c == -1:
+                    acc = map(operator.sub, acc, xs)
+                elif c:
                     scaled = map(operator.mul, xs, itertools.repeat(c))
-                    acc = list(map(operator.add, acc, scaled))
-            coords.append(acc)
-        return dict(zip(map(Weight, zip(*coords)), self.offsets.values()))
+                    acc = map(operator.add, acc, scaled)
+            coords.append(list(acc))
+        return coords
+
+    @property
+    def offsets(self) -> Mapping[tuple[int, ...], int]:
+        """The stored terms keyed by offset tuples, as a read-only view."""
+        return MappingProxyType(dict(zip(zip(*self._columns()), self.packed.values())))
+
+    def terms(self) -> dict[Weight, int]:
+        """The stored terms keyed by their weights."""
+        weights = map(Weight, zip(*self._weight_columns(self._columns())))
+        return dict(zip(weights, self.packed.values()))
 
     def is_certified(self, w: Weight) -> bool:
         """True when the stored multiplicity of ``w`` is exact: integral
@@ -351,7 +403,13 @@ class TruncatedSeries:
 
     def multiplicity(self, w: Weight) -> int:
         off = self.offset_of(w)
-        return 0 if off is None else self.offsets.get(off, 0)
+        if off is None:
+            return 0
+        fields = tuple(map(operator.sub, off, self.origin))
+        if min(fields) < 0 or max(fields) >> self.bits:
+            return 0  # outside every field, so no stored key can match
+        key = _key(fields, self.bits, self.grading.simple_root_degrees)
+        return self.packed.get(key, 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -365,7 +423,7 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"TruncatedSeries({len(self.offsets)} terms, window {self.window}, "
+            f"TruncatedSeries({len(self.packed)} terms, window {self.window}, "
             f"H {self.height_cutoff})"
         )
 
@@ -373,32 +431,15 @@ class TruncatedSeries:
 DEFAULT_HEIGHT_CUTOFF = 12
 
 
-def _rebased(
-    s: TruncatedSeries, base: Weight
-) -> tuple[tuple[int, ...], dict[tuple[int, ...], int]] | None:
-    """The terms of ``s`` keyed by their offsets from ``base`` instead of
-    from its numerator exponent, with the shift ``numerator - base`` in
-    simple-root coordinates; None when that difference is off the root
-    lattice.  A term's offset from ``base`` is its own plus the shift, so
-    one lattice solve moves every term, a coordinate at a time."""
-    shift = root_lattice_coords(s.system, s.numerator_exponent - base)
-    if shift is None:
-        return None
-    by_root = [
-        list(map(operator.add, xs, itertools.repeat(d))) if d else xs
-        for xs, d in zip(zip(*s.offsets), shift)
-    ]
-    return shift, dict(zip(zip(*by_root), s.offsets.values()))
-
-
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Sum of two series sharing a window.
 
     The terms of ``b`` are rebased onto ``a``'s numerator exponent, which
-    must differ from ``b``'s by a root-lattice vector.  Both windows must
-    reach down to both base degrees, so the sum is complete from its true
-    degree floor.  The height cutoff shrinks so that a height certified
-    against the common base is certified in both summands.
+    must differ from ``b``'s by a root-lattice vector: a term's offset from
+    ``a``'s numerator is its own plus that shift.  Both windows must reach
+    down to both base degrees, so the sum is complete from its true degree
+    floor.  The height cutoff shrinks so that a height certified against
+    the common base is certified in both summands.
     """
     if a.system != b.system:
         raise ValueError("mismatched lattices")
@@ -411,15 +452,15 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             "window floor above a summand's base degree; "
             "sum would be uncertifiable"
         )
-    rebased = _rebased(b, a.numerator_exponent)
-    if rebased is None:
+    shift = root_lattice_coords(a.system, b.numerator_exponent - a.numerator_exponent)
+    if shift is None:
         raise ValueError(
             "numerator exponents differ by a non-root-lattice vector"
         )
-    shift, moved = rebased
     cutoff = min(a.height_cutoff, b.height_cutoff + sum(shift))
     out = dict(a.offsets)
-    for key, m in moved.items():
+    for off, m in b.offsets.items():
+        key = tuple(map(operator.add, off, shift))
         out[key] = out.get(key, 0) + m
     return TruncatedSeries(
         a.system,
@@ -428,22 +469,25 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         tuple(set(a.denominator) | set(b.denominator)),
         a.window,
         cutoff,
-        out,
+        *_pack(out, a.grading.simple_root_degrees),
     )
 
 
 def restrict_window(s: TruncatedSeries, window: tuple[int, int]) -> TruncatedSeries:
-    """Shrink the certified window, dropping terms outside it."""
+    """Shrink the certified window, dropping terms outside it: a key's
+    top field is its term's degree less the base's and the origin's."""
     if not (s.window[0] <= window[0] and window[1] <= s.window[1]):
         raise TruncationError(
             f"window {window} is not contained in the certified "
             f"window {s.window}"
         )
-    degrees = s._offset_degrees()
+    per_root = s.grading.simple_root_degrees
+    floor = s.base_degree() + sum(map(operator.mul, per_root, s.origin))
+    shift = s.bits * s.system.rank
     kept = {
-        o: m
-        for o, m in s.offsets.items()
-        if window[0] <= degrees[o] <= window[1]
+        key: m
+        for key, m in s.packed.items()
+        if window[0] <= floor + (key >> shift) <= window[1]
     }
     return TruncatedSeries(
         s.system,
@@ -452,5 +496,7 @@ def restrict_window(s: TruncatedSeries, window: tuple[int, int]) -> TruncatedSer
         s.denominator,
         window,
         s.height_cutoff,
+        s.origin,
+        s.bits,
         kept,
     )

@@ -26,7 +26,7 @@ from .charring import (
     Character,
     Grading,
     TruncatedSeries,
-    _rebased,
+    _key,
     add,
     restrict_window,
 )
@@ -38,6 +38,7 @@ from .rootsys import (
     build_root_system,
     coset_reps,
     longest_parabolic,
+    root_lattice_coords,
     root_to_weight,
 )
 
@@ -241,10 +242,11 @@ def _numerator(w: WeylElement, k: int) -> Weight:
     return num
 
 
-def _cone_offsets(
+def _cone_keys(
     roots: tuple[Root, ...], base: int, window: tuple[int, int], cutoff: int
-) -> dict[tuple[int, ...], int]:
-    """Offsets of the expansion of 1 / prod (1 - e^beta) inside the window.
+) -> tuple[int, dict[int, int]]:
+    """The expansion of 1 / prod (1 - e^beta) inside the window, as the
+    field width and the packed keys of ``TruncatedSeries`` at origin 0.
 
     A term at offset o has degree ``base`` plus the grading of o.  The roots
     are folded in one at a time with the running sum T(o) = S(o) + T(o -
@@ -253,29 +255,25 @@ def _cone_offsets(
     window top.  Every root has a nonnegative degree and a positive height,
     so a term dropped on the way can never come back: the kept terms are
     exactly those of the full cone with height at most the cutoff and degree
-    inside the window.  Offsets travel packed in one integer, a field of
-    ``bits`` per coordinate (none exceeds the cutoff) with the degree above
-    them, so a step along a root is a single addition.
+    inside the window.  No coordinate exceeds the cutoff, which sets the
+    field width, and the degree field sits on top, so a step along a root
+    is a single addition and the window is a range of keys.
     """
     lo, hi = window
-    if base > hi or cutoff < 0:
-        return {}
-    rank = GRASS_SYSTEM.rank
     bits = max(1, cutoff.bit_length())
-    shifts = [bits * j for j in range(rank)]
-    deg_shift = bits * rank
+    if base > hi or cutoff < 0:
+        return bits, {}
+    deg_shift = bits * GRASS_SYSTEM.rank
     limit = (hi - base + 1) << deg_shift
     per_root = CSTAR_GRADING.simple_root_degrees
     by_height: list[dict[int, int]] = [{} for _ in range(cutoff + 1)]
     by_height[0][0] = 1
     for beta in roots:
-        deg = sum(map(operator.mul, per_root, beta))
-        if deg < 0:
+        if sum(map(operator.mul, per_root, beta)) < 0:
             # no cell's J set has such a root: an internal invariant
             raise AssertionError("negative-degree denominator root in a product")
         ht = sum(beta)
-        step = sum(c << sh for c, sh in zip(beta, shifts))
-        step += deg << deg_shift
+        step = _key(beta, bits, per_root)
         for h in range(cutoff - ht + 1):
             dst = by_height[h + ht]
             for key, m in by_height[h].items():
@@ -283,16 +281,12 @@ def _cone_offsets(
                 if key < limit:
                     dst[key] = dst.get(key, 0) + m
     floor = (lo - base) << deg_shift
-    kept = {
+    return bits, {
         key: m
         for terms in by_height
         for key, m in terms.items()
         if key >= floor
     }
-    # unpack a coordinate at a time over all kept terms
-    mask = (1 << bits) - 1
-    coords = [[(key >> sh) & mask for key in kept] for sh in shifts]
-    return dict(zip(zip(*coords), kept.values()))
 
 
 @lru_cache(maxsize=512)
@@ -314,12 +308,23 @@ def kempf_character(
         raise ValueError(f"empty window {window}")
     num = _numerator(w, k)
     roots = kl_sets(w).J
-    offsets = _cone_offsets(
-        roots, CSTAR_GRADING.degree(num), window, height_cutoff
-    )
+    bits, keys = _cone_keys(roots, CSTAR_GRADING.degree(num), window, height_cutoff)
     return TruncatedSeries(
-        GRASS_SYSTEM, CSTAR_GRADING, num, roots, window, height_cutoff, offsets
+        GRASS_SYSTEM, CSTAR_GRADING, num, roots, window, height_cutoff,
+        (0,) * GRASS_SYSTEM.rank, bits, keys,
     )
+
+
+def _swap_blocks(cols: list) -> list:
+    """The block swap on weight coordinates given as columns (sequences of
+    equal length, one per fundamental coordinate).
+
+    With eps_j = mu_j + ... + mu_5 the coordinate-line values, the swap
+    sends eps to (eps_4, eps_5, eps_6 = 0, eps_1, eps_2, eps_3); taking
+    consecutive differences again gives (mu_4, mu_5, -sum(mu), mu_1, mu_2).
+    """
+    c0, c1, _, c3, c4 = cols
+    return [c3, c4, list(map(operator.neg, map(sum, zip(*cols)))), c0, c1]
 
 
 def swap_blocks_weight(mu: Weight) -> Weight:
@@ -328,10 +333,7 @@ def swap_blocks_weight(mu: Weight) -> Weight:
     As a permutation of the six coordinate lines it is the product of the
     longest Weyl element with the Levi longest element.
     """
-    # with eps_j = mu_j + ... + mu_5 the coordinate-line values, the swap
-    # sends eps to (eps_4, eps_5, eps_6 = 0, eps_1, eps_2, eps_3); taking
-    # consecutive differences again gives the fundamental coordinates
-    return Weight((mu[3], mu[4], -sum(mu), mu[0], mu[1]))
+    return Weight(col[0] for col in _swap_blocks([(c,) for c in mu]))
 
 
 def unstable_character_bounds(
@@ -361,27 +363,38 @@ def unstable_character_bounds(
         kempf_character(cell.w, k, window, height_cutoff)
         for cell in covering_cells()
     )
-    # subtract in the open cell's offsets and read weights off once
-    diff = dict(top.offsets)
+    # subtract on the open cell's terms.  Its term at offset o sits at
+    # o - s in a boundary series, s that numerator's offset; all three share
+    # origin 0 and field width, so the boundary key is the open cell's less
+    # the key of s.  A positive boundary term off the open cell's support
+    # leaves no positive lower bound there.
+    cols = top._columns()
+    lower = list(top.packed.values())
     for series in boundary:
-        rebased = _rebased(series, top.numerator_exponent)
-        if rebased is None:
+        s = root_lattice_coords(
+            GRASS_SYSTEM, series.numerator_exponent - top.numerator_exponent
+        )
+        if s is None:
             raise AssertionError("boundary numerator off the open cell's lattice coset")
-        _, moved = rebased
-        for off, m in moved.items():
-            diff[off] = diff.get(off, 0) - m
-    upper = top.terms()
-    weight_at = dict(zip(top.offsets, upper))
-    # boundary multiplicities are positive, so a positive difference sits
-    # on the support of the upper bound
-    positive = {off: m for off, m in diff.items() if m > 0}
-    if not positive.keys() <= weight_at.keys():
-        raise AssertionError("positive lower bound off the upper bound's support")
-    lower = {weight_at[off]: m for off, m in positive.items()}
+        if min(series.packed.values(), default=1) <= 0:
+            raise AssertionError("nonpositive boundary multiplicity")
+        delta = _key(s, top.bits, CSTAR_GRADING.simple_root_degrees)
+        shifted = [key - delta for key in top.packed]
+        for col, sj in zip(cols, s):
+            if sj:
+                # a field shifted out of [0, cutoff] holds no boundary
+                # term, and its key would alias a neighbouring field
+                for i, c in enumerate(col):
+                    if not sj <= c <= height_cutoff + sj:
+                        shifted[i] = None
+        got = series.packed
+        lower = [m - got[x] if x in got else m for m, x in zip(lower, shifted)]
+    weight_cols = top._weight_columns(cols)
     if component == "F2":
-        lower = {swap_blocks_weight(w): m for w, m in lower.items()}
-        upper = {swap_blocks_weight(w): m for w, m in upper.items()}
-    return Character(lower), Character(upper)
+        weight_cols = _swap_blocks(weight_cols)
+    weights = list(map(Weight, zip(*weight_cols)))
+    upper = dict(zip(weights, top.packed.values()))
+    return Character({w: m for w, m in zip(weights, lower) if m > 0}), Character(upper)
 
 
 def cousin_terms(

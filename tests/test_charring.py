@@ -11,6 +11,7 @@ from wonderco.charring import (
     Grading,
     TruncatedSeries,
     TruncationError,
+    _pack,
     add,
     restrict_window,
     weyl_character,
@@ -245,7 +246,8 @@ def monomial(coords, window, cutoff=12):
     w = Weight(coords)
     inside = window[0] <= KEMPF_GRADING.degree(w) <= window[1]
     offsets = {(0,) * 5: 1} if inside else {}
-    return TruncatedSeries(A5, KEMPF_GRADING, w, (), window, cutoff, offsets)
+    packing = _pack(offsets, KEMPF_GRADING.simple_root_degrees)
+    return TruncatedSeries(A5, KEMPF_GRADING, w, (), window, cutoff, *packing)
 
 
 def geometric(coords, window, cutoff=8):
@@ -258,7 +260,8 @@ def geometric(coords, window, cutoff=8):
         for k in range(cutoff + 1)
         if window[0] <= base + 2 * k <= window[1]
     }
-    return TruncatedSeries(A5, KEMPF_GRADING, w, (ALPHA3,), window, cutoff, offsets)
+    packing = _pack(offsets, KEMPF_GRADING.simple_root_degrees)
+    return TruncatedSeries(A5, KEMPF_GRADING, w, (ALPHA3,), window, cutoff, *packing)
 
 
 class TestSeriesCombination:

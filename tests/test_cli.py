@@ -1,5 +1,6 @@
 """Command-line interface: examples, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import wonderco
+from wonderco import schubert
 from wonderco.acceptance import AcceptanceConfig, AcceptanceReport, CriterionResult
+from wonderco.charring import TruncatedSeries
 from wonderco.cli import (
     EXIT_CERTIFICATION,
     EXIT_INPUT,
@@ -26,6 +29,7 @@ from wonderco.cli import (
     _report_payload,
     main,
 )
+from wonderco.rootsys import Weight
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -155,6 +159,16 @@ class TestGit:
         assert "three" in err
 
 
+def off_lattice(s):
+    """A series' numerator moved off its root-lattice coset, and its terms."""
+    return s.numerator_exponent + Weight((1, 0, 0, 0, 0)), dict(s.packed)
+
+
+def negated(s):
+    """A series' numerator, and its terms with negated multiplicities."""
+    return s.numerator_exponent, {key: -m for key, m in s.packed.items()}
+
+
 class TestSchubert:
     def test_mirror_cell_ceiling(self):
         code, out, _ = run_cli("schubert", "kempf", "--cell", "F2", "--k", "3")
@@ -180,6 +194,63 @@ class TestSchubert:
         )
         assert code == EXIT_INPUT
         assert "empty window" in err
+
+    @pytest.mark.parametrize(
+        "argv,degrees,md5",
+        [
+            (
+                ("--cell", "F1", "--k", "300", "--window", "308:310"),
+                [[308, 80, 80], [310, 129, 129]],
+                "be7ccec9b1cca80cd0d3e6358cea5fec",
+            ),
+            (
+                ("--cell", "F2", "--k", "-300", "--window", "-310:-308"),
+                [[-310, 129, 129], [-308, 80, 80]],
+                "88869e678be8b0c4ce4d95129c052fc6",
+            ),
+        ],
+        ids=["F1", "F2"],
+    )
+    def test_far_level_output_is_byte_identical(self, argv, degrees, md5):
+        # recorded output, byte for byte; at level 300 the boundary
+        # numerators sit 303 steps along a simple root from the open
+        # cell's, far outside any key field
+        code, out, _ = run_cli(
+            "schubert", "kempf", *argv, "--height-cutoff", "6", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["degrees"] == degrees
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+
+    @pytest.mark.parametrize(
+        "alter,message",
+        [
+            (off_lattice, "boundary numerator off the open cell's lattice coset"),
+            (negated, "nonpositive boundary multiplicity"),
+        ],
+        ids=["off-lattice", "nonpositive"],
+    )
+    def test_bounds_guards_are_internal_errors(self, monkeypatch, alter, message):
+        real = schubert.kempf_character
+        top = schubert.covering_cells()[0].w
+
+        def altered_boundary(w, k, window, cutoff):
+            s = real(w, k, window, cutoff)
+            if w == top:
+                return s
+            num, packed = alter(s)
+            return TruncatedSeries(
+                s.system, s.grading, num, s.denominator, s.window,
+                s.height_cutoff, s.origin, s.bits, packed,
+            )
+
+        monkeypatch.setattr(schubert, "kempf_character", altered_boundary)
+        with pytest.raises(AssertionError, match=message):
+            schubert.unstable_character_bounds("F1", 1, (1, 13), 12)
+        code, out, err = run_cli("schubert", "kempf", "--cell", "F1", "--k", "1")
+        assert code == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == f"internal error: {message}\n"
 
 
 class TestCohomology:

@@ -17,7 +17,7 @@ from wonderco.schubert import (
     CSTAR_GRADING,
     GRASS_SYSTEM,
     LEVI,
-    _cone_offsets,
+    _cone_keys,
     cell_exponent,
     cell_for_fixed_point,
     closure_contains,
@@ -448,20 +448,28 @@ class TestKempfSeries:
         # no cell denominator has one; the guard keeps the expansion from
         # certifying a window that terms below the floor could reach
         with pytest.raises(AssertionError, match="negative-degree"):
-            _cone_offsets((Root((0, 0, -1, 0, 0)),), 0, (0, 4), 6)
+            _cone_keys((Root((0, 0, -1, 0, 0)),), 0, (0, 4), 6)
 
     def test_cached_series_is_read_only(self):
         w = f1_cell().w
         s = kempf_character(w, 1, (1, 13))
         before = dict(s.offsets)
+        packed = dict(s.packed)
         with pytest.raises(TypeError):
             s.offsets[(0, 0, 0, 0, 0)] = 7
         with pytest.raises(TypeError):
             del s.offsets[next(iter(before))]
-        with pytest.raises(AttributeError):
-            s.window = (0, 0)
+        with pytest.raises(TypeError):
+            s.packed[0] = 7
+        with pytest.raises(TypeError):
+            del s.packed[next(iter(packed))]
+        fields = {"window": (0, 0), "packed": {}, "origin": (1,) * 5, "bits": 1}
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
         again = kempf_character(w, 1, (1, 13))
         assert again.offsets == before
+        assert again.packed == packed
         assert again == kempf_character.__wrapped__(w, 1, (1, 13))
 
     def test_negative_level_narrow_window(self):
@@ -556,21 +564,34 @@ class TestUnstableBounds:
             unstable_character_bounds("F3", 0, (0, 10))
 
     @pytest.mark.parametrize(
-        "cutoff,widths",
-        [(6, (10, 40)), (12, (10,)), (17, ())],
-        ids=["cutoff6", "cutoff12", "cutoff17"],
+        "cutoff,near,widths",
+        [
+            (6, range(-9, 10), (10, 40)),
+            (7, range(-9, 10), ()),
+            (12, range(-9, 10), (10,)),
+            (15, range(-9, 10, 6), ()),
+            (17, range(-9, 10), ()),
+        ],
+        ids=["cutoff6", "cutoff7", "cutoff12", "cutoff15", "cutoff17"],
     )
-    def test_matches_weight_space_subtraction(self, cutoff, widths):
+    def test_matches_weight_space_subtraction(self, cutoff, near, widths):
         # single grades from each stratum's degree edge inward, as the
         # cross-check reads them at cutoffs up to 17, and the wide windows
         # of the bounds queries where they cost well under a second a
-        # level.  Level -3 is the one level where the three numerators
-        # coincide.
+        # level; cutoff 15 takes every sixth near level to save time.
+        # Level -3 is the one level where the three numerators coincide.
+        # A boundary numerator sits k + 3 along the first or last simple
+        # root from the open cell's, so the far levels shift a key field by
+        # more than it holds: by 256 at levels 253 and -259 (-253 and 259
+        # for the mirror), a whole number of spans of any field up to 8
+        # bits wide.  At cutoffs 7 and 15 the cutoff fills its field.
+        far = (-300, -259, -253, -40, 40, 253, 259, 300)
         for comp, sign in (("F1", 1), ("F2", -1)):
-            for k in range(-9, 10):
+            for k in (*near, *far):
                 edge = k + sign * 8
                 windows = [(edge + sign * j,) * 2 for j in (0, 4)]
-                windows += [tuple(sorted((k, k + sign * w))) for w in widths]
+                if k in near:
+                    windows += [tuple(sorted((k, k + sign * w))) for w in widths]
                 for window in windows:
                     lower, upper = unstable_character_bounds(comp, k, window, cutoff)
                     want_lower, want_upper = weight_space_bounds(
