@@ -368,7 +368,7 @@ class TruncatedSeries:
         Cartan matrix against the offsets."""
         coords = []
         for b, row in zip(self.numerator_exponent, self.system.cartan):
-            acc = itertools.repeat(b, len(self.packed))
+            acc = itertools.repeat(b, len(by_root[0]))
             for c, xs in zip(row, by_root):
                 # chained lazily; the off-diagonal entries of a Cartan
                 # matrix are mostly -1, which needs no product
@@ -401,15 +401,17 @@ class TruncatedSeries:
             return True  # off-lattice weights never occur: zero is exact
         return sum(off) <= self.height_cutoff
 
+    def _key_of(self, offset: tuple[int, ...]) -> int | None:
+        """The packed key of an offset; None outside every field, where no
+        stored key can match."""
+        fields = tuple(map(operator.sub, offset, self.origin))
+        if min(fields) < 0 or max(fields) >> self.bits:
+            return None
+        return _key(fields, self.bits, self.grading.simple_root_degrees)
+
     def multiplicity(self, w: Weight) -> int:
         off = self.offset_of(w)
-        if off is None:
-            return 0
-        fields = tuple(map(operator.sub, off, self.origin))
-        if min(fields) < 0 or max(fields) >> self.bits:
-            return 0  # outside every field, so no stored key can match
-        key = _key(fields, self.bits, self.grading.simple_root_degrees)
-        return self.packed.get(key, 0)
+        return 0 if off is None else self.packed.get(self._key_of(off), 0)
 
     def __eq__(self, other) -> bool:
         return (

@@ -235,6 +235,7 @@ def cell_exponent(w: WeylElement, k: int) -> Weight:
     return act(_exponent_element(w), lam)
 
 
+@lru_cache(maxsize=256)
 def _numerator(w: WeylElement, k: int) -> Weight:
     num = cell_exponent(w, k)
     for alpha in kl_sets(w).K:
@@ -336,22 +337,13 @@ def swap_blocks_weight(mu: Weight) -> Weight:
     return Weight(col[0] for col in _swap_blocks([(c,) for c in mu]))
 
 
-def unstable_character_bounds(
-    component: str,
-    k: int,
-    window: tuple[int, int],
-    height_cutoff: int = DEFAULT_HEIGHT_CUTOFF,
-) -> tuple[Character, Character]:
-    """Per-weight lower and upper bounds on an unstable-stratum character.
-
-    The upper bound is the character of the covering cell closure; the
-    lower bound subtracts the two boundary-cell characters and floors at
-    zero.  The second stratum is handled through the block swap: its
-    character at parameter k is the swapped image of the first stratum's
-    at -k, so the window reverses.  Bounds are exact zero below the first
-    stratum's degree floor and above the second's ceiling; elsewhere they
-    are valid on weights within the height cutoff.
-    """
+def _stratum_bounds(
+    component: str, k: int, window: tuple[int, int], height_cutoff: int
+) -> tuple[TruncatedSeries, list[list[int]], list[int]]:
+    """The first stratum's open-cell series behind ``component``'s bounds,
+    its offset columns (``TruncatedSeries._columns``) and each term's lower
+    bound, all in the order of ``packed``; the upper bound is the term's
+    multiplicity.  See :func:`unstable_character_bounds`."""
     lo, hi = window
     if component == "F2":
         k, window = -k, (-hi, -lo)
@@ -389,10 +381,35 @@ def unstable_character_bounds(
                         shifted[i] = None
         got = series.packed
         lower = [m - got[x] if x in got else m for m, x in zip(lower, shifted)]
+    return top, cols, lower
+
+
+def _stratum_weights(component: str, top: TruncatedSeries, cols: list) -> list[Weight]:
+    """Weights of the open cell's terms with these offset columns, swapped for F2."""
     weight_cols = top._weight_columns(cols)
     if component == "F2":
         weight_cols = _swap_blocks(weight_cols)
-    weights = list(map(Weight, zip(*weight_cols)))
+    return list(map(Weight, zip(*weight_cols)))
+
+
+def unstable_character_bounds(
+    component: str,
+    k: int,
+    window: tuple[int, int],
+    height_cutoff: int = DEFAULT_HEIGHT_CUTOFF,
+) -> tuple[Character, Character]:
+    """Per-weight lower and upper bounds on an unstable-stratum character.
+
+    The upper bound is the character of the covering cell closure; the
+    lower bound subtracts the two boundary-cell characters and floors at
+    zero.  The second stratum is handled through the block swap: its
+    character at parameter k is the swapped image of the first stratum's
+    at -k, so the window reverses.  Bounds are exact zero below the first
+    stratum's degree floor and above the second's ceiling; elsewhere they
+    are valid on weights within the height cutoff.
+    """
+    top, cols, lower = _stratum_bounds(component, k, window, height_cutoff)
+    weights = _stratum_weights(component, top, cols)
     upper = dict(zip(weights, top.packed.values()))
     return Character({w: m for w, m in zip(weights, lower) if m > 0}), Character(upper)
 

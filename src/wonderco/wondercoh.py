@@ -35,10 +35,10 @@ from .schubert import (
     GRASS_SYSTEM,
     SchubertCell,
     _numerator,
+    _stratum_bounds,
+    _stratum_weights,
     covering_cells,
-    kempf_character,
     swap_blocks_weight,
-    unstable_character_bounds,
 )
 
 __all__ = [
@@ -429,18 +429,21 @@ def cross_validate_h3(
     must be certified by all three covering-cell series, and failures are
     reported rather than passed.  The three series share one window and
     one cutoff, and their numerators differ by root-lattice vectors, so a
-    weight's offset heights differ by constants: the series of the
-    binding cell (``_binding_cell``), where the heights are largest,
-    certifies a weight exactly when all three do.
+    weight's offset heights differ by constants and are largest over the
+    binding cell's numerator (``_binding_cell``).  The comparison reads the
+    open cell's packed series (``schubert._stratum_bounds``): a term is
+    certified when its offset height, the sum of its columns, is at most
+    the cutoff plus the height of the binding numerator over the open
+    cell's, one lattice solve per stratum.  Formula weights are looked up
+    by key, and only terms with a positive lower bound become weights.
 
-    Only grade n is compared, so the bounds and the certifying series are
-    asked on the single-grade window (n, n), or (-n, -n) for the mirror,
-    whatever ``window`` is.  This is exact: the cone pruning keeps every
-    term of degree n whenever the window contains n, and every probe has
-    degree n (-n after the swap).  ``window`` only decides whether grade
-    n is covered at all, and is reported.
+    Only grade n is compared, so the bounds are asked on the single-grade
+    window (n, n), or (-n, -n) for the mirror, whatever ``window`` is.
+    This is exact: the cone pruning keeps every term of degree n whenever
+    the window contains n, and every probe has degree n (-n after the
+    swap).  ``window`` only decides whether grade n is covered at all, and
+    is reported.
     """
-    data = spherical_data()
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
     h3 = h_character(lam, 3, box)
@@ -492,45 +495,46 @@ def cross_validate_h3(
         else height_cutoff
     )
 
-    lower_by_comp: dict[str, dict[Weight, int]] = {}
-    upper_total: dict[Weight, int] = {}
-    checkers: dict[str, tuple[TruncatedSeries, object]] = {}
-    binding = _binding_cell(k).w
+    # per open stratum: the open-cell series, the certified height limit
+    # and (lower, upper, certified) on the terms with a positive lower bound
+    strata: dict[str, tuple[TruncatedSeries, int, dict]] = {}
+    binding = _numerator(_binding_cell(k).w, k)
     for comp, is_open in (("F1", f1_open), ("F2", f2_open)):
         if not is_open:
             continue
         level = k if comp == "F1" else -k
-        lower, upper = unstable_character_bounds(comp, level, (n, n), cutoff)
-        lower_by_comp[comp] = lower.terms
-        for w, m in upper.terms.items():
-            upper_total[w] = upper_total.get(w, 0) + m
-        if comp == "F1":
-            checkers[comp] = (kempf_character(binding, k, (n, n), cutoff), None)
-        else:
-            checkers[comp] = (
-                kempf_character(binding, k, (-n, -n), cutoff),
-                swap_blocks_weight,
-            )
+        top, cols, lower = _stratum_bounds(comp, level, (n, n), cutoff)
+        limit = cutoff + sum(
+            root_lattice_coords(GRASS_SYSTEM, binding - top.numerator_exponent)
+        )
+        kept = [i for i, m in enumerate(lower) if m > 0]
+        sub = [[col[i] for i in kept] for col in cols]
+        upper = list(top.packed.values())
+        weights = _stratum_weights(comp, top, sub)
+        strata[comp] = top, limit, {
+            w: (lower[i], upper[i], h <= limit)
+            for w, i, h in zip(weights, kept, map(sum, zip(*sub)))
+        }
 
-    def comp_certified(comp: str, nu: Weight) -> bool:
-        series, mapper = checkers[comp]
-        return series.is_certified(mapper(nu) if mapper else nu)
-
-    lower_total: dict[Weight, int] = {}
-    for slice_ in lower_by_comp.values():
-        for w, m in slice_.items():
-            lower_total[w] = lower_total.get(w, 0) + m
+    def bounds_at(comp: str, nu: Weight) -> tuple[int, int, bool]:
+        top, limit, positive = strata[comp]
+        if nu in positive:
+            return positive[nu]
+        off = top.offset_of(swap_blocks_weight(nu) if comp == "F2" else nu)
+        if off is None:
+            return 0, 0, True  # off-lattice weights never occur: zero is exact
+        return 0, top.packed.get(top._key_of(off), 0), sum(off) <= limit
 
     certified = True
-    rows = []
-    unverified = []
+    rows, unverified = [], []
     content_sides: set[str] = set()
-    for nu in sorted(set(needed) | set(lower_total), key=lambda w: w.coords):
+    support = set(needed).union(*(positive for *_, positive in strata.values()))
+    for nu in sorted(support, key=lambda w: w.coords):
         found = needed.get(nu, 0)
-        cert_map = {comp: comp_certified(comp, nu) for comp in checkers}
         if found > 0:
+            at = {comp: bounds_at(comp, nu) for comp in strata}
             # formula content must sit inside fully certified bounds
-            if not all(cert_map.values()):
+            if not all(cert for *_, cert in at.values()):
                 certified = False
                 issues.append(
                     f"bounds at ambient weight {nu.coords} carrying "
@@ -538,39 +542,31 @@ def cross_validate_h3(
                     f"{cutoff}"
                 )
                 continue
-            low = lower_total.get(nu, 0)
-            up = upper_total.get(nu, 0)
+            low = sum(m for m, _, _ in at.values())
+            up = sum(m for _, m, _ in at.values())
             rows.append((nu, low, found, up))
             if not low <= found <= up:
                 issues.append(
                     f"multiplicity {found} at ambient weight {nu.coords} "
                     f"is outside [{low}, {up}]"
                 )
-            for comp in checkers:
-                if lower_by_comp[comp].get(nu, 0) > 0:
-                    content_sides.add(comp)
+            content_sides |= {comp for comp, (m, _, _) in at.items() if m > 0}
             continue
         # no formula content: a positive lower bound refutes the formula
         # only where its subtracted series are certified; elsewhere the
         # sound lower bound is zero and the raw entry is set aside
-        low = sum(
-            lower_by_comp[comp].get(nu, 0)
-            for comp in checkers
-            if cert_map[comp]
-        )
+        hits = {c: pos[nu] for c, (*_, pos) in strata.items() if nu in pos}
+        sides = {comp for comp, (_, _, cert) in hits.items() if cert}
+        low = sum(hits[comp][0] for comp in sides)
         if low > 0:
-            rows.append((nu, low, found, upper_total.get(nu, 0)))
+            up = sum(bounds_at(comp, nu)[1] for comp in strata)
+            rows.append((nu, low, found, up))
             issues.append(
                 f"certified lower bound {low} at ambient weight "
                 f"{nu.coords} but the character vanishes there"
             )
-            for comp in checkers:
-                if cert_map[comp] and lower_by_comp[comp].get(nu, 0) > 0:
-                    content_sides.add(comp)
-        elif any(
-            not cert_map[comp] and lower_by_comp[comp].get(nu, 0) > 0
-            for comp in checkers
-        ):
+            content_sides |= sides
+        elif len(sides) < len(hits):
             unverified.append(nu)
 
     at_most_one = len(content_sides) <= 1

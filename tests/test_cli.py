@@ -251,6 +251,11 @@ class TestSchubert:
         assert code == EXIT_INTERNAL == 4
         assert out == ""
         assert err == f"internal error: {message}\n"
+        # the degree-3 cross-check reads the same bounds
+        code, out, err = run_cli("cohomology", "--lambda", "-4,2,0,0", "--i", "3")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == f"internal error: {message}\n"
 
 
 class TestCohomology:
@@ -288,6 +293,34 @@ class TestCohomology:
         assert lookup(out, "cross-component") == [["F1"]]
         assert lookup(out, "cross-consistent") == [["yes"]]
         assert lookup(out, "cross-certified") == [["yes"]]
+
+    @pytest.mark.parametrize(
+        "lam,extra,fmt,md5,exit_code",
+        [
+            ("-2,-2,-2,-2", (), "tsv", "307ccf0840b7e84ec468834b2aa43f58", EXIT_OK),
+            ("-2,-2,-2,-2", (), "json", "653613513704f2833e6b9e6720a8ddeb", EXIT_OK),
+            (
+                "-2,0,-2,2", ("--height-cutoff", "8"), "tsv",
+                "e87441ab06f63ec36fec420c3640e51f", EXIT_CERTIFICATION,
+            ),
+            (
+                "-2,0,-2,2", ("--height-cutoff", "8"), "json",
+                "75ac902bbd73cd878ee236cc22ab0462", EXIT_CERTIFICATION,
+            ),
+            ("-2,-2,-2,2", (), "tsv", "2c6e25bb02aa9c0d707de7d1d0a1cc0a", EXIT_OK),
+            ("-2,-2,-2,2", (), "json", "e731adefd741b2a513625d9898e005be", EXIT_OK),
+        ],
+        ids=["both-tsv", "both-json", "cutoff8-tsv", "cutoff8-json", "F1-tsv", "F1-json"],
+    )
+    def test_cross_check_output_is_byte_identical(self, lam, extra, fmt, md5, exit_code):
+        # recorded output, byte for byte: a bundle both strata reach (936
+        # unverified weights), an uncertified low cutoff, and a first-stratum
+        # bundle with one certified row beside 139 unverified weights
+        code, out, _ = run_cli(
+            "cohomology", "--lambda", lam, "--i", "3", *extra, "--format", fmt
+        )
+        assert code == exit_code
+        assert hashlib.md5(out.encode()).hexdigest() == md5
 
     def test_window_missing_the_grade_fails_certification(self):
         code, out, err = run_cli(

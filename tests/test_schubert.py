@@ -472,6 +472,18 @@ class TestKempfSeries:
         assert again.packed == packed
         assert again == kempf_character.__wrapped__(w, 1, (1, 13))
 
+    def test_weight_columns_of_a_column_subset(self):
+        # every third term's offset columns give exactly those terms'
+        # weights, although the series holds three times as many terms
+        s = kempf_character(f1_cell().w, -3, (5, 15))
+        cols = s._columns()
+        picked = range(0, len(s.packed), 3)
+        sub = [[col[i] for i in picked] for col in cols]
+        weights = list(map(Weight, zip(*s._weight_columns(sub))))
+        terms = list(s.terms())
+        assert len(s.packed) > 3 * len(weights) - 3 > 100
+        assert weights == [terms[i] for i in picked]
+
     def test_negative_level_narrow_window(self):
         # the numerator degree sits below the requested floor, so the
         # expansions must certify past the window top for the product to

@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wonderco.charring import Character, weyl_character, weyl_dimension
+from wonderco.gitgrass import sheaf_correspondence
 from wonderco.rootsys import Weight, build_root_system, root_lattice_coords
 from wonderco.schubert import (
     CSTAR_GRADING,
@@ -36,6 +38,7 @@ from wonderco.wondercoh import (
     tchoudjem_components,
     vanishing_profile,
 )
+from cross_h3_reference import every_series_certified, reference_cross_h3
 from weyl_descent import dominant_conjugate, weight_to_root
 
 A5 = build_root_system("A5")
@@ -509,10 +512,32 @@ class TestCrossValidation:
             for nu, low, found, up in rep.rows:
                 assert low <= found <= up
 
-
-def every_series_certified(series, probe):
-    """Certification as defined: every covering-cell series certifies."""
-    return all(s.is_certified(probe) for s in series)
+    def test_matches_per_weight_reference(self):
+        # the radius-3 box bundles that a stratum reaches, |f1| + |f2| <= 11:
+        # a seeded sample of the one-stratum ones and every F1+F2 one, at
+        # the auto cutoff, at cutoff 8 (uncertified reports) and on a wide
+        # window
+        span = range(-3, 4)
+        one, both = [], []
+        for f1, f2 in sorted({
+            (a1 + 2 * b1 - b2, a2 - b1 + 2 * b2)
+            for a1, a2, b1, b2 in itertools.product(span, repeat=4)
+        }):
+            desc = sheaf_correspondence(diag(f1, f2))
+            f1_open, f2_open = desc.n >= desc.k + 8, desc.n <= -desc.k - 8
+            if abs(f1) + abs(f2) <= 11 and (f1_open or f2_open):
+                (both if f1_open and f2_open else one).append((diag(f1, f2), desc.n))
+        assert (len(one), len(both)) == (94, 10)
+        seen = set()
+        for lam, n in random.Random(15).sample(one, 24) + both:
+            for window, cutoff in ((None, None), (None, 8), ((n - 3, n + 2), None)):
+                rep = cross_validate_h3(lam, window, height_cutoff=cutoff)
+                assert rep == reference_cross_h3(lam, window, cutoff), (lam, window, cutoff)
+                seen.add((rep.component, rep.certified, bool(rep.unverified)))
+        # both strata, uncertified reports and unverified entries occur
+        assert {c for c, *_ in seen} == {"F1", "F2", "F1+F2"}
+        assert {cert for _, cert, _ in seen} == {True, False}
+        assert any(unv for *_, unv in seen)
 
 
 def every_numerator_cutoff(k, probes, f1_open, f2_open):
