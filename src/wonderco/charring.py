@@ -2,9 +2,11 @@
 
 Finitely supported characters over a weight lattice, irreducible characters
 via the Freudenthal recursion, and the container for truncated expansions of
-products of geometric series 1/(1 - e^beta) with the operations that read
-and combine finished series.  The series themselves are built in one pass
-over their cone by :func:`wonderco.schubert.kempf_character`.
+products of geometric series 1/(1 - e^beta) with the readers of finished
+series.  The series themselves are built in one pass over their cone by
+:func:`wonderco.schubert.kempf_character`, and
+:func:`wonderco.schubert._stratum_bounds` is the one place two of them are
+compared.
 
 A :class:`TruncatedSeries` represents
 
@@ -16,16 +18,16 @@ cocharacter, and a cutoff on the height of the offset from the numerator
 exponent.  Within the window, multiplicities of weights whose offset height
 is at most the cutoff are exact; beyond the cutoff they are lower bounds.
 
-A series stores one packed integer key per term: its offset less an origin
-corner, a bit field per simple root, and that vector's degree on top, so
-degree and height are read off the fields (see :class:`TruncatedSeries`).
+A series stores one packed integer key per term: its offset, a bit field
+per simple root, with the offset's degree on top, so degree and height are
+read off the fields (see :class:`TruncatedSeries`).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -51,8 +53,6 @@ __all__ = [
     "TruncationError",
     "weyl_character",
     "weyl_dimension",
-    "add",
-    "restrict_window",
 ]
 
 
@@ -66,16 +66,20 @@ class TruncationError(Exception):
 class Character:
     """A finitely supported integer combination of formal exponentials e^mu.
 
-    ``terms`` is a read-only view built once and no field can be reassigned,
-    so a cached character cannot be altered.
+    Built, as a ``dict`` is, from a mapping or from (weight, multiplicity)
+    pairs, so a caller holding pairs builds no dict of its own; zero
+    multiplicities are dropped.  ``terms`` is a read-only view built once
+    and no field can be reassigned, so a cached character cannot be altered.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Weight, int] | None = None):
-        self.terms = MappingProxyType(
-            {w: m for w, m in (terms or {}).items() if m != 0}
-        )
+    def __init__(
+        self, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = ()
+    ):
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        self.terms = MappingProxyType({w: m for w, m in terms if m != 0})
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
@@ -209,7 +213,7 @@ def weyl_character(system: RootSystem, lam: Weight) -> Character:
         part = _freudenthal(factor, Weight(lam[off : off + r]))
         terms = {(*w, *v): m * k for w, m in terms.items() for v, k in part.items()}
     assert tuple(blocks) == system.cartan, system.type_label
-    return Character({Weight(w): m for w, m in terms.items()})
+    return Character((Weight(w), m) for w, m in terms.items())
 
 
 def weyl_dimension(system: RootSystem, lam: Weight) -> int:
@@ -266,34 +270,15 @@ def _key(vec: tuple[int, ...], bits: int, per_root: tuple[int, ...]) -> int:
     return key + (sum(map(operator.mul, per_root, vec)) << bits * len(vec))
 
 
-def _pack(
-    offsets: Mapping[tuple[int, ...], int], per_root: tuple[int, ...]
-) -> tuple[tuple[int, ...], int, dict[int, int]]:
-    """``origin, bits, packed`` of a :class:`TruncatedSeries` holding terms
-    keyed by offset tuples: the origin is the coordinatewise minimum of the
-    offsets and 0, and the fields are just wide enough for the rest."""
-    cols = list(zip(*offsets)) or [()] * len(per_root)
-    origin = tuple(min((0, *col)) for col in cols)
-    bits = max(1, *((max((0, *c)) - o).bit_length() for c, o in zip(cols, origin)))
-    return origin, bits, {
-        _key(tuple(map(operator.sub, off, origin)), bits, per_root): m
-        for off, m in offsets.items()
-    }
-
-
 class TruncatedSeries:
     """Windowed expansion of a cone series; see the module docstring.
 
     The stored form is ``packed``: each term's multiplicity keyed by the
-    :func:`_key` of its offset ``mu - numerator_exponent`` less the
-    ``origin`` corner, in fields of ``bits``.  A term's degree is
-    ``base_degree()`` plus the grading of ``origin`` plus
-    ``key >> bits * rank``, and its offset height is the sum of its fields
-    plus ``sum(origin)``.  Cone series have origin 0, so there the top
-    field is the degree above the base; a sum by :func:`add` may reach
-    below 0, and :func:`_pack` packs such tuple-keyed terms.  ``offsets``
-    is a tuple-keyed view unpacked on request.  Fields are set once and
-    ``packed`` is read-only, so a cached series cannot be altered.
+    :func:`_key` of its offset ``mu - numerator_exponent``, in fields of
+    ``bits``.  A term's degree is the numerator's plus
+    ``key >> bits * rank``, and its offset height is the sum of its fields.
+    Fields are set once and ``packed`` is read-only, so a cached series
+    cannot be altered.
     """
 
     __slots__ = (
@@ -303,7 +288,6 @@ class TruncatedSeries:
         "denominator",
         "window",
         "height_cutoff",
-        "origin",
         "bits",
         "packed",
     )
@@ -316,7 +300,6 @@ class TruncatedSeries:
         denominator: tuple[Root, ...],
         window: tuple[int, int],
         height_cutoff: int,
-        origin: tuple[int, ...],
         bits: int,
         packed: Mapping[int, int],
     ):
@@ -328,7 +311,6 @@ class TruncatedSeries:
         self.denominator = tuple(sorted(denominator))
         self.window = window
         self.height_cutoff = height_cutoff
-        self.origin = origin
         self.bits = bits
         self.packed = MappingProxyType(packed)
 
@@ -338,9 +320,6 @@ class TruncatedSeries:
         object.__setattr__(self, name, value)
 
     # -- bookkeeping helpers
-
-    def base_degree(self) -> int:
-        return self.grading.degree(self.numerator_exponent)
 
     def weight_of(self, offset: tuple[int, ...]) -> Weight:
         return Weight(
@@ -358,8 +337,8 @@ class TruncatedSeries:
         order of ``packed``."""
         mask = (1 << self.bits) - 1
         return [
-            [((key >> sh) & mask) + o for key in self.packed]
-            for sh, o in zip(itertools.count(0, self.bits), self.origin)
+            [(key >> sh) & mask for key in self.packed]
+            for sh in range(0, self.bits * self.system.rank, self.bits)
         ]
 
     def _weight_columns(self, by_root: list[list[int]]) -> list[list[int]]:
@@ -380,11 +359,6 @@ class TruncatedSeries:
             coords.append(list(acc))
         return coords
 
-    @property
-    def offsets(self) -> Mapping[tuple[int, ...], int]:
-        """The stored terms keyed by offset tuples, as a read-only view."""
-        return MappingProxyType(dict(zip(zip(*self._columns()), self.packed.values())))
-
     def terms(self) -> dict[Weight, int]:
         """The stored terms keyed by their weights."""
         weights = map(Weight, zip(*self._weight_columns(self._columns())))
@@ -404,10 +378,9 @@ class TruncatedSeries:
     def _key_of(self, offset: tuple[int, ...]) -> int | None:
         """The packed key of an offset; None outside every field, where no
         stored key can match."""
-        fields = tuple(map(operator.sub, offset, self.origin))
-        if min(fields) < 0 or max(fields) >> self.bits:
+        if min(offset) < 0 or max(offset) >> self.bits:
             return None
-        return _key(fields, self.bits, self.grading.simple_root_degrees)
+        return _key(offset, self.bits, self.grading.simple_root_degrees)
 
     def multiplicity(self, w: Weight) -> int:
         off = self.offset_of(w)
@@ -431,74 +404,3 @@ class TruncatedSeries:
 
 
 DEFAULT_HEIGHT_CUTOFF = 12
-
-
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Sum of two series sharing a window.
-
-    The terms of ``b`` are rebased onto ``a``'s numerator exponent, which
-    must differ from ``b``'s by a root-lattice vector: a term's offset from
-    ``a``'s numerator is its own plus that shift.  Both windows must reach
-    down to both base degrees, so the sum is complete from its true degree
-    floor.  The height cutoff shrinks so that a height certified against
-    the common base is certified in both summands.
-    """
-    if a.system != b.system:
-        raise ValueError("mismatched lattices")
-    if a.grading != b.grading:
-        raise ValueError("mismatched gradings")
-    if a.window != b.window:
-        raise ValueError(f"mismatched windows {a.window} and {b.window}")
-    if a.window[0] > min(a.base_degree(), b.base_degree()):
-        raise ValueError(
-            "window floor above a summand's base degree; "
-            "sum would be uncertifiable"
-        )
-    shift = root_lattice_coords(a.system, b.numerator_exponent - a.numerator_exponent)
-    if shift is None:
-        raise ValueError(
-            "numerator exponents differ by a non-root-lattice vector"
-        )
-    cutoff = min(a.height_cutoff, b.height_cutoff + sum(shift))
-    out = dict(a.offsets)
-    for off, m in b.offsets.items():
-        key = tuple(map(operator.add, off, shift))
-        out[key] = out.get(key, 0) + m
-    return TruncatedSeries(
-        a.system,
-        a.grading,
-        a.numerator_exponent,
-        tuple(set(a.denominator) | set(b.denominator)),
-        a.window,
-        cutoff,
-        *_pack(out, a.grading.simple_root_degrees),
-    )
-
-
-def restrict_window(s: TruncatedSeries, window: tuple[int, int]) -> TruncatedSeries:
-    """Shrink the certified window, dropping terms outside it: a key's
-    top field is its term's degree less the base's and the origin's."""
-    if not (s.window[0] <= window[0] and window[1] <= s.window[1]):
-        raise TruncationError(
-            f"window {window} is not contained in the certified "
-            f"window {s.window}"
-        )
-    per_root = s.grading.simple_root_degrees
-    floor = s.base_degree() + sum(map(operator.mul, per_root, s.origin))
-    shift = s.bits * s.system.rank
-    kept = {
-        key: m
-        for key, m in s.packed.items()
-        if window[0] <= floor + (key >> shift) <= window[1]
-    }
-    return TruncatedSeries(
-        s.system,
-        s.grading,
-        s.numerator_exponent,
-        s.denominator,
-        window,
-        s.height_cutoff,
-        s.origin,
-        s.bits,
-        kept,
-    )

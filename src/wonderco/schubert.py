@@ -27,8 +27,6 @@ from .charring import (
     Grading,
     TruncatedSeries,
     _key,
-    add,
-    restrict_window,
 )
 from .rootsys import (
     Root,
@@ -247,7 +245,7 @@ def _cone_keys(
     roots: tuple[Root, ...], base: int, window: tuple[int, int], cutoff: int
 ) -> tuple[int, dict[int, int]]:
     """The expansion of 1 / prod (1 - e^beta) inside the window, as the
-    field width and the packed keys of ``TruncatedSeries`` at origin 0.
+    field width and the packed keys of ``TruncatedSeries``.
 
     A term at offset o has degree ``base`` plus the grading of o.  The roots
     are folded in one at a time with the running sum T(o) = S(o) + T(o -
@@ -311,8 +309,7 @@ def kempf_character(
     roots = kl_sets(w).J
     bits, keys = _cone_keys(roots, CSTAR_GRADING.degree(num), window, height_cutoff)
     return TruncatedSeries(
-        GRASS_SYSTEM, CSTAR_GRADING, num, roots, window, height_cutoff,
-        (0,) * GRASS_SYSTEM.rank, bits, keys,
+        GRASS_SYSTEM, CSTAR_GRADING, num, roots, window, height_cutoff, bits, keys,
     )
 
 
@@ -357,9 +354,9 @@ def _stratum_bounds(
     )
     # subtract on the open cell's terms.  Its term at offset o sits at
     # o - s in a boundary series, s that numerator's offset; all three share
-    # origin 0 and field width, so the boundary key is the open cell's less
-    # the key of s.  A positive boundary term off the open cell's support
-    # leaves no positive lower bound there.
+    # one field width, so the boundary key is the open cell's less the key
+    # of s.  A positive boundary term off the open cell's support leaves no
+    # positive lower bound there.
     cols = top._columns()
     lower = list(top.packed.values())
     for series in boundary:
@@ -410,8 +407,10 @@ def unstable_character_bounds(
     """
     top, cols, lower = _stratum_bounds(component, k, window, height_cutoff)
     weights = _stratum_weights(component, top, cols)
-    upper = dict(zip(weights, top.packed.values()))
-    return Character({w: m for w, m in zip(weights, lower) if m > 0}), Character(upper)
+    return (
+        Character((w, m) for w, m in zip(weights, lower) if m > 0),
+        Character(zip(weights, top.packed.values())),
+    )
 
 
 def cousin_terms(
@@ -420,37 +419,28 @@ def cousin_terms(
     depth: int,
     window: tuple[int, int],
     height_cutoff: int = DEFAULT_HEIGHT_CUTOFF,
-) -> tuple[TruncatedSeries, ...]:
+) -> tuple[tuple[TruncatedSeries, ...], ...]:
     """Character series of the closure strata below a cell, by depth.
 
-    Term j sums the characters of the cells of codimension codim(w)+j
-    inside the closure of the cell of ``w``; the sequence stops early when
-    no cells remain (depth 0 is the cell itself).
+    Entry j holds the cached :func:`kempf_character` series of the cells
+    of codimension codim(w)+j inside the closure of the cell of ``w``, all
+    on ``window`` at ``height_cutoff``; each certifies its own terms through
+    ``is_certified``.  The sequence stops early when no cells remain (depth
+    0 is the cell itself).  A Cousin sum adds the members of entry j with
+    sign (-1)^j, weight by weight.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     _check_minimal(w)
-    lo, hi = window
     base_cell = next(c for c in enumerate_cells() if c.w == w)
     out = []
     for j in range(depth + 1):
-        group = [
-            c
+        group = tuple(
+            kempf_character(c.w, k, window, height_cutoff)
             for c in enumerate_cells()
-            if c.codim == base_cell.codim + j
-            and closure_contains(base_cell, c)
-        ]
+            if c.codim == base_cell.codim + j and closure_contains(base_cell, c)
+        )
         if not group:
             break
-        build_lo = min(
-            [0, lo]
-            + [CSTAR_GRADING.degree(_numerator(c.w, k)) for c in group]
-        )
-        total = None
-        for c in group:
-            series = kempf_character(
-                c.w, k, (build_lo, hi), height_cutoff
-            )
-            total = series if total is None else add(total, series)
-        out.append(restrict_window(total, window))
+        out.append(group)
     return tuple(out)

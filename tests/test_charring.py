@@ -1,4 +1,4 @@
-"""Tests for character arithmetic and truncated series."""
+"""Tests for character arithmetic and gradings."""
 
 import itertools
 from fractions import Fraction
@@ -9,11 +9,6 @@ import pytest
 from wonderco.charring import (
     Character,
     Grading,
-    TruncatedSeries,
-    TruncationError,
-    _pack,
-    add,
-    restrict_window,
     weyl_character,
     weyl_dimension,
 )
@@ -108,6 +103,12 @@ class TestCharacter:
     def test_zero_multiplicities_dropped(self):
         c = Character({Weight((1, 0)): 2, Weight((0, 1)): 0})
         assert c.terms == {Weight((1, 0)): 2}
+
+    def test_pairs_build_the_same_record(self):
+        pairs = [(Weight((1, 0)), 2), (Weight((0, 1)), 0), (Weight((0, 0)), -1)]
+        c = Character(iter(pairs))
+        assert c == Character(dict(pairs))
+        assert c.terms == {Weight((1, 0)): 2, Weight((0, 0)): -1}
 
     def test_not_hashable(self):
         # equality compares terms, and a read-only view of them has no
@@ -233,87 +234,3 @@ class TestGrading:
         for r in A5.positive_roots:
             degree = sum(d * c for d, c in zip(g.simple_root_degrees, r.coords))
             assert degree == 2 * r.coords[2]
-
-
-# ---------------------------------------------------------------------------
-# truncated series
-
-ALPHA3 = A5.positive_roots[2]
-
-
-def monomial(coords, window, cutoff=12):
-    """The one-term series e^w, empty when its degree is outside the window."""
-    w = Weight(coords)
-    inside = window[0] <= KEMPF_GRADING.degree(w) <= window[1]
-    offsets = {(0,) * 5: 1} if inside else {}
-    packing = _pack(offsets, KEMPF_GRADING.simple_root_degrees)
-    return TruncatedSeries(A5, KEMPF_GRADING, w, (), window, cutoff, *packing)
-
-
-def geometric(coords, window, cutoff=8):
-    """e^w / (1 - e^alpha3) on the window: alpha3 has degree 2 and height 1,
-    so the k-th term has degree deg(w) + 2k and height k."""
-    w = Weight(coords)
-    base = KEMPF_GRADING.degree(w)
-    offsets = {
-        tuple(k * c for c in ALPHA3.coords): 1
-        for k in range(cutoff + 1)
-        if window[0] <= base + 2 * k <= window[1]
-    }
-    packing = _pack(offsets, KEMPF_GRADING.simple_root_degrees)
-    return TruncatedSeries(A5, KEMPF_GRADING, w, (ALPHA3,), window, cutoff, *packing)
-
-
-class TestSeriesCombination:
-    def test_add_merges_terms(self):
-        window = (0, 8)
-        a = geometric((0, 0, 0, 0, 0), window)
-        b = geometric(
-            tuple(sum(A5.cartan[i][j] * ALPHA3.coords[j] for j in range(5)) for i in range(5)),
-            window,
-        )
-        total = add(a, b)
-        for w in set(a.terms()) | set(b.terms()):
-            assert total.multiplicity(w) == a.multiplicity(w) + b.multiplicity(w)
-
-    def test_add_rebases_onto_first_numerator(self):
-        window = (0, 6)
-        a = monomial((0, 0, 0, 0, 0), window)
-        shifted = Weight(tuple(A5.cartan[i][2] for i in range(5)))
-        b = monomial(shifted.coords, window)
-        total = add(a, b)
-        assert total.numerator_exponent == a.numerator_exponent
-        assert total.multiplicity(Weight((0, 0, 0, 0, 0))) == 1
-        assert total.multiplicity(shifted) == 1
-
-    def test_add_rejects_mismatched_windows(self):
-        a = geometric((0, 0, 0, 0, 0), (0, 8))
-        b = geometric((0, 0, 0, 0, 0), (0, 10))
-        with pytest.raises(ValueError, match="windows"):
-            add(a, b)
-
-    def test_add_rejects_off_lattice_shift(self):
-        window = (0, 6)
-        a = monomial((0, 0, 0, 0, 0), window)
-        b = monomial((1, 0, 0, 0, 0), window)
-        with pytest.raises(ValueError, match="root-lattice"):
-            add(a, b)
-
-    def test_add_rejects_clipped_base(self):
-        window = (4, 8)
-        a = monomial((0, 0, 2, 0, 0), window)
-        b = monomial((0, 0, 1, 0, 0), window)
-        with pytest.raises(ValueError, match="floor above"):
-            add(a, b)
-
-    def test_restrict_drops_terms(self):
-        s = geometric((0, 0, 0, 0, 0), (0, 8))
-        cut = restrict_window(s, (2, 6))
-        assert cut.window == (2, 6)
-        degs = {KEMPF_GRADING.degree(w) for w in cut.terms()}
-        assert degs == {2, 4, 6}
-
-    def test_restrict_rejects_escape(self):
-        s = geometric((0, 0, 0, 0, 0), (0, 8))
-        with pytest.raises(TruncationError, match="not contained"):
-            restrict_window(s, (0, 10))

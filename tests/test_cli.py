@@ -241,7 +241,7 @@ class TestSchubert:
             num, packed = alter(s)
             return TruncatedSeries(
                 s.system, s.grading, num, s.denominator, s.window,
-                s.height_cutoff, s.origin, s.bits, packed,
+                s.height_cutoff, s.bits, packed,
             )
 
         monkeypatch.setattr(schubert, "kempf_character", altered_boundary)

@@ -65,9 +65,7 @@ UNCALLED_EXPORTS = {
     "charring.weyl_dimension": "dimension oracle the character tests check against",
     "gitgrass.torus_weight": "checks decompose_module's table of summands",
     "gitgrass.block_swap": "geometric check behind schubert.swap_blocks_weight",
-    "schubert.cousin_terms": "ROADMAP item 1's planned Euler-characteristic route",
-    "charring.add": "sums cousin_terms' cell series (ROADMAP item 1)",
-    "charring.restrict_window": "trims cousin_terms' sums (ROADMAP item 1)",
+    "schubert.cousin_terms": "groups closure-cell series by depth for ROADMAP item 1",
 }
 
 

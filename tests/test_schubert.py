@@ -108,6 +108,11 @@ def numerator_weight(w, k):
     return num
 
 
+def offsets_of(s):
+    """A series' stored terms keyed by offset tuples."""
+    return dict(zip(zip(*s._columns()), s.packed.values()))
+
+
 def brute_offsets(w, k, window, cutoff):
     """The Kempf series offsets by direct convolution: every denominator
     root is folded in as a full geometric factor, stopping each run where
@@ -393,12 +398,12 @@ class TestKempfSeries:
 
     def test_positivity(self):
         s = kempf_character(f1_cell().w, 1, (1, 13))
-        assert s.offsets
-        assert all(m > 0 for m in s.offsets.values())
+        assert offsets_of(s)
+        assert all(m > 0 for m in offsets_of(s).values())
 
     def test_empty_below_support(self):
         s = kempf_character(f1_cell().w, 2, (0, 7))
-        assert s.offsets == {}
+        assert offsets_of(s) == {}
         assert s.window == (0, 7)
 
     def test_matches_brute_convolution(self):
@@ -428,7 +433,7 @@ class TestKempfSeries:
             assert got.denominator == tuple(
                 sorted(kl_sets(w).J, key=lambda r: r.coords)
             )
-            assert got.offsets == want
+            assert offsets_of(got) == want
             base = CSTAR_GRADING.degree(got.numerator_exponent)
             seen.add(("negative k", k < 0))
             seen.add(("single grade", window[0] == window[1]))
@@ -453,22 +458,18 @@ class TestKempfSeries:
     def test_cached_series_is_read_only(self):
         w = f1_cell().w
         s = kempf_character(w, 1, (1, 13))
-        before = dict(s.offsets)
+        before = offsets_of(s)
         packed = dict(s.packed)
-        with pytest.raises(TypeError):
-            s.offsets[(0, 0, 0, 0, 0)] = 7
-        with pytest.raises(TypeError):
-            del s.offsets[next(iter(before))]
         with pytest.raises(TypeError):
             s.packed[0] = 7
         with pytest.raises(TypeError):
             del s.packed[next(iter(packed))]
-        fields = {"window": (0, 0), "packed": {}, "origin": (1,) * 5, "bits": 1}
+        fields = {"window": (0, 0), "packed": {}, "bits": 1}
         for name, value in fields.items():
             with pytest.raises(AttributeError):
                 setattr(s, name, value)
         again = kempf_character(w, 1, (1, 13))
-        assert again.offsets == before
+        assert offsets_of(again) == before
         assert again.packed == packed
         assert again == kempf_character.__wrapped__(w, 1, (1, 13))
 
@@ -616,7 +617,7 @@ class TestUnstableBounds:
 class TestCousinTerms:
     def test_depth_zero_is_the_cell(self):
         w = f1_cell().w
-        (term,) = cousin_terms(w, 1, 0, (1, 12))
+        ((term,),) = cousin_terms(w, 1, 0, (1, 12))
         assert term == kempf_character(w, 1, (1, 12))
 
     def test_first_boundary_terms(self):
@@ -624,17 +625,19 @@ class TestCousinTerms:
         window = (1, 12)
         terms = cousin_terms(w, 1, 1, window)
         assert len(terms) == 2
-        s1w, s5w = boundary_cells()
-        merged = {}
-        for v in (s1w, s5w):
-            for wt, m in kempf_character(v, 1, window).terms().items():
-                merged[wt] = merged.get(wt, 0) + m
-        assert terms[1].terms() == merged
+        merged, summed = Counter(), Counter()
+        for v in boundary_cells():
+            merged.update(kempf_character(v, 1, window).terms())
+        assert len(terms[1]) == 2
+        for member in terms[1]:
+            summed.update(member.terms())
+        assert summed == merged
 
     def test_bottom_cell_stops(self):
         w = cell_for_fixed_point((1, 2, 3)).w
         terms = cousin_terms(w, 0, 3, (0, 10))
         assert len(terms) == 1
+        assert len(terms[0]) == 1
 
     def test_open_cell_reaches_every_codim(self):
         # every cell lies in the open cell's closure, and each group's
@@ -642,18 +645,43 @@ class TestCousinTerms:
         w = cell_for_fixed_point((4, 5, 6)).w
         terms = cousin_terms(w, 0, 9, (0, 8), height_cutoff=6)
         assert len(terms) == 10
-        for j, term in enumerate(terms):
+        for j, group in enumerate(terms):
             floors = [
                 CSTAR_GRADING.degree(numerator_weight(c.w, 0))
                 for c in enumerate_cells()
                 if c.codim == j
             ]
+            degrees = [CSTAR_GRADING.degree(v) for s in group for v in s.terms()]
             if min(floors) <= 8:
-                assert min(
-                    CSTAR_GRADING.degree(v) for v in term.terms()
-                ) == min(floors)
+                assert min(degrees) == min(floors)
             else:
-                assert term.offsets == {}
+                assert degrees == []
+
+    def test_open_cell_groups_are_cached_cell_series(self):
+        # the groups partition the 20 cells by codimension, each member is
+        # the cell's cached series, and a member is complete from its window
+        # floor: widening the floor by 6 and dropping what lies below the
+        # old floor gives it back, also where the floor is below its base
+        w = cell_for_fixed_point((4, 5, 6)).w
+        k, cutoff = 2, 6
+        below_base = dropped = 0
+        for lo, hi in ((-2, 8), (9, 12)):
+            groups = cousin_terms(w, k, 9, (lo, hi), cutoff)
+            assert len(groups) == 10
+            assert sum(map(len, groups)) == len(enumerate_cells()) == 20
+            for j, group in enumerate(groups):
+                cells = [c for c in enumerate_cells() if c.codim == j]
+                assert len(group) == len(cells)
+                for cell, member in zip(cells, group):
+                    assert member is kempf_character(cell.w, k, (lo, hi), cutoff)
+                    wide = kempf_character(cell.w, k, (lo - 6, hi), cutoff).terms()
+                    kept = {
+                        v: m for v, m in wide.items() if CSTAR_GRADING.degree(v) >= lo
+                    }
+                    assert member.terms() == kept
+                    below_base += lo < CSTAR_GRADING.degree(member.numerator_exponent)
+                    dropped += len(wide) > len(kept)
+        assert below_base and dropped
 
     def test_negative_depth(self):
         with pytest.raises(ValueError, match="nonnegative"):
