@@ -3,8 +3,7 @@
 The package computes, with exact integer arithmetic throughout:
 
 * root systems, Weyl combinatorics, and parabolic cosets (``rootsys``);
-* finitely supported characters and truncated denominator series
-  (``charring``);
+* finitely supported characters and irreducible characters (``charring``);
 * involution diagrams, restricted root systems, and spherical roots
   (``satake``);
 * the integer-cone criterion for distinguished monomial differential

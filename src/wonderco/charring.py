@@ -1,26 +1,8 @@
 """Character-ring arithmetic.
 
-Finitely supported characters over a weight lattice, irreducible characters
-via the Freudenthal recursion, and the container for truncated expansions of
-products of geometric series 1/(1 - e^beta) with the readers of finished
-series.  The series themselves are built in one pass over their cone by
-:func:`wonderco.schubert.kempf_character`, and
-:func:`wonderco.schubert._stratum_bounds` is the one place two of them are
-compared.
-
-A :class:`TruncatedSeries` represents
-
-    e^{numerator_exponent} * prod e^{alpha} / prod_{beta in denominator} (1 - e^beta)
-
-expanded over the cone ``numerator_exponent + N . denominator``.  Two
-truncation axes keep it finite: a window of degrees under a fixed grading
-cocharacter, and a cutoff on the height of the offset from the numerator
-exponent.  Within the window, multiplicities of weights whose offset height
-is at most the cutoff are exact; beyond the cutoff they are lower bounds.
-
-A series stores one packed integer key per term: its offset, a bit field
-per simple root, with the offset's degree on top, so degree and height are
-read off the fields (see :class:`TruncatedSeries`).
+Finitely supported characters over a weight lattice, and irreducible
+characters and dimensions via the Freudenthal recursion and the Weyl
+product formula, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -28,12 +10,10 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 from .rootsys import (
-    Root,
     RootSystem,
     Weight,
     _orbit,
@@ -48,8 +28,6 @@ from .rootsys import (
 
 __all__ = [
     "Character",
-    "Grading",
-    "TruncatedSeries",
     "TruncationError",
     "weyl_character",
     "weyl_dimension",
@@ -57,7 +35,8 @@ __all__ = [
 
 
 class TruncationError(Exception):
-    """A query fell outside the certified region of a truncated object."""
+    """A query fell outside the certified region of a truncated object.
+    Nothing in the package raises it; ``perfbench`` still catches it."""
 
 
 # ---------------------------------------------------------------------------
@@ -233,174 +212,6 @@ def weyl_dimension(system: RootSystem, lam: Weight) -> int:
     return dim
 
 
-# ---------------------------------------------------------------------------
-# gradings
-
-@dataclass(frozen=True)
-class Grading:
-    """An integer grading cocharacter, recorded by its values on the
-    fundamental weights."""
-
-    system: RootSystem
-    values: tuple[int, ...]
-
-    def degree(self, w: Weight) -> int:
-        return sum(map(operator.mul, self.values, w))
-
-    @cached_property
-    def simple_root_degrees(self) -> tuple[int, ...]:
-        """Degree of each simple root; root degrees are linear in these."""
-        c = self.system.cartan
-        n = self.system.rank
-        return tuple(
-            sum(self.values[i] * c[i][j] for i in range(n)) for j in range(n)
-        )
-
-
-# ---------------------------------------------------------------------------
-# truncated series
-
-def _key(vec: tuple[int, ...], bits: int, per_root: tuple[int, ...]) -> int:
-    """The packed key of an integer vector in simple-root coordinates:
-    coordinate j in the field at bit ``bits * j`` and the vector's degree
-    above all of them.  Keys are linear in the vector, so while every
-    coordinate stays in ``[0, 2**bits)`` a step along a lattice vector is
-    one addition of that vector's key."""
-    key = sum(c << bits * j for j, c in enumerate(vec))
-    return key + (sum(map(operator.mul, per_root, vec)) << bits * len(vec))
-
-
-class TruncatedSeries:
-    """Windowed expansion of a cone series; see the module docstring.
-
-    The stored form is ``packed``: each term's multiplicity keyed by the
-    :func:`_key` of its offset ``mu - numerator_exponent``, in fields of
-    ``bits``.  A term's degree is the numerator's plus
-    ``key >> bits * rank``, and its offset height is the sum of its fields.
-    Fields are set once and ``packed`` is read-only, so a cached series
-    cannot be altered.
-    """
-
-    __slots__ = (
-        "system",
-        "grading",
-        "numerator_exponent",
-        "denominator",
-        "window",
-        "height_cutoff",
-        "bits",
-        "packed",
-    )
-
-    def __init__(
-        self,
-        system: RootSystem,
-        grading: Grading,
-        numerator_exponent: Weight,
-        denominator: tuple[Root, ...],
-        window: tuple[int, int],
-        height_cutoff: int,
-        bits: int,
-        packed: Mapping[int, int],
-    ):
-        if window[0] > window[1]:
-            raise ValueError(f"empty window {window}")
-        self.system = system
-        self.grading = grading
-        self.numerator_exponent = numerator_exponent
-        self.denominator = tuple(sorted(denominator))
-        self.window = window
-        self.height_cutoff = height_cutoff
-        self.bits = bits
-        self.packed = MappingProxyType(packed)
-
-    def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"TruncatedSeries.{name} is read-only")
-        object.__setattr__(self, name, value)
-
-    # -- bookkeeping helpers
-
-    def weight_of(self, offset: tuple[int, ...]) -> Weight:
-        return Weight(
-            b + sum(map(operator.mul, row, offset))
-            for b, row in zip(self.numerator_exponent, self.system.cartan)
-        )
-
-    def offset_of(self, w: Weight) -> tuple[int, ...] | None:
-        """The offset of ``w`` from the numerator exponent; None when the
-        difference is off the root lattice."""
-        return root_lattice_coords(self.system, w - self.numerator_exponent)
-
-    def _columns(self) -> list[list[int]]:
-        """The stored offsets unpacked, one list per simple root, in the
-        order of ``packed``."""
-        mask = (1 << self.bits) - 1
-        return [
-            [(key >> sh) & mask for key in self.packed]
-            for sh in range(0, self.bits * self.system.rank, self.bits)
-        ]
-
-    def _weight_columns(self, by_root: list[list[int]]) -> list[list[int]]:
-        """Weights of terms given by offset columns, a coordinate at a time
-        over all terms: coordinate i is the numerator's plus row i of the
-        Cartan matrix against the offsets."""
-        coords = []
-        for b, row in zip(self.numerator_exponent, self.system.cartan):
-            acc = itertools.repeat(b, len(by_root[0]))
-            for c, xs in zip(row, by_root):
-                # chained lazily; the off-diagonal entries of a Cartan
-                # matrix are mostly -1, which needs no product
-                if c == -1:
-                    acc = map(operator.sub, acc, xs)
-                elif c:
-                    scaled = map(operator.mul, xs, itertools.repeat(c))
-                    acc = map(operator.add, acc, scaled)
-            coords.append(list(acc))
-        return coords
-
-    def terms(self) -> dict[Weight, int]:
-        """The stored terms keyed by their weights."""
-        weights = map(Weight, zip(*self._weight_columns(self._columns())))
-        return dict(zip(weights, self.packed.values()))
-
-    def is_certified(self, w: Weight) -> bool:
-        """True when the stored multiplicity of ``w`` is exact: integral
-        offset of height at most the cutoff, degree inside the window."""
-        d = self.grading.degree(w)
-        if not self.window[0] <= d <= self.window[1]:
-            return False
-        off = self.offset_of(w)
-        if off is None:
-            return True  # off-lattice weights never occur: zero is exact
-        return sum(off) <= self.height_cutoff
-
-    def _key_of(self, offset: tuple[int, ...]) -> int | None:
-        """The packed key of an offset; None outside every field, where no
-        stored key can match."""
-        if min(offset) < 0 or max(offset) >> self.bits:
-            return None
-        return _key(offset, self.bits, self.grading.simple_root_degrees)
-
-    def multiplicity(self, w: Weight) -> int:
-        off = self.offset_of(w)
-        return 0 if off is None else self.packed.get(self._key_of(off), 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.system == other.system
-            and self.grading == other.grading
-            and self.window == other.window
-            and self.height_cutoff == other.height_cutoff
-            and self.terms() == other.terms()
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TruncatedSeries({len(self.packed)} terms, window {self.window}, "
-            f"H {self.height_cutoff})"
-        )
-
-
+# the cell series' default height cutoff (see ``schubert``); it stays here
+# because ``perfbench`` imports it from this module
 DEFAULT_HEIGHT_CUTOFF = 12

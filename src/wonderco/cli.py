@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Sequence, TextIO
 
 from .acceptance import DEFAULT_SEED, AcceptanceConfig, AcceptanceReport, run_acceptance
-from .charring import DEFAULT_HEIGHT_CUTOFF, Character, TruncationError
+from .charring import DEFAULT_HEIGHT_CUTOFF, Character
 from .gitgrass import (
     all_plucker_indices,
     coordinate_point,
@@ -84,20 +84,20 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated options shared by every subcommand."""
+    """Validated values of the flags that several subcommands read; None
+    where the flag is not given or the subcommand does not register it."""
 
     window: tuple[int, int] | None
-    height_cutoff: int
+    height_cutoff: int | None
     box_radius: int | None
     fmt: str
-    seed: int
 
     def __post_init__(self):
         if self.window is not None and self.window[0] > self.window[1]:
             raise InputError(
                 f"empty window {self.window[0]}:{self.window[1]}"
             )
-        if self.height_cutoff < 1:
+        if self.height_cutoff is not None and self.height_cutoff < 1:
             raise InputError("height cutoff must be at least 1")
         if self.box_radius is not None and self.box_radius < 0:
             raise InputError("box radius must be nonnegative")
@@ -400,15 +400,14 @@ def _git_module(cfg: RunConfig, out: TextIO) -> int:
 
 def _cmd_schubert(cfg: RunConfig, args, out: TextIO) -> int:
     cell, k = args.cell, args.k
+    cutoff = DEFAULT_HEIGHT_CUTOFF if cfg.height_cutoff is None else cfg.height_cutoff
     if cfg.window is not None:
         window = cfg.window
     elif cell == "F1":
         window = (k, k + 40)
     else:
         window = (k - 40, k)
-    lower, upper = unstable_character_bounds(
-        cell, k, window, cfg.height_cutoff
-    )
+    lower, upper = unstable_character_bounds(cell, k, window, cutoff)
     lower_dims = _degree_dimensions(lower)
     upper_dims = _degree_dimensions(upper)
     min_degree = min(upper_dims) if upper_dims else None
@@ -419,7 +418,7 @@ def _cmd_schubert(cfg: RunConfig, args, out: TextIO) -> int:
                 "cell": cell,
                 "k": k,
                 "window": list(window),
-                "height_cutoff": cfg.height_cutoff,
+                "height_cutoff": cutoff,
                 "min_degree": min_degree,
                 "max_degree": max_degree,
                 "degrees": [
@@ -434,7 +433,7 @@ def _cmd_schubert(cfg: RunConfig, args, out: TextIO) -> int:
         ("cell", cell),
         ("k", k),
         ("window", f"{window[0]}:{window[1]}"),
-        ("height-cutoff", cfg.height_cutoff),
+        ("height-cutoff", cutoff),
         ("min-degree", "-" if min_degree is None else min_degree),
         ("max-degree", "-" if max_degree is None else max_degree),
     ]
@@ -487,7 +486,7 @@ def _cmd_cohomology(cfg: RunConfig, args, out: TextIO) -> int:
     report = None
     if degree == 3:
         report = cross_validate_h3(
-            lam, cfg.window, cfg.box_radius, args.height_cutoff
+            lam, cfg.window, cfg.box_radius, cfg.height_cutoff
         )
         payload["cross_check"] = _cross_payload(report)
         if not report.certified:
@@ -533,11 +532,11 @@ def _report_payload(report: AcceptanceReport) -> dict:
 
 
 def _cmd_acceptance(cfg: RunConfig, args, out: TextIO) -> int:
-    kwargs: dict = {"seed": cfg.seed}
+    kwargs: dict = {"seed": args.seed}
     if cfg.window is not None:
         kwargs["window_width"] = cfg.window[1] - cfg.window[0]
-    if args.height_cutoff is not None:
-        kwargs["height_cutoff"] = args.height_cutoff
+    if cfg.height_cutoff is not None:
+        kwargs["height_cutoff"] = cfg.height_cutoff
     if cfg.box_radius is not None:
         kwargs["box_radius"] = cfg.box_radius
     if args.samples is not None:
@@ -563,7 +562,20 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# the flags that several subcommands read, each registered only on those
+_SHARED_FLAGS = {
+    "--window": dict(metavar="LO:HI", help="truncation window in scaling degrees"),
+    "--height-cutoff": dict(
+        metavar="H", type=int, help="denominator height cutoff for series expansions"
+    ),
+    "--box-radius": dict(
+        metavar="R", type=int, help="search box radius for the cohomology enumeration"
+    ),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Register ``--format`` and the named ``_SHARED_FLAGS`` on ``p``."""
     p.add_argument(
         "--format",
         dest="fmt",
@@ -571,32 +583,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default="tsv",
         help="output format (default: tsv)",
     )
-    p.add_argument(
-        "--window",
-        metavar="LO:HI",
-        default=None,
-        help="truncation window in scaling degrees",
-    )
-    p.add_argument(
-        "--height-cutoff",
-        metavar="H",
-        type=int,
-        default=None,
-        help="denominator height cutoff for series expansions",
-    )
-    p.add_argument(
-        "--box-radius",
-        metavar="R",
-        type=int,
-        default=None,
-        help="search box radius for the cohomology enumeration",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for sampled checks (default: %(default)s)",
-    )
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -672,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k", required=True, type=int, help="line bundle power"
     )
-    _add_common(p)
+    _add_common(p, "--window", "--height-cutoff")
     p.set_defaults(func=_cmd_schubert)
 
     p = sub.add_parser(
@@ -693,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="cohomological degree (0..8)",
     )
-    _add_common(p)
+    _add_common(p, "--window", "--height-cutoff", "--box-radius")
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser(
@@ -705,25 +693,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="number of sampled weights for the duality check",
     )
-    _add_common(p)
+    _add_common(p, "--window", "--height-cutoff", "--box-radius")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="seed for sampled checks (default: %(default)s)",
+    )
     p.set_defaults(func=_cmd_acceptance)
 
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    window = _parse_window(args.window) if args.window else None
-    cutoff = (
-        args.height_cutoff
-        if args.height_cutoff is not None
-        else DEFAULT_HEIGHT_CUTOFF
-    )
+    window = getattr(args, "window", None)
     return RunConfig(
-        window=window,
-        height_cutoff=cutoff,
-        box_radius=args.box_radius,
+        window=_parse_window(window) if window else None,
+        height_cutoff=getattr(args, "height_cutoff", None),
+        box_radius=getattr(args, "box_radius", None),
         fmt=args.fmt,
-        seed=args.seed,
     )
 
 
@@ -767,7 +755,7 @@ def main(
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return code if isinstance(code, int) else 0
-    except (BoxTooSmallError, TruncationError) as exc:
+    except BoxTooSmallError as exc:
         print(f"certification failure: {exc}", file=err)
         return EXIT_CERTIFICATION
     except (InputError, DiagramError, ValueError) as exc:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsys import Weight
+from .rootsys import Weight, _rref
 
 __all__ = [
     "PluckerIndex",
@@ -111,33 +111,6 @@ class SubspacePoint:
     spanning 3x6 matrix; construct via :func:`subspace_point`."""
 
     rows: tuple[tuple[Fraction, ...], ...]
-
-
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    mat = [row[:] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(pivot_row, nrows) if mat[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        lead = mat[pivot_row][col]
-        mat[pivot_row] = [x / lead for x in mat[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [
-                    x - factor * y for x, y in zip(mat[r], mat[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return mat[:pivot_row] + [
-        [Fraction(0)] * ncols for _ in range(nrows - pivot_row)
-    ]
 
 
 def _rank(rows) -> int:
@@ -258,6 +231,14 @@ class SheafDescriptor:
     n: int
 
 
+def _diagonal_coords(lam: Weight) -> tuple[int, int]:
+    """(f1, f2) of a block-diagonal weight (f1, f2, f1, f2)."""
+    f = lam.coords
+    if len(f) != 4 or (f[0], f[1]) != (f[2], f[3]):
+        raise ValueError(f"weight {f} is not block-diagonal (f1,f2,f1,f2)")
+    return f[0], f[1]
+
+
 def sheaf_correspondence(lam: Weight) -> SheafDescriptor:
     """Translate a block-diagonal weight (f1, f2, f1, f2) to (k, n).
 
@@ -265,9 +246,5 @@ def sheaf_correspondence(lam: Weight) -> SheafDescriptor:
     the doubled restricted roots (2,-1,2,-1) and (-1,2,-1,2) map to
     (1,-3) and (1,3).
     """
-    f1, f2, f3, f4 = lam.coords
-    if (f1, f2) != (f3, f4):
-        raise ValueError(
-            f"weight {lam.coords} is not block-diagonal (f1,f2,f1,f2)"
-        )
+    f1, f2 = _diagonal_coords(lam)
     return SheafDescriptor(lam, f1 + f2, f2 - f1)

@@ -305,28 +305,47 @@ def root_to_weight(system: RootSystem, root: Root) -> Weight:
     return Weight(sum(map(mul, row, root)) for row in system.cartan)
 
 
+def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact reduced row-echelon form, zero rows last."""
+    mat = [row[:] for row in rows]
+    nrows, ncols = len(mat), len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(pivot_row, nrows) if mat[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
+        lead = mat[pivot_row][col]
+        mat[pivot_row] = [x / lead for x in mat[pivot_row]]
+        for r in range(nrows):
+            if r != pivot_row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [
+                    x - factor * y for x, y in zip(mat[r], mat[pivot_row])
+                ]
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return mat[:pivot_row] + [
+        [Fraction(0)] * ncols for _ in range(nrows - pivot_row)
+    ]
+
+
 @lru_cache(maxsize=None)
 def _cartan_inverse(
     system: RootSystem,
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The inverse Cartan matrix as integer rows over one common
     denominator: the least common denominator of its entries, which
-    divides the Cartan determinant."""
+    divides the Cartan determinant.  The inverse is the right half of
+    the reduced form of ``[C | I]``."""
     n = system.rank
-    aug = [
-        [Fraction(system.cartan[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    aug = _rref([
+        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(system.cartan)
+    ])
     inverse = [row[n:] for row in aug]
     den = math.lcm(*(x.denominator for row in inverse for x in row))
     return tuple(tuple(int(x * den) for x in row) for row in inverse), den

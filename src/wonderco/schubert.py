@@ -13,21 +13,28 @@ character as a truncated series graded by the scaling cocharacter (twice
 the middle fundamental coweight), and derives per-weight character bounds
 for the two unstable strata of the split-block scaling action: the first
 stratum is a cell closure, the second is its image under the block swap.
+
+A :class:`TruncatedSeries` holds such a character expanded over the cone
+``numerator + N . J``.  Two truncation axes keep it finite: a window of
+scaling degrees, and a cutoff on the height of the offset from the
+numerator.  Within the window, multiplicities of weights whose offset
+height is at most the cutoff are exact; beyond it they are lower bounds.
+Each term is stored as one packed integer key of its offset, a bit field
+per simple root with the offset's degree on top, so degree and height are
+read off the fields.  Only :func:`kempf_character` builds series, and
+:func:`_stratum_bounds` is the one place two of them are compared.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
-from .charring import (
-    DEFAULT_HEIGHT_CUTOFF,
-    Character,
-    Grading,
-    TruncatedSeries,
-    _key,
-)
+from .charring import DEFAULT_HEIGHT_CUTOFF, Character
 from .rootsys import (
     Root,
     Weight,
@@ -44,6 +51,8 @@ __all__ = [
     "GRASS_SYSTEM",
     "LEVI",
     "CSTAR_GRADING",
+    "Grading",
+    "TruncatedSeries",
     "SchubertCell",
     "InversionData",
     "enumerate_cells",
@@ -64,10 +73,6 @@ GRASS_SYSTEM = build_root_system("A5")
 
 # simple roots of the parabolic's Levi factor: everything but the middle node
 LEVI = frozenset({1, 2, 4, 5})
-
-# the scaling cocharacter (twice the middle fundamental coweight) evaluated
-# on the fundamental weights
-CSTAR_GRADING = Grading(GRASS_SYSTEM, (1, 2, 3, 2, 1))
 
 _DIM = 9
 
@@ -241,6 +246,168 @@ def _numerator(w: WeylElement, k: int) -> Weight:
     return num
 
 
+# ---------------------------------------------------------------------------
+# truncated series
+
+@dataclass(frozen=True)
+class Grading:
+    """An integer grading cocharacter of ``GRASS_SYSTEM``, recorded by its
+    values on the fundamental weights."""
+
+    values: tuple[int, ...]
+
+    def degree(self, w: Weight) -> int:
+        return sum(map(operator.mul, self.values, w))
+
+    @cached_property
+    def simple_root_degrees(self) -> tuple[int, ...]:
+        """Degree of each simple root; root degrees are linear in these."""
+        c = GRASS_SYSTEM.cartan
+        n = GRASS_SYSTEM.rank
+        return tuple(
+            sum(self.values[i] * c[i][j] for i in range(n)) for j in range(n)
+        )
+
+
+# the scaling cocharacter (twice the middle fundamental coweight) evaluated
+# on the fundamental weights
+CSTAR_GRADING = Grading((1, 2, 3, 2, 1))
+
+
+def _key(vec: tuple[int, ...], bits: int) -> int:
+    """The packed key of an integer vector in simple-root coordinates:
+    coordinate j in the field at bit ``bits * j`` and the vector's degree
+    above all of them.  Keys are linear in the vector, so while every
+    coordinate stays in ``[0, 2**bits)`` a step along a lattice vector is
+    one addition of that vector's key."""
+    key = sum(c << bits * j for j, c in enumerate(vec))
+    per_root = CSTAR_GRADING.simple_root_degrees
+    return key + (sum(map(operator.mul, per_root, vec)) << bits * len(vec))
+
+
+class TruncatedSeries:
+    """Windowed expansion of a cell character; see the module docstring.
+
+    The stored form is ``packed``: each term's multiplicity keyed by the
+    :func:`_key` of its offset ``mu - numerator_exponent``, in fields of
+    ``bits``.  A term's degree is the numerator's plus
+    ``key >> bits * rank``, and its offset height is the sum of its fields.
+    Fields are set once and ``packed`` is read-only, so a cached series
+    cannot be altered.
+    """
+
+    __slots__ = (
+        "numerator_exponent",
+        "denominator",
+        "window",
+        "height_cutoff",
+        "bits",
+        "packed",
+    )
+
+    def __init__(
+        self,
+        numerator_exponent: Weight,
+        denominator: tuple[Root, ...],
+        window: tuple[int, int],
+        height_cutoff: int,
+        bits: int,
+        packed: Mapping[int, int],
+    ):
+        self.numerator_exponent = numerator_exponent
+        self.denominator = tuple(sorted(denominator))
+        self.window = window
+        self.height_cutoff = height_cutoff
+        self.bits = bits
+        self.packed = MappingProxyType(packed)
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"TruncatedSeries.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    # -- bookkeeping helpers
+
+    def weight_of(self, offset: tuple[int, ...]) -> Weight:
+        return Weight(
+            b + sum(map(operator.mul, row, offset))
+            for b, row in zip(self.numerator_exponent, GRASS_SYSTEM.cartan)
+        )
+
+    def offset_of(self, w: Weight) -> tuple[int, ...] | None:
+        """The offset of ``w`` from the numerator exponent; None when the
+        difference is off the root lattice."""
+        return root_lattice_coords(GRASS_SYSTEM, w - self.numerator_exponent)
+
+    def _columns(self) -> list[list[int]]:
+        """The stored offsets unpacked, one list per simple root, in the
+        order of ``packed``."""
+        mask = (1 << self.bits) - 1
+        return [
+            [(key >> sh) & mask for key in self.packed]
+            for sh in range(0, self.bits * GRASS_SYSTEM.rank, self.bits)
+        ]
+
+    def _weight_columns(self, by_root: list[list[int]]) -> list[list[int]]:
+        """Weights of terms given by offset columns, a coordinate at a time
+        over all terms: coordinate i is the numerator's plus row i of the
+        Cartan matrix against the offsets."""
+        coords = []
+        for b, row in zip(self.numerator_exponent, GRASS_SYSTEM.cartan):
+            acc = itertools.repeat(b, len(by_root[0]))
+            for c, xs in zip(row, by_root):
+                # chained lazily; the off-diagonal entries of a Cartan
+                # matrix are mostly -1, which needs no product
+                if c == -1:
+                    acc = map(operator.sub, acc, xs)
+                elif c:
+                    scaled = map(operator.mul, xs, itertools.repeat(c))
+                    acc = map(operator.add, acc, scaled)
+            coords.append(list(acc))
+        return coords
+
+    def terms(self) -> dict[Weight, int]:
+        """The stored terms keyed by their weights."""
+        weights = map(Weight, zip(*self._weight_columns(self._columns())))
+        return dict(zip(weights, self.packed.values()))
+
+    def is_certified(self, w: Weight) -> bool:
+        """True when the stored multiplicity of ``w`` is exact: integral
+        offset of height at most the cutoff, degree inside the window."""
+        d = CSTAR_GRADING.degree(w)
+        if not self.window[0] <= d <= self.window[1]:
+            return False
+        off = self.offset_of(w)
+        if off is None:
+            return True  # off-lattice weights never occur: zero is exact
+        return sum(off) <= self.height_cutoff
+
+    def _key_of(self, offset: tuple[int, ...]) -> int | None:
+        """The packed key of an offset; None outside every field, where no
+        stored key can match."""
+        if min(offset) < 0 or max(offset) >> self.bits:
+            return None
+        return _key(offset, self.bits)
+
+    def multiplicity(self, w: Weight) -> int:
+        off = self.offset_of(w)
+        return 0 if off is None else self.packed.get(self._key_of(off), 0)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TruncatedSeries)
+            and self.window == other.window
+            and self.height_cutoff == other.height_cutoff
+            and self.terms() == other.terms()
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"TruncatedSeries({len(self.packed)} terms, window {self.window}, "
+            f"H {self.height_cutoff})"
+        )
+
+
 def _cone_keys(
     roots: tuple[Root, ...], base: int, window: tuple[int, int], cutoff: int
 ) -> tuple[int, dict[int, int]]:
@@ -272,7 +439,7 @@ def _cone_keys(
             # no cell's J set has such a root: an internal invariant
             raise AssertionError("negative-degree denominator root in a product")
         ht = sum(beta)
-        step = _key(beta, bits, per_root)
+        step = _key(beta, bits)
         for h in range(cutoff - ht + 1):
             dst = by_height[h + ht]
             for key, m in by_height[h].items():
@@ -308,9 +475,7 @@ def kempf_character(
     num = _numerator(w, k)
     roots = kl_sets(w).J
     bits, keys = _cone_keys(roots, CSTAR_GRADING.degree(num), window, height_cutoff)
-    return TruncatedSeries(
-        GRASS_SYSTEM, CSTAR_GRADING, num, roots, window, height_cutoff, bits, keys,
-    )
+    return TruncatedSeries(num, roots, window, height_cutoff, bits, keys)
 
 
 def _swap_blocks(cols: list) -> list:
@@ -367,7 +532,7 @@ def _stratum_bounds(
             raise AssertionError("boundary numerator off the open cell's lattice coset")
         if min(series.packed.values(), default=1) <= 0:
             raise AssertionError("nonpositive boundary multiplicity")
-        delta = _key(s, top.bits, CSTAR_GRADING.simple_root_degrees)
+        delta = _key(s, top.bits)
         shifted = [key - delta for key in top.packed]
         for col, sj in zip(cols, s):
             if sj:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charring import Character, TruncatedSeries, weyl_character
-from .gitgrass import sheaf_correspondence
+from .charring import Character, weyl_character
+from .gitgrass import _diagonal_coords, sheaf_correspondence
 from .rootsys import (
     RootSystem,
     Weight,
@@ -34,6 +34,7 @@ from .satake import catalog_diagram, restricted_system
 from .schubert import (
     GRASS_SYSTEM,
     SchubertCell,
+    TruncatedSeries,
     _numerator,
     _stratum_bounds,
     _stratum_weights,
@@ -103,13 +104,6 @@ def spherical_data() -> SphericalData:
 
 # ---------------------------------------------------------------------------
 # the block-diagonal lattice
-
-
-def _diagonal_coords(lam: Weight) -> tuple[int, int]:
-    f = lam.coords
-    if len(f) != 4 or (f[0], f[1]) != (f[2], f[3]):
-        raise ValueError(f"weight {f} is not block-diagonal (f1,f2,f1,f2)")
-    return f[0], f[1]
 
 
 def spanning_weight(a1: int, a2: int, b1: int, b2: int) -> Weight:

@@ -1,4 +1,4 @@
-"""Tests for character arithmetic and gradings."""
+"""Tests for character arithmetic."""
 
 import itertools
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 
 from wonderco.charring import (
     Character,
-    Grading,
     weyl_character,
     weyl_dimension,
 )
@@ -31,9 +30,6 @@ A2xA2 = build_root_system("A2xA2")
 B2xA1 = build_root_system("B2xA1")
 A1xG2 = build_root_system("A1xG2")
 A1xA1xA1 = build_root_system("A1xA1xA1")
-A5 = build_root_system("A", 5)
-
-KEMPF_GRADING = Grading(A5, (1, 2, 3, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +214,3 @@ class TestWeylCharacter:
         ch = weyl_character(A2, lam)
         assert negated(ch) == weyl_character(A2, Weight((0, 2))).terms
 
-
-# ---------------------------------------------------------------------------
-# gradings
-
-class TestGrading:
-    def test_degree_values(self):
-        g = KEMPF_GRADING
-        assert g.degree(Weight((0, 0, 1, 0, 0))) == 3
-        assert g.degree(Weight((1, 0, 0, 0, 0))) == 1
-        assert g.degree(Weight((-1, 0, 1, 0, -1))) == 1
-
-    def test_root_degrees_count_middle_node(self):
-        g = KEMPF_GRADING
-        for r in A5.positive_roots:
-            degree = sum(d * c for d, c in zip(g.simple_root_degrees, r.coords))
-            assert degree == 2 * r.coords[2]

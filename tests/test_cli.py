@@ -13,7 +13,6 @@ import pytest
 import wonderco
 from wonderco import schubert
 from wonderco.acceptance import AcceptanceConfig, AcceptanceReport, CriterionResult
-from wonderco.charring import TruncatedSeries
 from wonderco.cli import (
     EXIT_CERTIFICATION,
     EXIT_INPUT,
@@ -30,6 +29,7 @@ from wonderco.cli import (
     main,
 )
 from wonderco.rootsys import Weight
+from wonderco.schubert import TruncatedSeries
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -240,8 +240,7 @@ class TestSchubert:
                 return s
             num, packed = alter(s)
             return TruncatedSeries(
-                s.system, s.grading, num, s.denominator, s.window,
-                s.height_cutoff, s.bits, packed,
+                num, s.denominator, s.window, s.height_cutoff, s.bits, packed,
             )
 
         monkeypatch.setattr(schubert, "kempf_character", altered_boundary)
@@ -403,6 +402,20 @@ class TestPlumbing:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate")[0] == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("satake", "--seed", "1"),
+            ("schubert", "kempf", "--cell", "F1", "--k", "0", "--box-radius", "2"),
+        ],
+        ids=["satake-seed", "schubert-box-radius"],
+    )
+    def test_flag_the_subcommand_does_not_read(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     def test_internal_guard_is_its_own_failure_class(self, monkeypatch):
         def broken_guard(*args, **kwargs):
             raise AssertionError("the doubled diagram must restrict to rank two")
@@ -444,13 +457,13 @@ class TestPlumbing:
 
     def test_config_validation(self):
         with pytest.raises(InputError):
-            RunConfig((5, 1), 12, None, "tsv", 0)
+            RunConfig((5, 1), 12, None, "tsv")
         with pytest.raises(InputError):
-            RunConfig(None, 0, None, "tsv", 0)
+            RunConfig(None, 0, None, "tsv")
         with pytest.raises(InputError):
-            RunConfig(None, 12, -1, "tsv", 0)
+            RunConfig(None, 12, -1, "tsv")
         with pytest.raises(InputError):
-            RunConfig(None, 12, None, "xml", 0)
+            RunConfig(None, 12, None, "xml")
 
 
 class TestDeterminism:

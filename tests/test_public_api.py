@@ -63,6 +63,7 @@ def test_character_kernel_imports_no_fractions(name):
 # exports that no code of the package calls, each with why it stays
 UNCALLED_EXPORTS = {
     "charring.weyl_dimension": "dimension oracle the character tests check against",
+    "charring.TruncationError": "raised nowhere in the package; perfbench/worker.py imports it",
     "gitgrass.torus_weight": "checks decompose_module's table of summands",
     "gitgrass.block_swap": "geometric check behind schubert.swap_blocks_weight",
     "schubert.cousin_terms": "groups closure-cell series by depth for ROADMAP item 1",

@@ -385,6 +385,20 @@ class TestCellExponent:
                 assert CSTAR_GRADING.degree(num) == k + 8
 
 
+class TestGrading:
+    def test_degree_values(self):
+        g = CSTAR_GRADING
+        assert g.degree(Weight((0, 0, 1, 0, 0))) == 3
+        assert g.degree(Weight((1, 0, 0, 0, 0))) == 1
+        assert g.degree(Weight((-1, 0, 1, 0, -1))) == 1
+
+    def test_root_degrees_count_middle_node(self):
+        g = CSTAR_GRADING
+        for r in GRASS_SYSTEM.positive_roots:
+            degree = sum(d * c for d, c in zip(g.simple_root_degrees, r.coords))
+            assert degree == 2 * r.coords[2]
+
+
 class TestKempfSeries:
     def test_min_degree(self):
         for k in range(0, 5):
