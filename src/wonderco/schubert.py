@@ -21,8 +21,11 @@ numerator.  Within the window, multiplicities of weights whose offset
 height is at most the cutoff are exact; beyond it they are lower bounds.
 Each term is stored as one packed integer key of its offset, a bit field
 per simple root with the offset's degree on top, so degree and height are
-read off the fields.  Only :func:`kempf_character` builds series, and
-:func:`_stratum_bounds` is the one place two of them are compared.
+read off the fields.  Only :func:`kempf_character` builds series, through
+the one fold of :func:`_cone_keys`: positive-degree roots first, then the
+terms below the window dropped, then the degree-0 roots, which leave every
+degree as it is.  :func:`_stratum_bounds` is the one place two series are
+compared.
 """
 
 from __future__ import annotations
@@ -416,28 +419,33 @@ def _cone_keys(
 
     A term at offset o has degree ``base`` plus the grading of o.  The roots
     are folded in one at a time with the running sum T(o) = S(o) + T(o -
-    beta), visiting terms by increasing height, and a term is extended only
+    beta), visiting terms by increasing height; a term is extended only
     while its height stays within the cutoff and its degree at most the
-    window top.  Every root has a nonnegative degree and a positive height,
-    so a term dropped on the way can never come back: the kept terms are
-    exactly those of the full cone with height at most the cutoff and degree
-    inside the window.  No coordinate exceeds the cutoff, which sets the
-    field width, and the degree field sits on top, so a step along a root
-    is a single addition and the window is a range of keys.
+    window top.  Roots of positive degree go first, then those of degree 0,
+    tallest first in each class.  After the last positive-degree root every
+    term's degree is final, so the terms below the window floor are dropped
+    there.  No root has negative degree and every root positive height, so
+    a dropped term never comes back and a kept term is reached only through
+    kept ones: in any root order, the result is exactly the full cone's
+    terms with height at most the cutoff and degree inside the window.  No
+    coordinate exceeds the cutoff, which sets the field width, and the
+    degree field sits on top, so a step along a root is a single addition
+    and the window is a range of keys.
     """
     lo, hi = window
+    per_root = CSTAR_GRADING.simple_root_degrees
+    degrees = [sum(map(operator.mul, per_root, beta)) for beta in roots]
+    if any(d < 0 for d in degrees):
+        # no cell's J set has such a root: an internal invariant
+        raise AssertionError("negative-degree denominator root in a product")
     bits = max(1, cutoff.bit_length())
     if base > hi or cutoff < 0:
         return bits, {}
     deg_shift = bits * GRASS_SYSTEM.rank
     limit = (hi - base + 1) << deg_shift
-    per_root = CSTAR_GRADING.simple_root_degrees
-    by_height: list[dict[int, int]] = [{} for _ in range(cutoff + 1)]
-    by_height[0][0] = 1
-    for beta in roots:
-        if sum(map(operator.mul, per_root, beta)) < 0:
-            # no cell's J set has such a root: an internal invariant
-            raise AssertionError("negative-degree denominator root in a product")
+    floor = (lo - base) << deg_shift
+
+    def fold(beta: Root) -> None:
         ht = sum(beta)
         step = _key(beta, bits)
         for h in range(cutoff - ht + 1):
@@ -446,13 +454,20 @@ def _cone_keys(
                 key += step
                 if key < limit:
                     dst[key] = dst.get(key, 0) + m
-    floor = (lo - base) << deg_shift
-    return bits, {
-        key: m
-        for terms in by_height
-        for key, m in terms.items()
-        if key >= floor
-    }
+
+    by_height: list[dict[int, int]] = [{} for _ in range(cutoff + 1)]
+    by_height[0][0] = 1
+    tallest_first = sorted(zip(degrees, roots), key=lambda dr: -sum(dr[1]))
+    for d, beta in tallest_first:
+        if d:
+            fold(beta)
+    if floor > 0:
+        # only degree-0 roots remain: every term's degree is final
+        by_height = [{x: m for x, m in t.items() if x >= floor} for t in by_height]
+    for d, beta in tallest_first:
+        if not d:
+            fold(beta)
+    return bits, {key: m for terms in by_height for key, m in terms.items()}
 
 
 @lru_cache(maxsize=512)

@@ -380,16 +380,16 @@ def _binding_cell(k: int) -> SchubertCell:
 
 
 def _auto_height_cutoff(
-    k: int, probes: set[Weight], f1_open: bool, f2_open: bool
+    binding: Weight, probes: set[Weight], f1_open: bool, f2_open: bool
 ) -> int:
     """Height cutoff large enough to certify the probe weights.
 
     Certification must hold in every covering-cell series, so the cutoff
     must reach each integral probe's largest offset height over the three
-    numerators.  That largest height is the one over the binding cell's
-    numerator (see ``_binding_cell``), so each probe is solved once.  The
-    mirror stratum reduces to the first at the same level with swapped
-    probes.
+    numerators.  That largest height is the one over ``binding``, the
+    binding cell's numerator (``_binding_cell``), so each probe is solved
+    once.  The mirror stratum reduces to the first at the same level with
+    swapped probes.
     """
     targets: set[Weight] = set()
     if f1_open:
@@ -397,9 +397,8 @@ def _auto_height_cutoff(
     if f2_open:
         targets |= {swap_blocks_weight(nu) for nu in probes}
     cutoff = _DEFAULT_CROSS_CUTOFF
-    num = _numerator(_binding_cell(k).w, k)
     for probe in targets:
-        off = root_lattice_coords(GRASS_SYSTEM, probe - num)
+        off = root_lattice_coords(GRASS_SYSTEM, probe - binding)
         if off is not None:
             cutoff = max(cutoff, sum(off))
     return cutoff
@@ -483,8 +482,9 @@ def cross_validate_h3(
             continue
         needed[nu] = h3.terms[omega]
 
+    binding = _numerator(_binding_cell(k).w, k)
     cutoff = (
-        _auto_height_cutoff(k, set(needed), f1_open, f2_open)
+        _auto_height_cutoff(binding, set(needed), f1_open, f2_open)
         if height_cutoff is None
         else height_cutoff
     )
@@ -492,7 +492,6 @@ def cross_validate_h3(
     # per open stratum: the open-cell series, the certified height limit
     # and (lower, upper, certified) on the terms with a positive lower bound
     strata: dict[str, tuple[TruncatedSeries, int, dict]] = {}
-    binding = _numerator(_binding_cell(k).w, k)
     for comp, is_open in (("F1", f1_open), ("F2", f2_open)):
         if not is_open:
             continue

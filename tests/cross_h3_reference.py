@@ -12,6 +12,7 @@ the two share the bounds subtraction but not the comparison.
 
 from wonderco.gitgrass import sheaf_correspondence
 from wonderco.schubert import (
+    _numerator,
     covering_cells,
     kempf_character,
     swap_blocks_weight,
@@ -21,6 +22,7 @@ from wonderco.wondercoh import (
     CrossCheckReport,
     _ambient_weight,
     _auto_height_cutoff,
+    _binding_cell,
     _component_label,
     h_character,
 )
@@ -53,7 +55,9 @@ def reference_cross_h3(lam, window=None, height_cutoff=None):
             continue
         needed[nu] = h3.terms[omega]
     cutoff = (
-        _auto_height_cutoff(k, set(needed), f1_open, f2_open)
+        _auto_height_cutoff(
+            _numerator(_binding_cell(k).w, k), set(needed), f1_open, f2_open
+        )
         if height_cutoff is None
         else height_cutoff
     )

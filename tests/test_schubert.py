@@ -1,6 +1,7 @@
 """Tests for the Grassmannian cell and character-series machinery."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -462,6 +463,29 @@ class TestKempfSeries:
         s = kempf_character(f1_cell().w, 2, (2, 16))
         degrees = {CSTAR_GRADING.degree(w) for w in s.terms()}
         assert degrees and min(degrees) > 9
+
+    def test_cone_ignores_root_order(self):
+        # the fold sorts its roots itself, so every order of a cell's J set
+        # gives the same terms, on windows whose floor sits at the
+        # numerator degree, above it, and on a single grade
+        rng = random.Random(18)
+        base, cutoff = 3, 9
+        windows = [(base, base + 8), (base + 2, base + 8), (base + 4, base + 8)]
+        windows.append((base + 4, base + 4))
+        for cell in enumerate_cells():
+            roots = kl_sets(cell.w).J
+            for lo, hi in windows:
+                bits, want = _cone_keys(roots, base, (lo, hi), cutoff)
+                shift = bits * GRASS_SYSTEM.rank
+                assert all(lo <= base + (x >> shift) <= hi for x in want)
+                for _ in range(3):
+                    shuffled = rng.sample(roots, len(roots))
+                    got = _cone_keys(tuple(shuffled), base, (lo, hi), cutoff)
+                    assert got == (bits, want), (cell.fixed_point, (lo, hi))
+
+    def test_cone_without_roots(self):
+        for window, want in (((2, 5), {0: 1}), ((3, 5), {}), ((0, 1), {})):
+            assert _cone_keys((), 2, window, 6) == (3, want)
 
     def test_rejects_negative_degree_root(self):
         # no cell denominator has one; the guard keeps the expansion from

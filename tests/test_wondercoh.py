@@ -609,6 +609,7 @@ class TestBindingCertification:
                     (True, False, reach),
                     (False, True, ambient),
                 ):
-                    got = _auto_height_cutoff(k, targets, f1_open, f2_open)
+                    num = _numerator(_binding_cell(k).w, k)
+                    got = _auto_height_cutoff(num, targets, f1_open, f2_open)
                     want = every_numerator_cutoff(k, targets, f1_open, f2_open)
                     assert got == want, (k, window, f1_open, f2_open)
