@@ -27,7 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, TextIO
 
-from .charring import weyl_character
+from .charring import DEFAULT_HEIGHT_CUTOFF, weyl_character
 from .gitgrass import decompose_module, fixed_points, unstable_component
 from .opcrit import abstract_sweep, joint_solution_set, series_matrices
 from .rootsys import (
@@ -126,7 +126,7 @@ class AcceptanceConfig:
 
     seed: int = DEFAULT_SEED
     window_width: int = 40
-    height_cutoff: int = 12
+    height_cutoff: int = DEFAULT_HEIGHT_CUTOFF
     box_radius: int = 5
     sample_count: int = 50
 

@@ -515,17 +515,12 @@ def swap_blocks_weight(mu: Weight) -> Weight:
 
 
 def _stratum_bounds(
-    component: str, k: int, window: tuple[int, int], height_cutoff: int
+    k: int, window: tuple[int, int], height_cutoff: int
 ) -> tuple[TruncatedSeries, list[list[int]], list[int]]:
-    """The first stratum's open-cell series behind ``component``'s bounds,
-    its offset columns (``TruncatedSeries._columns``) and each term's lower
-    bound, all in the order of ``packed``; the upper bound is the term's
-    multiplicity.  See :func:`unstable_character_bounds`."""
-    lo, hi = window
-    if component == "F2":
-        k, window = -k, (-hi, -lo)
-    elif component != "F1":
-        raise ValueError(f"unknown component {component!r}")
+    """The first stratum's bounds at level ``k``: its open cell's series,
+    that series' offset columns (``TruncatedSeries._columns``) and each
+    term's lower bound, all in the order of ``packed``; the upper bound is
+    the term's multiplicity.  See :func:`unstable_character_bounds`."""
     # every stored term survives the height and degree pruning, so the
     # read-off is exact on its support
     top, *boundary = (
@@ -579,13 +574,17 @@ def unstable_character_bounds(
 
     The upper bound is the character of the covering cell closure; the
     lower bound subtracts the two boundary-cell characters and floors at
-    zero.  The second stratum is handled through the block swap: its
-    character at parameter k is the swapped image of the first stratum's
-    at -k, so the window reverses.  Bounds are exact zero below the first
-    stratum's degree floor and above the second's ceiling; elsewhere they
-    are valid on weights within the height cutoff.
+    zero.  The second stratum is the block swap's image of the first: its
+    character at parameter k on ``window`` is the swapped first-stratum
+    character at -k on the reversed window.  Bounds are exact zero below
+    the first stratum's degree floor and above the second's ceiling;
+    elsewhere they are valid on weights within the height cutoff.
     """
-    top, cols, lower = _stratum_bounds(component, k, window, height_cutoff)
+    if component == "F2":
+        k, window = -k, (-window[1], -window[0])
+    elif component != "F1":
+        raise ValueError(f"unknown component {component!r}")
+    top, cols, lower = _stratum_bounds(k, window, height_cutoff)
     weights = _stratum_weights(component, top, cols)
     return (
         Character((w, m) for w, m in zip(weights, lower) if m > 0),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charring import Character, weyl_character
+from .charring import DEFAULT_HEIGHT_CUTOFF, Character, weyl_character
 from .gitgrass import _diagonal_coords, sheaf_correspondence
 from .rootsys import (
     RootSystem,
@@ -33,7 +33,6 @@ from .rootsys import (
 from .satake import catalog_diagram, restricted_system
 from .schubert import (
     GRASS_SYSTEM,
-    SchubertCell,
     TruncatedSeries,
     _numerator,
     _stratum_bounds,
@@ -54,9 +53,6 @@ __all__ = [
     "tchoudjem_components",
     "vanishing_profile",
 ]
-
-_DEFAULT_CROSS_CUTOFF = 12
-
 
 class BoxTooSmallError(ValueError):
     """The search region cannot certify a complete enumeration."""
@@ -357,51 +353,22 @@ def _ambient_weight(omega: Weight, n: int) -> Weight | None:
     return Weight((f1, f2, rem // 3, f4, f5))
 
 
-def _binding_cell(k: int) -> SchubertCell:
-    """The covering cell whose series binds certification at level ``k``.
+def _slack(k: int) -> int:
+    """Least offset height of a covering-cell numerator over the open
+    cell's at level ``k``, the open cell counting as 0.
 
-    The three covering-cell numerators differ by root-lattice vectors, so
-    a probe's offset height in each series is its height over the open
-    cell's numerator minus that numerator difference's height.  The series
-    share one window and one cutoff, so the cell whose numerator has the
-    least height over the open cell's gives the largest offset heights:
-    a probe it certifies is certified by all three.
+    The three numerators differ by root-lattice vectors, so a weight's
+    offset height in a boundary series is its height over the open cell's
+    numerator less that vector's height.  The series share one window and
+    one cutoff, so a weight is certified in all three exactly when its
+    height over the open cell's numerator is at most the cutoff plus this
+    slack.
     """
-    cells = covering_cells()
-    num_top = _numerator(cells[0].w, k)
-
-    def height(cell) -> int:
-        diff = root_lattice_coords(GRASS_SYSTEM, _numerator(cell.w, k) - num_top)
-        if diff is None:
-            raise AssertionError("covering-cell numerators off one lattice coset")
-        return sum(diff)
-
-    return min(cells, key=height)
-
-
-def _auto_height_cutoff(
-    binding: Weight, probes: set[Weight], f1_open: bool, f2_open: bool
-) -> int:
-    """Height cutoff large enough to certify the probe weights.
-
-    Certification must hold in every covering-cell series, so the cutoff
-    must reach each integral probe's largest offset height over the three
-    numerators.  That largest height is the one over ``binding``, the
-    binding cell's numerator (``_binding_cell``), so each probe is solved
-    once.  The mirror stratum reduces to the first at the same level with
-    swapped probes.
-    """
-    targets: set[Weight] = set()
-    if f1_open:
-        targets |= probes
-    if f2_open:
-        targets |= {swap_blocks_weight(nu) for nu in probes}
-    cutoff = _DEFAULT_CROSS_CUTOFF
-    for probe in targets:
-        off = root_lattice_coords(GRASS_SYSTEM, probe - binding)
-        if off is not None:
-            cutoff = max(cutoff, sum(off))
-    return cutoff
+    top, *boundary = (_numerator(cell.w, k) for cell in covering_cells())
+    diffs = [root_lattice_coords(GRASS_SYSTEM, num - top) for num in boundary]
+    if None in diffs:
+        raise AssertionError("covering-cell numerators off one lattice coset")
+    return min(0, *map(sum, diffs))
 
 
 def cross_validate_h3(
@@ -415,27 +382,28 @@ def cross_validate_h3(
     The sheaf dictionary maps the bundle weight to a level k and scaling
     grade n; the degree-3 group equals the grade-n slice of the degree-4
     local cohomology along the unstable strata.  The first stratum
-    reaches grades at or above k+8.  The mirror stratum is the swapped
+    reaches grades at or above k+8; the mirror stratum is the swapped
     image of the first at the same level, so it reaches grades at or
-    below -k-8; the bounds helper parameterizes the mirror through a
-    level flip, hence it is queried at level -k.  Every comparison weight
-    must be certified by all three covering-cell series, and failures are
-    reported rather than passed.  The three series share one window and
-    one cutoff, and their numerators differ by root-lattice vectors, so a
-    weight's offset heights differ by constants and are largest over the
-    binding cell's numerator (``_binding_cell``).  The comparison reads the
-    open cell's packed series (``schubert._stratum_bounds``): a term is
-    certified when its offset height, the sum of its columns, is at most
-    the cutoff plus the height of the binding numerator over the open
-    cell's, one lattice solve per stratum.  Formula weights are looked up
-    by key, and only terms with a positive lower bound become weights.
+    below -k-8.  Both are read in the first stratum's frame: the bounds
+    at level k on grade (n, n), or (-n, -n) with the weights swapped for
+    the mirror (``schubert._stratum_bounds``).
+
+    Every comparison weight must be certified by all three covering-cell
+    series, and failures are reported rather than passed.  A weight is
+    certified exactly when its offset height over the open cell's
+    numerator is at most the cutoff plus the level's slack (``_slack``),
+    the same limit on both strata.  Each ambient weight is solved against
+    the open cell's numerator once per stratum; the auto cutoff is the
+    least one, and at least the default, that certifies every formula
+    weight.  Terms of the open cell's packed series are certified by the
+    sum of their offset columns, and only terms with a positive lower
+    bound become weights.
 
     Only grade n is compared, so the bounds are asked on the single-grade
-    window (n, n), or (-n, -n) for the mirror, whatever ``window`` is.
-    This is exact: the cone pruning keeps every term of degree n whenever
-    the window contains n, and every probe has degree n (-n after the
-    swap).  ``window`` only decides whether grade n is covered at all, and
-    is reported.
+    window whatever ``window`` is.  This is exact: the cone pruning keeps
+    every term of degree n whenever the window contains n, and every
+    formula weight has degree n (-n after the swap).  ``window`` only
+    decides whether grade n is covered at all, and is reported.
     """
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
@@ -482,38 +450,46 @@ def cross_validate_h3(
             continue
         needed[nu] = h3.terms[omega]
 
-    binding = _numerator(_binding_cell(k).w, k)
-    cutoff = (
-        _auto_height_cutoff(binding, set(needed), f1_open, f2_open)
-        if height_cutoff is None
-        else height_cutoff
-    )
+    slack = _slack(k)
+    top_num = _numerator(covering_cells()[0].w, k)
+    opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]
+    offsets: dict[tuple[str, Weight], tuple[int, ...] | None] = {}
 
-    # per open stratum: the open-cell series, the certified height limit
-    # and (lower, upper, certified) on the terms with a positive lower bound
-    strata: dict[str, tuple[TruncatedSeries, int, dict]] = {}
-    for comp, is_open in (("F1", f1_open), ("F2", f2_open)):
-        if not is_open:
-            continue
-        level = k if comp == "F1" else -k
-        top, cols, lower = _stratum_bounds(comp, level, (n, n), cutoff)
-        limit = cutoff + sum(
-            root_lattice_coords(GRASS_SYSTEM, binding - top.numerator_exponent)
-        )
+    def offset_of(comp: str, nu: Weight) -> tuple[int, ...] | None:
+        # nu's offset from the open cell's numerator in the first stratum's
+        # frame, solved once per stratum and weight
+        if (comp, nu) not in offsets:
+            mu = swap_blocks_weight(nu) if comp == "F2" else nu
+            offsets[comp, nu] = root_lattice_coords(GRASS_SYSTEM, mu - top_num)
+        return offsets[comp, nu]
+
+    cutoff = height_cutoff
+    if cutoff is None:
+        offs = [offset_of(comp, nu) for comp in opened for nu in needed]
+        heights = [sum(off) - slack for off in offs if off is not None]
+        cutoff = max([DEFAULT_HEIGHT_CUTOFF, *heights])
+    limit = cutoff + slack
+
+    # per open stratum: the open-cell series and (lower, upper, certified)
+    # on the terms with a positive lower bound
+    strata: dict[str, tuple[TruncatedSeries, dict]] = {}
+    for comp in opened:
+        grade = (n, n) if comp == "F1" else (-n, -n)
+        top, cols, lower = _stratum_bounds(k, grade, cutoff)
         kept = [i for i, m in enumerate(lower) if m > 0]
         sub = [[col[i] for i in kept] for col in cols]
         upper = list(top.packed.values())
         weights = _stratum_weights(comp, top, sub)
-        strata[comp] = top, limit, {
+        strata[comp] = top, {
             w: (lower[i], upper[i], h <= limit)
             for w, i, h in zip(weights, kept, map(sum, zip(*sub)))
         }
 
     def bounds_at(comp: str, nu: Weight) -> tuple[int, int, bool]:
-        top, limit, positive = strata[comp]
+        top, positive = strata[comp]
         if nu in positive:
             return positive[nu]
-        off = top.offset_of(swap_blocks_weight(nu) if comp == "F2" else nu)
+        off = offset_of(comp, nu)
         if off is None:
             return 0, 0, True  # off-lattice weights never occur: zero is exact
         return 0, top.packed.get(top._key_of(off), 0), sum(off) <= limit
@@ -521,45 +497,43 @@ def cross_validate_h3(
     certified = True
     rows, unverified = [], []
     content_sides: set[str] = set()
-    support = set(needed).union(*(positive for *_, positive in strata.values()))
+    support = set(needed).union(*(positive for _, positive in strata.values()))
     for nu in sorted(support, key=lambda w: w.coords):
         found = needed.get(nu, 0)
-        if found > 0:
-            at = {comp: bounds_at(comp, nu) for comp in strata}
-            # formula content must sit inside fully certified bounds
-            if not all(cert for *_, cert in at.values()):
-                certified = False
-                issues.append(
-                    f"bounds at ambient weight {nu.coords} carrying "
-                    f"formula content are not certified at height cutoff "
-                    f"{cutoff}"
-                )
-                continue
-            low = sum(m for m, _, _ in at.values())
-            up = sum(m for _, m, _ in at.values())
+        # formula content is compared on every open side; otherwise only
+        # a side's positive lower bound can refute the formula, and only
+        # where its series are certified
+        at = {
+            comp: bounds_at(comp, nu)
+            for comp, (_, positive) in strata.items()
+            if found or nu in positive
+        }
+        if found and not all(cert for *_, cert in at.values()):
+            certified = False
+            issues.append(
+                f"bounds at ambient weight {nu.coords} carrying "
+                f"formula content are not certified at height cutoff "
+                f"{cutoff}"
+            )
+            continue
+        sides = {comp for comp, (m, _, cert) in at.items() if cert and m > 0}
+        low = sum(at[comp][0] for comp in sides)
+        if found or low:
+            up = sum(bounds_at(comp, nu)[1] for comp in strata)
             rows.append((nu, low, found, up))
-            if not low <= found <= up:
+            if not found:
+                issues.append(
+                    f"certified lower bound {low} at ambient weight "
+                    f"{nu.coords} but the character vanishes there"
+                )
+            elif not low <= found <= up:
                 issues.append(
                     f"multiplicity {found} at ambient weight {nu.coords} "
                     f"is outside [{low}, {up}]"
                 )
-            content_sides |= {comp for comp, (m, _, _) in at.items() if m > 0}
-            continue
-        # no formula content: a positive lower bound refutes the formula
-        # only where its subtracted series are certified; elsewhere the
-        # sound lower bound is zero and the raw entry is set aside
-        hits = {c: pos[nu] for c, (*_, pos) in strata.items() if nu in pos}
-        sides = {comp for comp, (_, _, cert) in hits.items() if cert}
-        low = sum(hits[comp][0] for comp in sides)
-        if low > 0:
-            up = sum(bounds_at(comp, nu)[1] for comp in strata)
-            rows.append((nu, low, found, up))
-            issues.append(
-                f"certified lower bound {low} at ambient weight "
-                f"{nu.coords} but the character vanishes there"
-            )
             content_sides |= sides
-        elif len(sides) < len(hits):
+        elif at:
+            # positive raw entries, none certified: the sound bound is zero
             unverified.append(nu)
 
     at_most_one = len(content_sides) <= 1

@@ -5,13 +5,18 @@ stratum reaches, with a window containing the scaling grade.  It reads the
 bounds through ``unstable_character_bounds`` as ``Weight``-keyed characters
 and certifies every compared weight with ``is_certified`` in each of the
 three covering-cell series (swapped into the first stratum's frame for the
-mirror).  ``cross_validate_h3`` reads the open cell's packed series and
-certifies a term by its offset height against one limit per stratum, so
-the two share the bounds subtraction but not the comparison.
+mirror), and takes the auto cutoff as the largest offset height of a
+formula weight over all three numerators.  ``cross_validate_h3`` reads the
+open cell's packed series and certifies a term by its offset height over
+the open cell's numerator against one limit, so the two share the bounds
+subtraction but neither the cutoff nor the comparison.
 """
 
+from wonderco.charring import DEFAULT_HEIGHT_CUTOFF
 from wonderco.gitgrass import sheaf_correspondence
+from wonderco.rootsys import root_lattice_coords
 from wonderco.schubert import (
+    GRASS_SYSTEM,
     _numerator,
     covering_cells,
     kempf_character,
@@ -21,8 +26,6 @@ from wonderco.schubert import (
 from wonderco.wondercoh import (
     CrossCheckReport,
     _ambient_weight,
-    _auto_height_cutoff,
-    _binding_cell,
     _component_label,
     h_character,
 )
@@ -31,6 +34,24 @@ from wonderco.wondercoh import (
 def every_series_certified(series, probe):
     """Certification as defined: every covering-cell series certifies."""
     return all(s.is_certified(probe) for s in series)
+
+
+def every_numerator_cutoff(k, probes, f1_open, f2_open):
+    """The cutoff reaching each integral probe's offset height over every
+    covering-cell numerator, and at least the default."""
+    targets = set()
+    if f1_open:
+        targets |= probes
+    if f2_open:
+        targets |= {swap_blocks_weight(nu) for nu in probes}
+    cutoff = DEFAULT_HEIGHT_CUTOFF
+    for cell in covering_cells():
+        num = _numerator(cell.w, k)
+        for probe in targets:
+            off = root_lattice_coords(GRASS_SYSTEM, probe - num)
+            if off is not None:
+                cutoff = max(cutoff, sum(off))
+    return cutoff
 
 
 def reference_cross_h3(lam, window=None, height_cutoff=None):
@@ -55,9 +76,7 @@ def reference_cross_h3(lam, window=None, height_cutoff=None):
             continue
         needed[nu] = h3.terms[omega]
     cutoff = (
-        _auto_height_cutoff(
-            _numerator(_binding_cell(k).w, k), set(needed), f1_open, f2_open
-        )
+        every_numerator_cutoff(k, set(needed), f1_open, f2_open)
         if height_cutoff is None
         else height_cutoff
     )

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wonderco.charring import Character, weyl_character, weyl_dimension
+from wonderco.charring import (
+    DEFAULT_HEIGHT_CUTOFF,
+    Character,
+    weyl_character,
+    weyl_dimension,
+)
 from wonderco.gitgrass import sheaf_correspondence
 from wonderco.rootsys import Weight, build_root_system, root_lattice_coords
 from wonderco.schubert import (
@@ -17,19 +22,17 @@ from wonderco.schubert import (
     _numerator,
     covering_cells,
     kempf_character,
-    swap_blocks_weight,
 )
 from wonderco.wondercoh import (
-    _DEFAULT_CROSS_CUTOFF,
     BoxTooSmallError,
     CrossCheckReport,
     SphericalData,
-    _auto_height_cutoff,
-    _binding_cell,
+    _ambient_weight,
     _dual_module_character,
     _required_radius,
     _shell_clear,
     _sign_pattern_ranges,
+    _slack,
     cross_validate_h3,
     h_character,
     serre_dual_check,
@@ -38,7 +41,11 @@ from wonderco.wondercoh import (
     tchoudjem_components,
     vanishing_profile,
 )
-from cross_h3_reference import every_series_certified, reference_cross_h3
+from cross_h3_reference import (
+    every_numerator_cutoff,
+    every_series_certified,
+    reference_cross_h3,
+)
 from weyl_descent import dominant_conjugate, weight_to_root
 
 A5 = build_root_system("A5")
@@ -540,51 +547,31 @@ class TestCrossValidation:
         assert any(unv for *_, unv in seen)
 
 
-def every_numerator_cutoff(k, probes, f1_open, f2_open):
-    """The cutoff reaching each integral probe's offset height over every
-    covering-cell numerator, and at least the default."""
-    targets = set()
-    if f1_open:
-        targets |= probes
-    if f2_open:
-        targets |= {swap_blocks_weight(nu) for nu in probes}
-    cutoff = _DEFAULT_CROSS_CUTOFF
-    for cell in covering_cells():
-        num = _numerator(cell.w, k)
-        for probe in targets:
-            off = root_lattice_coords(GRASS_SYSTEM, probe - num)
-            if off is not None:
-                cutoff = max(cutoff, sum(off))
-    return cutoff
-
-
-class TestBindingCertification:
+class TestSlackCertification:
     # w1 - w5 keeps the degree and leaves the root lattice; alpha3 moves
-    # the degree by two, out of any narrow window; twice the highest root
-    # adds 10 to every offset height
+    # the degree by two, out of any narrow window
     OFF_LATTICE = Weight((1, 0, 0, 0, -1))
     ALPHA3 = Weight((0, -1, 2, -1, 0))
-    LIFT = Weight((2, 0, 0, 0, 2))
 
-    def test_binding_cell_switches_at_level_minus_four(self):
-        top, s5w, _ = covering_cells()
-        assert s5w.w.word == (1, 2, 4, 3)
+    def test_slack_is_the_least_numerator_height(self):
+        # the boundary numerators sit k + 3 above the open cell's, which
+        # binds from level -4 down
         for k in range(-9, 10):
-            assert _binding_cell(k) == (top if k >= -3 else s5w), k
+            assert _slack(k) == min(0, k + 3), k
 
     @pytest.mark.parametrize("width", [0, 6])
-    def test_binding_series_matches_every_series(self, width):
-        # at cutoff 6 the probes straddle the cutoff in the binding series
-        # on every level
+    def test_open_cell_height_rule_matches_every_series(self, width):
+        # at cutoff 6 the probes straddle the limit on every level
         cut = 6
         for k in range(-9, 10):
             starts = (k + 8, k + 12) if width == 0 else (k + 8,)
+            num = _numerator(covering_cells()[0].w, k)
+            limit = cut + _slack(k)
             for start in starts:
                 window = (start, start + width)
                 series = [
                     kempf_character(c.w, k, window, cut) for c in covering_cells()
                 ]
-                binding = kempf_character(_binding_cell(k).w, k, window, cut)
                 stored = set().union(*(s.terms() for s in series))
                 probes = set(stored)
                 for w in stored:
@@ -592,24 +579,37 @@ class TestBindingCertification:
                 verdicts = set()
                 for p in probes:
                     want = every_series_certified(series, p)
-                    assert binding.is_certified(p) == want, (k, window, p)
+                    off = root_lattice_coords(GRASS_SYSTEM, p - num)
+                    got = window[0] <= CSTAR_GRADING.degree(p) <= window[1] and (
+                        off is None or sum(off) <= limit
+                    )
+                    assert got == want, (k, window, p)
                     verdicts.add(want)
                 # the probes reach both sides of the rule
                 assert verdicts == {True, False}, (k, window)
-                # the cutoff ignores the window; lifted by twice the
-                # highest root, every level's probes need more than the
-                # default cutoff.  The second stratum's probes arrive
-                # swapped into the ambient frame and the cutoff swaps
-                # them back.
-                reach = {
-                    w + lift for w in stored for lift in (self.LIFT, self.OFF_LATTICE)
-                }
-                ambient = {swap_blocks_weight(p) for p in reach}
-                for f1_open, f2_open, targets in (
-                    (True, False, reach),
-                    (False, True, ambient),
-                ):
-                    num = _numerator(_binding_cell(k).w, k)
-                    got = _auto_height_cutoff(num, targets, f1_open, f2_open)
-                    want = every_numerator_cutoff(k, targets, f1_open, f2_open)
-                    assert got == want, (k, window, f1_open, f2_open)
+
+    def test_auto_cutoff_matches_every_numerator(self):
+        # the reached bundles of the radius-3 box with |f1| + |f2| <= 15
+        # whose formula weights need a cutoff in 13..20: both strata, on
+        # levels on both sides of the slack's switch at -4
+        span = range(-3, 4)
+        seen = set()
+        for f1, f2 in sorted({
+            (a1 + 2 * b1 - b2, a2 - b1 + 2 * b2)
+            for a1, a2, b1, b2 in itertools.product(span, repeat=4)
+        }):
+            if abs(f1) + abs(f2) > 15:
+                continue
+            lam = diag(f1, f2)
+            desc = sheaf_correspondence(lam)
+            k, n = desc.k, desc.n
+            f1_open, f2_open = n >= k + 8, n <= -k - 8
+            if not (f1_open or f2_open):
+                continue
+            probes = {_ambient_weight(w, n) for w in h_character(lam, 3).terms}
+            want = every_numerator_cutoff(k, probes - {None}, f1_open, f2_open)
+            if DEFAULT_HEIGHT_CUTOFF < want <= 20:
+                rep = cross_validate_h3(lam)
+                assert rep.height_cutoff == want, (f1, f2)
+                seen.add((rep.component, _slack(k) < 0))
+        assert seen == {("F1", True), ("F1", False), ("F2", True), ("F2", False)}
