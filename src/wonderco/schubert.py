@@ -24,15 +24,17 @@ per simple root with the offset's degree on top, so degree and height are
 read off the fields.  Only :func:`kempf_character` builds series, through
 the one fold of :func:`_cone_keys`: positive-degree roots first, then the
 terms below the window dropped, then the degree-0 roots, which leave every
-degree as it is.  :func:`_stratum_bounds` is the one place two series are
-compared.
+degree as it is.  The cone is level-free: it is cached per window relative
+to the numerator degree, and every level on that relative window shares
+it.  :func:`_stratum_bounds` is the one place two series are compared; its
+bounds are cached too, and shared by a stratum and its mirror.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -322,7 +324,9 @@ class TruncatedSeries:
         self.window = window
         self.height_cutoff = height_cutoff
         self.bits = bits
-        self.packed = MappingProxyType(packed)
+        # a cached cone is read-only already, and shared rather than rewrapped
+        ro = isinstance(packed, MappingProxyType)
+        self.packed = packed if ro else MappingProxyType(packed)
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
@@ -351,7 +355,7 @@ class TruncatedSeries:
             for sh in range(0, self.bits * GRASS_SYSTEM.rank, self.bits)
         ]
 
-    def _weight_columns(self, by_root: list[list[int]]) -> list[list[int]]:
+    def _weight_columns(self, by_root: Sequence[Sequence[int]]) -> list[list[int]]:
         """Weights of terms given by offset columns, a coordinate at a time
         over all terms: coordinate i is the numerator's plus row i of the
         Cartan matrix against the offsets."""
@@ -411,26 +415,30 @@ class TruncatedSeries:
         )
 
 
+@lru_cache(maxsize=64)
 def _cone_keys(
-    roots: tuple[Root, ...], base: int, window: tuple[int, int], cutoff: int
-) -> tuple[int, dict[int, int]]:
+    roots: tuple[Root, ...], window: tuple[int, int], cutoff: int
+) -> tuple[int, Mapping[int, int]]:
     """The expansion of 1 / prod (1 - e^beta) inside the window, as the
-    field width and the packed keys of ``TruncatedSeries``.
+    field width and the read-only packed keys of ``TruncatedSeries``.
 
-    A term at offset o has degree ``base`` plus the grading of o.  The roots
-    are folded in one at a time with the running sum T(o) = S(o) + T(o -
-    beta), visiting terms by increasing height; a term is extended only
-    while its height stays within the cutoff and its degree at most the
-    window top.  Roots of positive degree go first, then those of degree 0,
-    tallest first in each class.  After the last positive-degree root every
-    term's degree is final, so the terms below the window floor are dropped
-    there.  No root has negative degree and every root positive height, so
-    a dropped term never comes back and a kept term is reached only through
-    kept ones: in any root order, the result is exactly the full cone's
-    terms with height at most the cutoff and degree inside the window.  No
-    coordinate exceeds the cutoff, which sets the field width, and the
-    degree field sits on top, so a step along a root is a single addition
-    and the window is a range of keys.
+    The window is relative: a term at offset o has the grading of o as its
+    degree, and a series at numerator degree ``base`` asks for its own
+    window less ``base``.  So the cone is level-free, and one cached
+    expansion serves every level and window with the same difference.  The
+    roots are folded in one at a time with the running sum T(o) = S(o) +
+    T(o - beta), visiting terms by increasing height; a term is extended
+    only while its height stays within the cutoff and its degree at most
+    the window top.  Roots of positive degree go first, then those of
+    degree 0, tallest first in each class.  After the last positive-degree
+    root every term's degree is final, so the terms below the window floor
+    are dropped there.  No root has negative degree and every root positive
+    height, so a dropped term never comes back and a kept term is reached
+    only through kept ones: in any root order, the result is exactly the
+    full cone's terms with height at most the cutoff and degree inside the
+    window.  No coordinate exceeds the cutoff, which sets the field width,
+    and the degree field sits on top, so a step along a root is a single
+    addition and the window is a range of keys.
     """
     lo, hi = window
     per_root = CSTAR_GRADING.simple_root_degrees
@@ -439,11 +447,11 @@ def _cone_keys(
         # no cell's J set has such a root: an internal invariant
         raise AssertionError("negative-degree denominator root in a product")
     bits = max(1, cutoff.bit_length())
-    if base > hi or cutoff < 0:
-        return bits, {}
+    if hi < 0 or cutoff < 0:
+        return bits, MappingProxyType({})
     deg_shift = bits * GRASS_SYSTEM.rank
-    limit = (hi - base + 1) << deg_shift
-    floor = (lo - base) << deg_shift
+    limit = (hi + 1) << deg_shift
+    floor = lo << deg_shift
 
     def fold(beta: Root) -> None:
         ht = sum(beta)
@@ -467,7 +475,8 @@ def _cone_keys(
     for d, beta in tallest_first:
         if not d:
             fold(beta)
-    return bits, {key: m for terms in by_height for key, m in terms.items()}
+    keys = {key: m for terms in by_height for key, m in terms.items()}
+    return bits, MappingProxyType(keys)
 
 
 @lru_cache(maxsize=512)
@@ -482,14 +491,17 @@ def kempf_character(
     The window is in scaling degrees.  The denominator has no root of
     negative degree, so nothing lives below the numerator degree and the
     whole window is certified up to the height cutoff.  Results are cached
-    and immutable.
+    and immutable.  The cone itself is level-free: this only attaches the
+    numerator to the shared :func:`_cone_keys` expansion on the window
+    taken relative to the numerator degree.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window {window}")
     num = _numerator(w, k)
     roots = kl_sets(w).J
-    bits, keys = _cone_keys(roots, CSTAR_GRADING.degree(num), window, height_cutoff)
+    base = CSTAR_GRADING.degree(num)
+    bits, keys = _cone_keys(roots, (lo - base, hi - base), height_cutoff)
     return TruncatedSeries(num, roots, window, height_cutoff, bits, keys)
 
 
@@ -514,13 +526,18 @@ def swap_blocks_weight(mu: Weight) -> Weight:
     return Weight(col[0] for col in _swap_blocks([(c,) for c in mu]))
 
 
+@lru_cache(maxsize=64)
 def _stratum_bounds(
     k: int, window: tuple[int, int], height_cutoff: int
-) -> tuple[TruncatedSeries, list[list[int]], list[int]]:
+) -> tuple[TruncatedSeries, tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The first stratum's bounds at level ``k``: its open cell's series,
     that series' offset columns (``TruncatedSeries._columns``) and each
     term's lower bound, all in the order of ``packed``; the upper bound is
-    the term's multiplicity.  See :func:`unstable_character_bounds`."""
+    the term's multiplicity.  See :func:`unstable_character_bounds`.
+
+    Cached, and immutable: the second stratum at ``-k`` on the reversed
+    window reads the bounds of the first at ``k``, so a bundle and its
+    mirror share them."""
     # every stored term survives the height and degree pruning, so the
     # read-off is exact on its support
     top, *boundary = (
@@ -532,7 +549,7 @@ def _stratum_bounds(
     # one field width, so the boundary key is the open cell's less the key
     # of s.  A positive boundary term off the open cell's support leaves no
     # positive lower bound there.
-    cols = top._columns()
+    cols = tuple(map(tuple, top._columns()))
     lower = list(top.packed.values())
     for series in boundary:
         s = root_lattice_coords(
@@ -553,10 +570,10 @@ def _stratum_bounds(
                         shifted[i] = None
         got = series.packed
         lower = [m - got[x] if x in got else m for m, x in zip(lower, shifted)]
-    return top, cols, lower
+    return top, cols, tuple(lower)
 
 
-def _stratum_weights(component: str, top: TruncatedSeries, cols: list) -> list[Weight]:
+def _stratum_weights(component: str, top: TruncatedSeries, cols: Sequence) -> list[Weight]:
     """Weights of the open cell's terms with these offset columns, swapped for F2."""
     weight_cols = top._weight_columns(cols)
     if component == "F2":

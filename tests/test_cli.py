@@ -244,6 +244,8 @@ class TestSchubert:
             )
 
         monkeypatch.setattr(schubert, "kempf_character", altered_boundary)
+        # bounds cached by an earlier test would never reach the patch
+        schubert._stratum_bounds.cache_clear()
         with pytest.raises(AssertionError, match=message):
             schubert.unstable_character_bounds("F1", 1, (1, 13), 12)
         code, out, err = run_cli("schubert", "kempf", "--cell", "F1", "--k", "1")

@@ -18,7 +18,9 @@ from wonderco.schubert import (
     CSTAR_GRADING,
     GRASS_SYSTEM,
     LEVI,
+    TruncatedSeries,
     _cone_keys,
+    _stratum_bounds,
     cell_exponent,
     cell_for_fixed_point,
     closure_contains,
@@ -475,23 +477,23 @@ class TestKempfSeries:
         for cell in enumerate_cells():
             roots = kl_sets(cell.w).J
             for lo, hi in windows:
-                bits, want = _cone_keys(roots, base, (lo, hi), cutoff)
+                bits, want = _cone_keys(roots, (lo - base, hi - base), cutoff)
                 shift = bits * GRASS_SYSTEM.rank
                 assert all(lo <= base + (x >> shift) <= hi for x in want)
                 for _ in range(3):
                     shuffled = rng.sample(roots, len(roots))
-                    got = _cone_keys(tuple(shuffled), base, (lo, hi), cutoff)
+                    got = _cone_keys(tuple(shuffled), (lo - base, hi - base), cutoff)
                     assert got == (bits, want), (cell.fixed_point, (lo, hi))
 
     def test_cone_without_roots(self):
         for window, want in (((2, 5), {0: 1}), ((3, 5), {}), ((0, 1), {})):
-            assert _cone_keys((), 2, window, 6) == (3, want)
+            assert _cone_keys((), (window[0] - 2, window[1] - 2), 6) == (3, want)
 
     def test_rejects_negative_degree_root(self):
         # no cell denominator has one; the guard keeps the expansion from
         # certifying a window that terms below the floor could reach
         with pytest.raises(AssertionError, match="negative-degree"):
-            _cone_keys((Root((0, 0, -1, 0, 0)),), 0, (0, 4), 6)
+            _cone_keys((Root((0, 0, -1, 0, 0)),), (0, 4), 6)
 
     def test_cached_series_is_read_only(self):
         w = f1_cell().w
@@ -510,6 +512,51 @@ class TestKempfSeries:
         assert offsets_of(again) == before
         assert again.packed == packed
         assert again == kempf_character.__wrapped__(w, 1, (1, 13))
+
+    def test_levels_share_one_cone(self):
+        # the cone depends on the window only relative to the numerator
+        # degree: two levels on one relative window share it, and each
+        # series equals the uncached fold at its own level, on a wide
+        # window, one whose floor is below the numerator degree, a single
+        # grade and one wholly below the support.  Two levels on one
+        # absolute window get different cones.
+        cutoff = 9
+        for cell in covering_cells():
+            roots = kl_sets(cell.w).J
+            bases = {
+                k: CSTAR_GRADING.degree(numerator_weight(cell.w, k))
+                for k in (-4, 3)
+            }
+            assert len(set(bases.values())) == 2 and 0 not in bases.values()
+
+            def built(k, window):
+                base = bases[k]
+                s = kempf_character(cell.w, k, window, cutoff)
+                rel = (window[0] - base, window[1] - base)
+                bits, keys = _cone_keys.__wrapped__(roots, rel, cutoff)
+                num = numerator_weight(cell.w, k)
+                assert s == TruncatedSeries(num, roots, window, cutoff, bits, keys)
+                assert s.packed == keys
+                assert offsets_of(s) == brute_offsets(cell.w, k, window, cutoff)
+                return s
+
+            for lo, hi in ((0, 12), (-5, 6), (4, 4), (-12, -3)):
+                low, high = (built(k, (b + lo, b + hi)) for k, b in bases.items())
+                assert low.packed is high.packed, (cell.fixed_point, (lo, hi))
+            window = (bases[-4], bases[-4] + 12)
+            low, high = (built(k, window) for k in bases)
+            assert low.packed and high.packed and low.packed != high.packed
+
+    def test_cached_cone_is_read_only(self):
+        _, cone = _cone_keys(kl_sets(f1_cell().w).J, (0, 12), 9)
+        key = next(iter(cone))
+        with pytest.raises(TypeError):
+            cone[key] = 7
+        with pytest.raises(TypeError):
+            del cone[key]
+        with pytest.raises(AttributeError):
+            cone.clear()
+        assert _cone_keys(kl_sets(f1_cell().w).J, (0, 12), 9)[1] is cone
 
     def test_weight_columns_of_a_column_subset(self):
         # every third term's offset columns give exactly those terms'
@@ -609,6 +656,26 @@ class TestUnstableBounds:
         d1 = {CSTAR_GRADING.degree(w) for w in up1.terms}
         d2 = {CSTAR_GRADING.degree(w) for w in up2.terms}
         assert not d1 & d2
+
+    def test_cached_bounds_are_read_only(self):
+        # the second stratum at -k on the reversed window reads the first
+        # stratum's cached bounds at k
+        bounds = _stratum_bounds(1, (9, 13), 12)
+        top, cols, lower = bounds
+        hits = _stratum_bounds.cache_info().hits
+        _, upper = unstable_character_bounds("F2", -1, (-13, -9), 12)
+        assert _stratum_bounds.cache_info().hits == hits + 1
+        assert upper.terms == {
+            swap_blocks_weight(w): m for w, m in top.terms().items()
+        }
+        assert _stratum_bounds(1, (9, 13), 12) is bounds
+        assert bounds == _stratum_bounds.__wrapped__(1, (9, 13), 12)
+        assert lower and len(cols) == GRASS_SYSTEM.rank
+        for seq in (cols, cols[0], lower):
+            with pytest.raises(TypeError):
+                seq[0] = 0
+        with pytest.raises(TypeError):
+            top.packed[0] = 1
 
     def test_unknown_component(self):
         with pytest.raises(ValueError, match="unknown component"):
