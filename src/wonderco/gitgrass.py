@@ -3,8 +3,8 @@
 The ambient space is V + V*, two 3-blocks with basis e_1..e_3 and
 e*_1..e*_3 (columns 1..3 and 4..6).  The one-parameter scaling group acts
 with weight +1 on V and -1 on V*; the two copies of SL_3 act on the
-blocks.  This module computes weights of the 20 exterior-cube basis
-vectors, stability of 3-planes with respect to the scaling, the two
+blocks.  This module computes scaling weights of the 20 exterior-cube
+basis vectors, stability of 3-planes with respect to the scaling, the two
 unstable strata (too much intersection with one block), the block
 decomposition of the exterior cube, and the translation of block-diagonal
 weights into (line bundle power, scaling grade) pairs.
@@ -28,7 +28,6 @@ __all__ = [
     "SheafDescriptor",
     "all_plucker_indices",
     "cstar_weight",
-    "torus_weight",
     "subspace_point",
     "graph_point",
     "coordinate_point",
@@ -40,12 +39,6 @@ __all__ = [
     "decompose_module",
     "sheaf_correspondence",
 ]
-
-# weights of the block bases under the two rank-2 torus factors: the first
-# block carries the standard representation, the second its dual
-_EPS = {1: (1, 0), 2: (-1, 1), 3: (0, -1)}
-_EPS_DUAL = {1: (-1, 0), 2: (1, -1), 3: (0, 1)}
-
 
 @dataclass(frozen=True)
 class PluckerIndex:
@@ -87,19 +80,6 @@ def all_plucker_indices() -> tuple[PluckerIndex, ...]:
 
 def cstar_weight(p: PluckerIndex) -> int:
     return len(p.first) - len(p.second)
-
-
-def torus_weight(p: PluckerIndex) -> Weight:
-    """Weight of the basis vector under the two rank-2 torus factors."""
-    a = [0, 0]
-    b = [0, 0]
-    for i in p.first:
-        a[0] += _EPS[i][0]
-        a[1] += _EPS[i][1]
-    for j in p.second:
-        b[0] += _EPS_DUAL[j][0]
-        b[1] += _EPS_DUAL[j][1]
-    return Weight((a[0], a[1], b[0], b[1]))
 
 
 # ---------------------------------------------------------------------------

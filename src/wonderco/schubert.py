@@ -26,8 +26,9 @@ the one fold of :func:`_cone_keys`: positive-degree roots first, then the
 terms below the window dropped, then the degree-0 roots, which leave every
 degree as it is.  The cone is level-free: it is cached per window relative
 to the numerator degree, and every level on that relative window shares
-it.  :func:`_stratum_bounds` is the one place two series are compared; its
-bounds are cached too, and shared by a stratum and its mirror.
+it.  :class:`UnstableStratum` owns the read-off of both strata: their
+frame, their cached bounds (shared by a stratum and its mirror) and their
+certification.  No other module reads packed series.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ __all__ = [
     "kl_sets",
     "cell_exponent",
     "kempf_character",
+    "UnstableStratum",
     "unstable_character_bounds",
     "cousin_terms",
     "swap_blocks_weight",
@@ -249,6 +251,16 @@ def _numerator(w: WeylElement, k: int) -> Weight:
     for alpha in kl_sets(w).K:
         num = num + root_to_weight(GRASS_SYSTEM, alpha)
     return num
+
+
+@lru_cache(maxsize=256)
+def _boundary_shifts(k: int) -> tuple[tuple[int, ...], ...]:
+    """Offsets of the boundary numerators from the open cell's at level ``k``."""
+    top, *boundary = (_numerator(cell.w, k) for cell in covering_cells())
+    shifts = tuple(root_lattice_coords(GRASS_SYSTEM, num - top) for num in boundary)
+    if None in shifts:
+        raise AssertionError("covering-cell numerators off one lattice coset")
+    return shifts
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +545,8 @@ def _stratum_bounds(
     """The first stratum's bounds at level ``k``: its open cell's series,
     that series' offset columns (``TruncatedSeries._columns``) and each
     term's lower bound, all in the order of ``packed``; the upper bound is
-    the term's multiplicity.  See :func:`unstable_character_bounds`.
-
-    Cached, and immutable: the second stratum at ``-k`` on the reversed
-    window reads the bounds of the first at ``k``, so a bundle and its
-    mirror share them."""
+    the term's multiplicity.  Cached and immutable; :class:`UnstableStratum`
+    reads them for both strata, so a bundle and its mirror share them."""
     # every stored term survives the height and degree pruning, so the
     # read-off is exact on its support
     top, *boundary = (
@@ -551,11 +560,8 @@ def _stratum_bounds(
     # positive lower bound there.
     cols = tuple(map(tuple, top._columns()))
     lower = list(top.packed.values())
-    for series in boundary:
-        s = root_lattice_coords(
-            GRASS_SYSTEM, series.numerator_exponent - top.numerator_exponent
-        )
-        if s is None:
+    for series, s in zip(boundary, _boundary_shifts(k)):
+        if series.numerator_exponent != top.weight_of(s):
             raise AssertionError("boundary numerator off the open cell's lattice coset")
         if min(series.packed.values(), default=1) <= 0:
             raise AssertionError("nonpositive boundary multiplicity")
@@ -573,12 +579,78 @@ def _stratum_bounds(
     return top, cols, tuple(lower)
 
 
-def _stratum_weights(component: str, top: TruncatedSeries, cols: Sequence) -> list[Weight]:
-    """Weights of the open cell's terms with these offset columns, swapped for F2."""
-    weight_cols = top._weight_columns(cols)
-    if component == "F2":
-        weight_cols = _swap_blocks(weight_cols)
-    return list(map(Weight, zip(*weight_cols)))
+class UnstableStratum:
+    """An unstable stratum at parameter ``k``: the one owner of the
+    stratum read-off, in the first stratum's frame.
+
+    The second stratum at ``k`` is the block swap's image of the first at
+    ``-k`` on the reversed window, so ``level`` is ``k`` or ``-k``, and
+    windows reverse and weights swap on the way in and out.  All three
+    covering-cell series share one window and one cutoff, so they certify a
+    weight exactly when its degree is in the window and its offset height
+    over the open cell's numerator is at most the cutoff plus ``slack``,
+    the least height of a boundary numerator's shift (0 if none is
+    negative).  Offsets are solved once per weight and kept.
+    """
+
+    def __init__(self, component: str, k: int):
+        if component not in ("F1", "F2"):
+            raise ValueError(f"unknown component {component!r}")
+        self.component = component
+        self.level = -k if component == "F2" else k
+        self.slack = min(0, *map(sum, _boundary_shifts(self.level)))
+        self._offsets: dict[Weight, tuple[int, ...] | None] = {}
+
+    def _read(self, window: tuple[int, int], height_cutoff: int):
+        if self.component == "F2":
+            window = (-window[1], -window[0])
+        return _stratum_bounds(self.level, window, height_cutoff)
+
+    def _weights(self, top: TruncatedSeries, cols: Sequence) -> list[Weight]:
+        weight_cols = top._weight_columns(cols)
+        if self.component == "F2":
+            weight_cols = _swap_blocks(weight_cols)
+        return list(map(Weight, zip(*weight_cols)))
+
+    def _offset(self, w: Weight) -> tuple[int, ...] | None:
+        if w not in self._offsets:
+            mu = swap_blocks_weight(w) if self.component == "F2" else w
+            top = _numerator(covering_cells()[0].w, self.level)
+            self._offsets[w] = root_lattice_coords(GRASS_SYSTEM, mu - top)
+        return self._offsets[w]
+
+    def cutoff_for(self, w: Weight) -> int | None:
+        """The least cutoff certifying ``w``; None off the root lattice."""
+        off = self._offset(w)
+        return None if off is None else sum(off) - self.slack
+
+    def certifies(self, w: Weight, window: tuple[int, int], height_cutoff: int) -> bool:
+        """Whether all three covering-cell series certify ``w``; off the root
+        lattice every series is exact, at zero."""
+        if not window[0] <= CSTAR_GRADING.degree(w) <= window[1]:
+            return False
+        off = self._offset(w)
+        return off is None or sum(off) <= height_cutoff + self.slack
+
+    def positive_bounds(self, window: tuple[int, int], height_cutoff: int) -> dict:
+        """(lower, upper, certified) at each weight with a positive lower
+        bound.  Only those terms become weights, certified by the sum of
+        their offset columns."""
+        top, cols, lower = self._read(window, height_cutoff)
+        kept = [i for i, m in enumerate(lower) if m > 0]
+        sub = [[col[i] for i in kept] for col in cols]
+        upper = list(top.packed.values())
+        limit = height_cutoff + self.slack
+        return {
+            w: (lower[i], upper[i], h <= limit)
+            for w, i, h in zip(self._weights(top, sub), kept, map(sum, zip(*sub)))
+        }
+
+    def bounds_at(self, w: Weight, window: tuple[int, int], height_cutoff: int):
+        """(0, upper, certified) at a weight without a positive lower bound."""
+        off, top = self._offset(w), self._read(window, height_cutoff)[0]
+        upper = 0 if off is None else top.packed.get(top._key_of(off), 0)
+        return 0, upper, self.certifies(w, window, height_cutoff)
 
 
 def unstable_character_bounds(
@@ -591,18 +663,13 @@ def unstable_character_bounds(
 
     The upper bound is the character of the covering cell closure; the
     lower bound subtracts the two boundary-cell characters and floors at
-    zero.  The second stratum is the block swap's image of the first: its
-    character at parameter k on ``window`` is the swapped first-stratum
-    character at -k on the reversed window.  Bounds are exact zero below
-    the first stratum's degree floor and above the second's ceiling;
-    elsewhere they are valid on weights within the height cutoff.
+    zero; :class:`UnstableStratum` reads the second stratum.  Bounds are
+    exact zero below the first stratum's degree floor and above the
+    second's ceiling; elsewhere they are valid within the height cutoff.
     """
-    if component == "F2":
-        k, window = -k, (-window[1], -window[0])
-    elif component != "F1":
-        raise ValueError(f"unknown component {component!r}")
-    top, cols, lower = _stratum_bounds(k, window, height_cutoff)
-    weights = _stratum_weights(component, top, cols)
+    stratum = UnstableStratum(component, k)
+    top, cols, lower = stratum._read(window, height_cutoff)
+    weights = stratum._weights(top, cols)
     return (
         Character((w, m) for w, m in zip(weights, lower) if m > 0),
         Character(zip(weights, top.packed.values())),

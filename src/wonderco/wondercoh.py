@@ -27,19 +27,10 @@ from .rootsys import (
     Weight,
     dominant_representative,
     half_sum_positive,
-    root_lattice_coords,
     root_to_weight,
 )
 from .satake import catalog_diagram, restricted_system
-from .schubert import (
-    GRASS_SYSTEM,
-    TruncatedSeries,
-    _numerator,
-    _stratum_bounds,
-    _stratum_weights,
-    covering_cells,
-    swap_blocks_weight,
-)
+from .schubert import UnstableStratum
 
 __all__ = [
     "BoxTooSmallError",
@@ -353,24 +344,6 @@ def _ambient_weight(omega: Weight, n: int) -> Weight | None:
     return Weight((f1, f2, rem // 3, f4, f5))
 
 
-def _slack(k: int) -> int:
-    """Least offset height of a covering-cell numerator over the open
-    cell's at level ``k``, the open cell counting as 0.
-
-    The three numerators differ by root-lattice vectors, so a weight's
-    offset height in a boundary series is its height over the open cell's
-    numerator less that vector's height.  The series share one window and
-    one cutoff, so a weight is certified in all three exactly when its
-    height over the open cell's numerator is at most the cutoff plus this
-    slack.
-    """
-    top, *boundary = (_numerator(cell.w, k) for cell in covering_cells())
-    diffs = [root_lattice_coords(GRASS_SYSTEM, num - top) for num in boundary]
-    if None in diffs:
-        raise AssertionError("covering-cell numerators off one lattice coset")
-    return min(0, *map(sum, diffs))
-
-
 def cross_validate_h3(
     lam: Weight,
     window: tuple[int, int] | None = None,
@@ -384,26 +357,17 @@ def cross_validate_h3(
     local cohomology along the unstable strata.  The first stratum
     reaches grades at or above k+8; the mirror stratum is the swapped
     image of the first at the same level, so it reaches grades at or
-    below -k-8.  Both are read in the first stratum's frame: the bounds
-    at level k on grade (n, n), or (-n, -n) with the weights swapped for
-    the mirror (``schubert._stratum_bounds``).
+    below -k-8.  Each is read through :class:`schubert.UnstableStratum`,
+    which owns the frame, the bounds and their certification.
 
-    Every comparison weight must be certified by all three covering-cell
-    series, and failures are reported rather than passed.  A weight is
-    certified exactly when its offset height over the open cell's
-    numerator is at most the cutoff plus the level's slack (``_slack``),
-    the same limit on both strata.  Each ambient weight is solved against
-    the open cell's numerator once per stratum; the auto cutoff is the
+    Every comparison weight must be certified on each open stratum, and
+    failures are reported rather than passed.  The auto cutoff is the
     least one, and at least the default, that certifies every formula
-    weight.  Terms of the open cell's packed series are certified by the
-    sum of their offset columns, and only terms with a positive lower
-    bound become weights.
-
-    Only grade n is compared, so the bounds are asked on the single-grade
-    window whatever ``window`` is.  This is exact: the cone pruning keeps
-    every term of degree n whenever the window contains n, and every
-    formula weight has degree n (-n after the swap).  ``window`` only
-    decides whether grade n is covered at all, and is reported.
+    weight.  Only grade n is compared, so the bounds are asked on the
+    single-grade window whatever ``window`` is.  This is exact: the cone
+    pruning keeps every term of degree n whenever the window contains n,
+    and every formula weight has degree n.  ``window`` only decides
+    whether grade n is covered at all, and is reported.
     """
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
@@ -450,54 +414,23 @@ def cross_validate_h3(
             continue
         needed[nu] = h3.terms[omega]
 
-    slack = _slack(k)
-    top_num = _numerator(covering_cells()[0].w, k)
+    # the mirror stratum at level k is the second stratum at parameter -k
     opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]
-    offsets: dict[tuple[str, Weight], tuple[int, ...] | None] = {}
-
-    def offset_of(comp: str, nu: Weight) -> tuple[int, ...] | None:
-        # nu's offset from the open cell's numerator in the first stratum's
-        # frame, solved once per stratum and weight
-        if (comp, nu) not in offsets:
-            mu = swap_blocks_weight(nu) if comp == "F2" else nu
-            offsets[comp, nu] = root_lattice_coords(GRASS_SYSTEM, mu - top_num)
-        return offsets[comp, nu]
-
+    strata = {c: UnstableStratum(c, k if c == "F1" else -k) for c in opened}
     cutoff = height_cutoff
     if cutoff is None:
-        offs = [offset_of(comp, nu) for comp in opened for nu in needed]
-        heights = [sum(off) - slack for off in offs if off is not None]
-        cutoff = max([DEFAULT_HEIGHT_CUTOFF, *heights])
-    limit = cutoff + slack
-
-    # per open stratum: the open-cell series and (lower, upper, certified)
-    # on the terms with a positive lower bound
-    strata: dict[str, tuple[TruncatedSeries, dict]] = {}
-    for comp in opened:
-        grade = (n, n) if comp == "F1" else (-n, -n)
-        top, cols, lower = _stratum_bounds(k, grade, cutoff)
-        kept = [i for i, m in enumerate(lower) if m > 0]
-        sub = [[col[i] for i in kept] for col in cols]
-        upper = list(top.packed.values())
-        weights = _stratum_weights(comp, top, sub)
-        strata[comp] = top, {
-            w: (lower[i], upper[i], h <= limit)
-            for w, i, h in zip(weights, kept, map(sum, zip(*sub)))
-        }
+        heights = (s.cutoff_for(nu) for s in strata.values() for nu in needed)
+        cutoff = max([DEFAULT_HEIGHT_CUTOFF, *(h for h in heights if h is not None)])
+    grade = (n, n)
+    positive = {comp: s.positive_bounds(grade, cutoff) for comp, s in strata.items()}
 
     def bounds_at(comp: str, nu: Weight) -> tuple[int, int, bool]:
-        top, positive = strata[comp]
-        if nu in positive:
-            return positive[nu]
-        off = offset_of(comp, nu)
-        if off is None:
-            return 0, 0, True  # off-lattice weights never occur: zero is exact
-        return 0, top.packed.get(top._key_of(off), 0), sum(off) <= limit
+        return positive[comp].get(nu) or strata[comp].bounds_at(nu, grade, cutoff)
 
     certified = True
     rows, unverified = [], []
     content_sides: set[str] = set()
-    support = set(needed).union(*(positive for _, positive in strata.values()))
+    support = set(needed).union(*positive.values())
     for nu in sorted(support, key=lambda w: w.coords):
         found = needed.get(nu, 0)
         # formula content is compared on every open side; otherwise only
@@ -505,8 +438,8 @@ def cross_validate_h3(
         # where its series are certified
         at = {
             comp: bounds_at(comp, nu)
-            for comp, (_, positive) in strata.items()
-            if found or nu in positive
+            for comp in strata
+            if found or nu in positive[comp]
         }
         if found and not all(cert for *_, cert in at.values()):
             certified = False

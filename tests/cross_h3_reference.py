@@ -7,9 +7,10 @@ and certifies every compared weight with ``is_certified`` in each of the
 three covering-cell series (swapped into the first stratum's frame for the
 mirror), and takes the auto cutoff as the largest offset height of a
 formula weight over all three numerators.  ``cross_validate_h3`` reads the
-open cell's packed series and certifies a term by its offset height over
-the open cell's numerator against one limit, so the two share the bounds
-subtraction but neither the cutoff nor the comparison.
+bounds through ``schubert.UnstableStratum``, which certifies a weight by its
+offset height over the open cell's numerator against one limit, so the two
+share the bounds subtraction but neither the certification, the cutoff nor
+the comparison.  This module does not import ``UnstableStratum``.
 """
 
 from wonderco.charring import DEFAULT_HEIGHT_CUTOFF

@@ -310,13 +310,19 @@ class TestCohomology:
             ),
             ("-2,-2,-2,2", (), "tsv", "2c6e25bb02aa9c0d707de7d1d0a1cc0a", EXIT_OK),
             ("-2,-2,-2,2", (), "json", "e731adefd741b2a513625d9898e005be", EXIT_OK),
+            ("-2,-2,2,-2", (), "tsv", "35691dfea833d21f1d6157f61c1d643b", EXIT_OK),
+            ("-2,-2,2,-2", (), "json", "7765b1d8c2eb0c5ee22d7049cf76cabe", EXIT_OK),
         ],
-        ids=["both-tsv", "both-json", "cutoff8-tsv", "cutoff8-json", "F1-tsv", "F1-json"],
+        ids=[
+            "both-tsv", "both-json", "cutoff8-tsv", "cutoff8-json",
+            "F1-tsv", "F1-json", "F2-tsv", "F2-json",
+        ],
     )
     def test_cross_check_output_is_byte_identical(self, lam, extra, fmt, md5, exit_code):
         # recorded output, byte for byte: a bundle both strata reach (936
-        # unverified weights), an uncertified low cutoff, and a first-stratum
-        # bundle with one certified row beside 139 unverified weights
+        # unverified weights), an uncertified low cutoff, a first-stratum
+        # bundle with one certified row beside 139 unverified weights, and
+        # its mirror, which only the second stratum reaches
         code, out, _ = run_cli(
             "cohomology", "--lambda", lam, "--i", "3", *extra, "--format", fmt
         )

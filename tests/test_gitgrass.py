@@ -22,7 +22,6 @@ from wonderco.gitgrass import (
     is_semistable,
     sheaf_correspondence,
     subspace_point,
-    torus_weight,
     unstable_component,
 )
 from wonderco.rootsys import Weight, build_root_system
@@ -35,6 +34,26 @@ E3 = (0, 0, 1, 0, 0, 0)
 E1S = (0, 0, 0, 1, 0, 0)
 E2S = (0, 0, 0, 0, 1, 0)
 E3S = (0, 0, 0, 0, 0, 1)
+
+
+# weights of the block bases under the two rank-2 torus factors: the first
+# block carries the standard representation, the second its dual
+_EPS = {1: (1, 0), 2: (-1, 1), 3: (0, -1)}
+_EPS_DUAL = {1: (-1, 0), 2: (1, -1), 3: (0, 1)}
+
+
+def torus_weight(p: PluckerIndex) -> Weight:
+    """Weight of the basis vector under the two rank-2 torus factors: the
+    oracle for the table of summands in ``decompose_module``."""
+    a = [0, 0]
+    b = [0, 0]
+    for i in p.first:
+        a[0] += _EPS[i][0]
+        a[1] += _EPS[i][1]
+    for j in p.second:
+        b[0] += _EPS_DUAL[j][0]
+        b[1] += _EPS_DUAL[j][1]
+    return Weight((a[0], a[1], b[0], b[1]))
 
 
 def random_rows(rng, lo=-5, hi=5):

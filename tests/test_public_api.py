@@ -60,11 +60,32 @@ def test_character_kernel_imports_no_fractions(name):
     assert "fractions" not in imported
 
 
+def test_stratum_read_off_has_one_owner():
+    # schubert alone knows the packed-series format and the stratum frame;
+    # the degree-3 cross-check reads them through public schubert names
+    packed = {"packed", "_key_of", "_columns", "_weight_columns"}
+    private = {"_stratum_bounds", "_stratum_weights", "TruncatedSeries"}
+    for name in MODULES:
+        if name == "schubert":
+            continue
+        tree = ast.parse(inspect.getsource(load(name)))
+        reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "schubert"
+            for alias in node.names
+        }
+        assert reads & packed == set(), name
+        assert imported & private == set(), name
+        if name == "wondercoh":
+            assert imported <= set(load("schubert").__all__)
+
+
 # exports that no code of the package calls, each with why it stays
 UNCALLED_EXPORTS = {
     "charring.weyl_dimension": "dimension oracle the character tests check against",
     "charring.TruncationError": "raised nowhere in the package; perfbench/worker.py imports it",
-    "gitgrass.torus_weight": "checks decompose_module's table of summands",
     "gitgrass.block_swap": "geometric check behind schubert.swap_blocks_weight",
     "schubert.cousin_terms": "groups closure-cell series by depth for ROADMAP item 1",
 }

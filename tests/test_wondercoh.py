@@ -15,13 +15,13 @@ from wonderco.charring import (
     weyl_dimension,
 )
 from wonderco.gitgrass import sheaf_correspondence
-from wonderco.rootsys import Weight, build_root_system, root_lattice_coords
+from wonderco.rootsys import Weight, build_root_system
 from wonderco.schubert import (
     CSTAR_GRADING,
-    GRASS_SYSTEM,
-    _numerator,
+    UnstableStratum,
     covering_cells,
     kempf_character,
+    swap_blocks_weight,
 )
 from wonderco.wondercoh import (
     BoxTooSmallError,
@@ -32,7 +32,6 @@ from wonderco.wondercoh import (
     _required_radius,
     _shell_clear,
     _sign_pattern_ranges,
-    _slack,
     cross_validate_h3,
     h_character,
     serre_dual_check,
@@ -557,18 +556,20 @@ class TestSlackCertification:
         # the boundary numerators sit k + 3 above the open cell's, which
         # binds from level -4 down
         for k in range(-9, 10):
-            assert _slack(k) == min(0, k + 3), k
+            assert UnstableStratum("F1", k).slack == min(0, k + 3), k
 
     @pytest.mark.parametrize("width", [0, 6])
     def test_open_cell_height_rule_matches_every_series(self, width):
-        # at cutoff 6 the probes straddle the limit on every level
+        # at cutoff 6 the probes straddle the limit on every level; the
+        # second stratum at -k certifies the swapped probes on the reversed
+        # window exactly as the first at k certifies the probes
         cut = 6
         for k in range(-9, 10):
             starts = (k + 8, k + 12) if width == 0 else (k + 8,)
-            num = _numerator(covering_cells()[0].w, k)
-            limit = cut + _slack(k)
+            first, second = UnstableStratum("F1", k), UnstableStratum("F2", -k)
             for start in starts:
                 window = (start, start + width)
+                mirror = (-window[1], -window[0])
                 series = [
                     kempf_character(c.w, k, window, cut) for c in covering_cells()
                 ]
@@ -579,11 +580,10 @@ class TestSlackCertification:
                 verdicts = set()
                 for p in probes:
                     want = every_series_certified(series, p)
-                    off = root_lattice_coords(GRASS_SYSTEM, p - num)
-                    got = window[0] <= CSTAR_GRADING.degree(p) <= window[1] and (
-                        off is None or sum(off) <= limit
-                    )
+                    got = first.certifies(p, window, cut)
                     assert got == want, (k, window, p)
+                    got = second.certifies(swap_blocks_weight(p), mirror, cut)
+                    assert got == want, ("F2", k, window, p)
                     verdicts.add(want)
                 # the probes reach both sides of the rule
                 assert verdicts == {True, False}, (k, window)
@@ -611,5 +611,5 @@ class TestSlackCertification:
             if DEFAULT_HEIGHT_CUTOFF < want <= 20:
                 rep = cross_validate_h3(lam)
                 assert rep.height_cutoff == want, (f1, f2)
-                seen.add((rep.component, _slack(k) < 0))
+                seen.add((rep.component, UnstableStratum("F1", k).slack < 0))
         assert seen == {("F1", True), ("F1", False), ("F2", True), ("F2", False)}
