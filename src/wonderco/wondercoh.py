@@ -104,6 +104,13 @@ def spanning_weight(a1: int, a2: int, b1: int, b2: int) -> Weight:
     )
 
 
+@lru_cache(maxsize=1)
+def _block_coords() -> tuple[tuple[int, int], ...]:
+    """Block coordinates (f1, f2) of g1, g2 and rho, in that order."""
+    data = spherical_data()
+    return tuple(map(_diagonal_coords, (*data.sigma_x, data.rho)))
+
+
 def _valid_candidates(a1: int, a2: int, offsets):
     """Yield (t1, t2, p, q) for the offsets whose candidate is valid.
 
@@ -112,10 +119,7 @@ def _valid_candidates(a1: int, a2: int, offsets):
     the boundary classes and rho.  Valid means regular (p, q and p + q
     nonzero) with a positive offset exactly where the pairing is negative.
     """
-    data = spherical_data()
-    (g11, g12), (g21, g22), (r1, r2) = map(
-        _diagonal_coords, (*data.sigma_x, data.rho)
-    )
+    (g11, g12), (g21, g22), (r1, r2) = _block_coords()
     for t1, t2 in offsets:
         p = a1 + r1 + t1 * g11 + t2 * g21
         q = a2 + r2 + t1 * g12 + t2 * g22
@@ -175,13 +179,49 @@ def _shell_clear(a1: int, a2: int, radius: int) -> None:
     """Check the first offset layer outside the box for valid candidates.
 
     The analytic bound says none exist once the box covers the required
-    radius; this scans the layer's (p, q) anyway and refuses to certify
-    if a candidate slips through.
+    radius; this checks the layer anyway and refuses to certify if a
+    candidate slips through, naming the first one in the layer's scan
+    order: the rows t2 = -edge, edge interleaved along t1 in -edge..edge,
+    then the columns t1 = -edge, edge interleaved along t2 in
+    -radius..radius, with edge = radius + 1.
+
+    Only breakpoints are tested.  Along a side the free offset t enters
+    p, q and p + q as affine functions c + b t, and whether it is
+    positive is the sign of t - 1; the predicate of ``_valid_candidates``
+    depends on t through these four signs alone.  With b != 0 and
+    f = floor(-c/b), the sign of c + b t is constant on t < f, at f and
+    on t > f, so validity is constant on the runs into which the points
+    f and f + 1 of the four functions cut a side.  The first valid point
+    of a side is therefore its first point or one of these, and the
+    check costs the same at any radius.
     """
     edge = radius + 1
-    shell = [(t, s * edge) for t in range(-edge, edge + 1) for s in (-1, 1)]
-    shell += [(s * edge, t) for t in range(-radius, radius + 1) for s in (-1, 1)]
-    for t1, t2, _, _ in _valid_candidates(a1, a2, shell):
+    (g11, g12), (g21, g22), (r1, r2) = _block_coords()
+    columns = 2 * (2 * edge + 1)
+    # (free axis, fixed offset, first t, last t, scan position of first t)
+    sides = (
+        (1, -edge, -edge, edge, 0),
+        (1, edge, -edge, edge, 1),
+        (2, -edge, -radius, radius, columns),
+        (2, edge, -radius, radius, columns + 1),
+    )
+    points = {}
+    for axis, fixed, lo, hi, start in sides:
+        (bp, bq), (fp, fq) = (
+            ((g11, g12), (g21, g22)) if axis == 1 else ((g21, g22), (g11, g12))
+        )
+        cp, cq = a1 + r1 + fixed * fp, a2 + r2 + fixed * fq
+        ts = {lo}
+        for c, b in ((cp, bp), (cq, bq), (cp + cq, bp + bq), (-1, 1)):
+            if b:
+                ts.update((-c // b, -c // b + 1))
+        for t in ts:
+            if lo <= t <= hi:
+                points[start + 2 * (t - lo)] = (
+                    (t, fixed) if axis == 1 else (fixed, t)
+                )
+    layer = (points[k] for k in sorted(points))
+    for t1, t2, _, _ in _valid_candidates(a1, a2, layer):
         raise BoxTooSmallError(
             f"a candidate at offsets ({t1}, {t2}) just outside the "
             f"box of radius {radius} still satisfies the sign "
@@ -213,7 +253,7 @@ def _graded_components(
             f"radius {needed}"
         )
     _shell_clear(a1, a2, radius)
-    r1, r2 = _diagonal_coords(spherical_data().rho)
+    r1, r2 = _block_coords()[2]
     found: dict[int, list[tuple[int, int]]] = {}
     offsets = _sign_pattern_ranges(a1, a2)
     for t1, t2, x, y in _valid_candidates(a1, a2, offsets):

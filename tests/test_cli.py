@@ -346,6 +346,14 @@ class TestCohomology:
         assert code == EXIT_CERTIFICATION
         assert "certification failure" in err
 
+    def test_huge_box_matches_default_box(self):
+        # the layer check costs the same at any radius, so a box of
+        # radius 10**6 answers at once, and as the default box does
+        argv = ("cohomology", "--lambda", "2,1,0,-1", "--i", "0")
+        code, out, err = run_cli(*argv, "--box-radius", "1000000")
+        assert code == EXIT_OK and err == ""
+        assert (code, out, err) == run_cli(*argv)
+
     def test_degree_out_of_range(self):
         code, _, err = run_cli("cohomology", "--lambda", "0,0,0,0", "--i", "9")
         assert code == EXIT_INPUT

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wonderco import wondercoh
 from wonderco.charring import (
     DEFAULT_HEIGHT_CUTOFF,
     Character,
@@ -278,6 +279,63 @@ class TestComponentEnumeration:
         with pytest.raises(BoxTooSmallError, match=r"\(-4, -4\) just outside"):
             _shell_clear(6, 6, 3)
         _shell_clear(6, 6, 12)
+
+        # oracle: every point of the layer in plain (p, q) arithmetic, in
+        # scan order (the rows t2 = -edge, edge interleaved along t1, then
+        # the columns t1 = -edge, edge interleaved along t2); the check
+        # must raise exactly when some point is valid, naming the first
+        def first_valid(a1, a2, radius):
+            edge = radius + 1
+            signs = (-1, 1)
+            layer = [(t, s * edge) for t in range(-edge, edge + 1) for s in signs]
+            layer += [(s * edge, t) for t in range(-radius, radius + 1) for s in signs]
+            for t1, t2 in layer:
+                p = a1 + 1 + 2 * t1 - t2
+                q = a2 + 1 - t1 + 2 * t2
+                if p == 0 or q == 0 or p + q == 0:
+                    continue
+                if (t1 >= 1) == (p < 0) and (t2 >= 1) == (q < 0):
+                    return t1, t2
+            return None
+
+        cases = raising = 0
+        for a1, a2 in itertools.product(range(-20, 21), repeat=2):
+            for radius in (*range(13), 3 * (1 + abs(a1) + abs(a2))):
+                want = first_valid(a1, a2, radius)
+                if want is not None:
+                    want = (
+                        f"a candidate at offsets {want} just outside the box "
+                        f"of radius {radius} still satisfies the sign "
+                        "constraints; enlarge the box"
+                    )
+                try:
+                    _shell_clear(a1, a2, radius)
+                    got = None
+                except BoxTooSmallError as exc:
+                    got = str(exc)
+                assert got == want, (a1, a2, radius)
+                cases += 1
+                raising += want is not None
+        assert (cases, raising) == (23534, 12224)
+
+    def test_shell_scan_cost_does_not_grow_with_radius(self, monkeypatch):
+        # the layer has 8 radius + 8 points; the check hands the predicate
+        # only its breakpoints, at most nine per side and the same number
+        # at any radius
+        sizes = []
+
+        def counting(a1, a2, offsets):
+            offsets = list(offsets)
+            sizes.append(len(offsets))
+            return valid(a1, a2, offsets)
+
+        valid = wondercoh._valid_candidates
+        monkeypatch.setattr(wondercoh, "_valid_candidates", counting)
+        for a1, a2 in ((0, 0), (6, 6), (-7, 3), (2, -11), (-9, -9)):
+            for radius in (10**2, 10**6):
+                _shell_clear(a1, a2, radius)
+            small, large = sizes[-2:]
+            assert small == large <= 36, (a1, a2)
 
     def test_non_diagonal_rejected(self):
         with pytest.raises(ValueError, match="block-diagonal"):
