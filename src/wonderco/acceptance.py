@@ -22,10 +22,10 @@ import operator
 import os
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
+from io import TextIOBase
 from pathlib import Path
-from typing import Callable, TextIO
 
 from .charring import DEFAULT_HEIGHT_CUTOFF, weyl_character
 from .gitgrass import decompose_module, fixed_points, unstable_component
@@ -34,6 +34,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     WeylElement,
+    _record,
     act,
     all_roots,
     build_root_system,
@@ -120,7 +121,7 @@ def load_fixture(name: str) -> dict:
     return data
 
 
-@dataclass(frozen=True)
+@_record
 class AcceptanceConfig:
     """Tunable knobs of the suite; the defaults are the published settings."""
 
@@ -140,7 +141,7 @@ class AcceptanceConfig:
         return random.Random(self.seed * 101 + criterion)
 
 
-@dataclass(frozen=True)
+@_record
 class CriterionResult:
     number: int
     title: str
@@ -158,7 +159,7 @@ class CriterionResult:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class AcceptanceReport:
     config: AcceptanceConfig
     results: tuple[CriterionResult, ...]
@@ -710,7 +711,7 @@ _CRITERIA: tuple[tuple[int, str, Callable, float | None], ...] = (
 
 def run_acceptance(
     config: AcceptanceConfig | None = None,
-    stream: TextIO | None = None,
+    stream: TextIOBase | None = None,
 ) -> AcceptanceReport:
     """Run all ten criteria and return the report.
 

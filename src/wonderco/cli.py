@@ -35,9 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, TextIO
+from io import TextIOBase
 
 from .acceptance import DEFAULT_SEED, AcceptanceConfig, AcceptanceReport, run_acceptance
 from .charring import DEFAULT_HEIGHT_CUTOFF, Character
@@ -52,7 +52,7 @@ from .gitgrass import (
     unstable_component,
 )
 from .opcrit import classify
-from .rootsys import Weight
+from .rootsys import Weight, _record
 from .satake import (
     CATALOG,
     DiagramError,
@@ -82,7 +82,7 @@ class InputError(ValueError):
     """A flag or input value the interface cannot act on."""
 
 
-@dataclass(frozen=True)
+@_record
 class RunConfig:
     """Validated values of the flags that several subcommands read; None
     where the flag is not given or the subcommand does not register it."""
@@ -151,12 +151,12 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _print_tsv(rows, out: TextIO) -> None:
+def _print_tsv(rows, out: TextIOBase) -> None:
     for row in rows:
         print("\t".join(str(x) for x in row), file=out)
 
 
-def _print_json(payload: dict, out: TextIO) -> None:
+def _print_json(payload: dict, out: TextIOBase) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2), file=out)
 
 
@@ -186,7 +186,7 @@ def _yesno(flag: bool) -> str:
 # ---------------------------------------------------------------------------
 # satake
 
-def _cmd_satake(cfg: RunConfig, args, out: TextIO) -> int:
+def _cmd_satake(cfg: RunConfig, args, out: TextIOBase) -> int:
     if args.diagram is not None:
         names = [args.diagram]
     else:
@@ -235,7 +235,7 @@ def _cmd_satake(cfg: RunConfig, args, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 # classify
 
-def _cmd_classify(cfg: RunConfig, args, out: TextIO) -> int:
+def _cmd_classify(cfg: RunConfig, args, out: TextIOBase) -> int:
     if args.bound < 1:
         raise InputError("bound must be at least 1")
     if args.diagram is not None:
@@ -287,7 +287,7 @@ def _cmd_classify(cfg: RunConfig, args, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 # git
 
-def _cmd_git(cfg: RunConfig, args, out: TextIO) -> int:
+def _cmd_git(cfg: RunConfig, args, out: TextIOBase) -> int:
     if args.action == "stratify":
         return _git_stratify(cfg, args, out)
     if args.action == "fixed-points":
@@ -295,7 +295,7 @@ def _cmd_git(cfg: RunConfig, args, out: TextIO) -> int:
     return _git_module(cfg, out)
 
 
-def _git_stratify(cfg: RunConfig, args, out: TextIO) -> int:
+def _git_stratify(cfg: RunConfig, args, out: TextIOBase) -> int:
     if args.matrix is not None:
         matrix = _parse_matrix(args.matrix)
     else:
@@ -339,7 +339,7 @@ def _point_label(p) -> str:
     return f"{first}|{second}"
 
 
-def _git_fixed_points(cfg: RunConfig, out: TextIO) -> int:
+def _git_fixed_points(cfg: RunConfig, out: TextIOBase) -> int:
     entries = []
     for p in all_plucker_indices():
         u = coordinate_point(p)
@@ -368,7 +368,7 @@ def _git_fixed_points(cfg: RunConfig, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _git_module(cfg: RunConfig, out: TextIO) -> int:
+def _git_module(cfg: RunConfig, out: TextIOBase) -> int:
     summands = decompose_module()
     if cfg.fmt == "json":
         _print_json(
@@ -398,7 +398,7 @@ def _git_module(cfg: RunConfig, out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 # schubert
 
-def _cmd_schubert(cfg: RunConfig, args, out: TextIO) -> int:
+def _cmd_schubert(cfg: RunConfig, args, out: TextIOBase) -> int:
     cell, k = args.cell, args.k
     cutoff = DEFAULT_HEIGHT_CUTOFF if cfg.height_cutoff is None else cfg.height_cutoff
     if cfg.window is not None:
@@ -467,7 +467,7 @@ def _cross_payload(report) -> dict:
     }
 
 
-def _cmd_cohomology(cfg: RunConfig, args, out: TextIO) -> int:
+def _cmd_cohomology(cfg: RunConfig, args, out: TextIOBase) -> int:
     coeffs = _parse_coefficients(args.lam)
     degree = args.degree
     if not 0 <= degree <= 8:
@@ -531,7 +531,7 @@ def _report_payload(report: AcceptanceReport) -> dict:
     return data
 
 
-def _cmd_acceptance(cfg: RunConfig, args, out: TextIO) -> int:
+def _cmd_acceptance(cfg: RunConfig, args, out: TextIOBase) -> int:
     kwargs: dict = {"seed": args.seed}
     if cfg.window is not None:
         kwargs["window_width"] = cfg.window[1] - cfg.window[0]
@@ -741,8 +741,8 @@ def _merge_signed_values(argv: list[str]) -> list[str]:
 
 def main(
     argv: Sequence[str] | None = None,
-    out: TextIO | None = None,
-    err: TextIO | None = None,
+    out: TextIOBase | None = None,
+    err: TextIOBase | None = None,
 ) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err

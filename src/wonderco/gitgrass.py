@@ -16,10 +16,9 @@ reduced row-echelon form, so equality means equality of subspaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsys import Weight, _rref
+from .rootsys import Weight, _record, _rref
 
 __all__ = [
     "PluckerIndex",
@@ -40,7 +39,7 @@ __all__ = [
     "sheaf_correspondence",
 ]
 
-@dataclass(frozen=True)
+@_record
 class PluckerIndex:
     """Basis vector of the exterior cube: wedge of e_i (i in ``first``) and
     e*_j (j in ``second``), three factors in total."""
@@ -85,7 +84,7 @@ def cstar_weight(p: PluckerIndex) -> int:
 # ---------------------------------------------------------------------------
 # points
 
-@dataclass(frozen=True)
+@_record
 class SubspacePoint:
     """A 3-plane in the 6-space, stored as the reduced row-echelon form of a
     spanning 3x6 matrix; construct via :func:`subspace_point`."""
@@ -179,7 +178,7 @@ def unstable_component(u: SubspacePoint) -> str | None:
 # ---------------------------------------------------------------------------
 # module structure
 
-@dataclass(frozen=True)
+@_record
 class Summand:
     """An irreducible block of the exterior cube: highest weight of the two
     rank-2 factors, scaling weight, dimension."""
@@ -201,7 +200,7 @@ def decompose_module() -> tuple[Summand, ...]:
 # ---------------------------------------------------------------------------
 # weight-to-sheaf translation
 
-@dataclass(frozen=True)
+@_record
 class SheafDescriptor:
     """A block-diagonal weight together with its (line bundle power,
     scaling grade) translation."""

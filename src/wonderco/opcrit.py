@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .rootsys import build_root_system
+from .rootsys import _record, build_root_system
 from .satake import RestrictedSystem, SatakeDiagram, criterion_matrices, restricted_system
 
 __all__ = [
@@ -163,7 +162,7 @@ def joint_has_solutions(matrices: tuple[Matrix, ...] | list[Matrix]) -> bool:
 # ---------------------------------------------------------------------------
 # diagram classification
 
-@dataclass(frozen=True)
+@_record
 class Classification:
     """Existence verdict and admissible exponents for one diagram."""
 

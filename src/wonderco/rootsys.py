@@ -24,10 +24,9 @@ Everything is an immutable value; all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 
 __all__ = [
     "Root",
@@ -100,7 +99,86 @@ class Weight(_Vector):
         return all(c >= 0 for c in self)
 
 
-@dataclass(frozen=True, eq=False)
+def _record(cls):
+    """Make ``cls`` a frozen value record over its annotated fields.
+
+    The fields are the class's own annotations, in order.  The record is
+    built from them by position or keyword, class attributes of the same
+    name are defaults, and ``__post_init__`` runs after construction.
+    ``==`` compares the field tuples of two records of exactly one class,
+    ``hash`` is that of the field tuple, the repr reads
+    ``QualName(field=value, ...)`` and fields cannot be assigned or
+    deleted: the behaviour of ``dataclass(frozen=True)``, without the cost
+    of importing ``dataclasses`` and generating its methods.  Methods the
+    class body defines are kept.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = hasattr(cls, "__post_init__")
+    if len(names) == 1:
+        get = attrgetter(names[0])
+
+        def key(obj):
+            return (get(obj),)
+
+    else:
+        key = attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls, names, defaults, args, kwargs)
+        # object.__setattr__, not a write to __dict__, which would
+        # materialise the dict and slow every later field read
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, names, key(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    return cls
+
+
+def _bind(cls, names, defaults, args, kwargs) -> list:
+    """The field values of a record construction that is not one value per
+    field by position, checked as a call to a signature would check it."""
+    if len(args) > len(names):
+        raise TypeError(
+            f"{cls.__qualname__}() takes {len(names)} fields but {len(args)} were given"
+        )
+    given = dict(zip(names, args))
+    for name in kwargs:
+        if name not in names:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected field {name!r}")
+        if name in given:
+            raise TypeError(f"{cls.__qualname__}() got multiple values for {name!r}")
+    values = {**defaults, **given, **kwargs}
+    missing = [n for n in names if n not in values]
+    if missing:
+        raise TypeError(f"{cls.__qualname__}() missing fields {missing}")
+    return [values[n] for n in names]
+
+
+@_record
 class RootSystem:
     """A finite crystallographic root system.
 
@@ -431,7 +509,7 @@ def _orbit(system: RootSystem, mu: Weight) -> frozenset[Weight]:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
+@_record
 class WeylElement:
     """A Weyl group element, stored as its canonical reduced word.
 

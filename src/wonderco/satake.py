@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootsys import (
     Root,
     RootSystem,
+    _record,
     _simple_cartan,
     all_roots,
     build_root_system,
@@ -57,7 +57,7 @@ class DiagramError(ValueError):
 # ---------------------------------------------------------------------------
 # diagrams
 
-@dataclass(frozen=True)
+@_record
 class SatakeDiagram:
     """A Dynkin diagram with black vertices and white arrow pairs.
 
@@ -275,7 +275,7 @@ def phi_split(d: SatakeDiagram) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
 # ---------------------------------------------------------------------------
 # restricted system
 
-@dataclass(frozen=True)
+@_record
 class RestrictedSystem:
     """The restricted root data carried by the white classes.
 

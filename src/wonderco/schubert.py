@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -45,6 +44,7 @@ from .rootsys import (
     Root,
     Weight,
     WeylElement,
+    _record,
     act,
     build_root_system,
     coset_reps,
@@ -84,7 +84,7 @@ LEVI = frozenset({1, 2, 4, 5})
 _DIM = 9
 
 
-@dataclass(frozen=True)
+@_record
 class SchubertCell:
     """A Borel orbit on the Grassmannian.
 
@@ -99,7 +99,7 @@ class SchubertCell:
     fixed_point: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@_record
 class InversionData:
     """Root data of a cell's local-cohomology character.
 
@@ -266,7 +266,7 @@ def _boundary_shifts(k: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # truncated series
 
-@dataclass(frozen=True)
+@_record
 class Grading:
     """An integer grading cocharacter of ``GRASS_SYSTEM``, recorded by its
     values on the fundamental weights."""

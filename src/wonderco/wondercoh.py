@@ -17,7 +17,6 @@ reports exactly what was certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .charring import DEFAULT_HEIGHT_CUTOFF, Character, weyl_character
@@ -25,6 +24,7 @@ from .gitgrass import _diagonal_coords, sheaf_correspondence
 from .rootsys import (
     RootSystem,
     Weight,
+    _record,
     dominant_representative,
     half_sum_positive,
     root_to_weight,
@@ -49,7 +49,7 @@ class BoxTooSmallError(ValueError):
     """The search region cannot certify a complete enumeration."""
 
 
-@dataclass(frozen=True)
+@_record
 class SphericalData:
     """Boundary and duality data of the compactified group.
 
@@ -329,7 +329,7 @@ def serre_dual_check(lam: Weight, i: int, box: int | None = None) -> bool:
 # cross-validation against the quotient model
 
 
-@dataclass(frozen=True)
+@_record
 class CrossCheckReport:
     """Outcome of one degree-3 cross-check.
 

@@ -4,8 +4,11 @@ and every export is called by the package or kept for a stated reason."""
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +83,26 @@ def test_stratum_read_off_has_one_owner():
         assert imported & private == set(), name
         if name == "wondercoh":
             assert imported <= set(load("schubert").__all__)
+
+
+def test_cli_import_leaves_out_heavy_stdlib_modules():
+    # every process pays for its imports first; the records are built
+    # without dataclasses (which pulls in inspect), and annotations name
+    # collections.abc and io types rather than typing.  -S keeps site
+    # from preloading any of them.
+    src = str(pathlib.Path(wonderco.__file__).parent.parent)
+    probe = (
+        "import sys, wonderco.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 # exports that no code of the package calls, each with why it stays

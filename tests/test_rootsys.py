@@ -1,7 +1,12 @@
 """Tests for root systems, Weyl words, and coset combinatorics."""
 
+import ast
+import dataclasses
+import importlib
 import itertools
 import math
+import pathlib
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -490,3 +495,164 @@ def test_half_sum_positive():
         for r in system.positive_roots:
             total = total + rs.root_to_weight(system, r)
         assert total == rs.half_sum_positive(system).scale(2)
+
+
+# ---------------------------------------------------------------------------
+# the frozen-record decorator, against dataclasses as the oracle
+
+
+def _record_classes() -> dict[str, tuple[type, set[str]]]:
+    """Every class the package decorates with ``_record``, found in the
+    source, with the names its body defines (methods and field defaults)."""
+    found = {}
+    for path in sorted(pathlib.Path(rs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "_record"
+                for d in node.decorator_list
+            ):
+                module = importlib.import_module(f"wonderco.{path.stem}")
+                body = {
+                    n.name for n in node.body if isinstance(n, ast.FunctionDef)
+                } | {
+                    n.target.id
+                    for n in node.body
+                    if isinstance(n, ast.AnnAssign) and n.value is not None
+                }
+                found[node.name] = (getattr(module, node.name), body)
+    return found
+
+
+RECORDS = _record_classes()
+
+# constructor arguments for the records whose __post_init__ rejects the
+# generic values below
+VALID_ARGS = {
+    "PluckerIndex": [((2, 1), (3,)), ((1,), (3, 2)), ((2, 1), (3,)), ((2, 1), (2,))],
+    "RunConfig": [
+        ((0, 3), 12, None, "tsv"),
+        (None, None, 0, "json"),
+        ((0, 3), 12, None, "tsv"),
+        ((0, 3), 12, None, "json"),
+    ],
+    "AcceptanceConfig": [
+        (7, 40, 12, 5, 50),
+        (8, 10, 3, 0, 1),
+        (7, 40, 12, 5, 50),
+        (7, 40, 12, 5, 49),
+    ],
+}
+GENERIC_VALUES = (0, "F1", (1, 2), None, Weight((1, 0)), -3, frozenset({2}), ())
+
+
+def sample_args(name: str, count: int) -> list[tuple]:
+    """Four argument tuples: two distinct, a repeat of the first, and the
+    first with its last field changed."""
+    if name in VALID_ARGS:
+        return VALID_ARGS[name]
+    first, second = (
+        tuple(GENERIC_VALUES[(i + s) % len(GENERIC_VALUES)] for i in range(count))
+        for s in (0, 3)
+    )
+    return [first, second, first, first[:-1] + ("other",)]
+
+
+def dataclass_twin(cls: type, body: set[str]) -> type:
+    """``dataclasses.make_dataclass(frozen=True)`` over the same fields,
+    defaults and class-body methods."""
+    fields = [
+        (n, object, vars(cls)[n]) if n in body else (n, object)
+        for n in cls.__annotations__
+    ]
+    namespace = {n: vars(cls)[n] for n in body if n not in cls.__annotations__}
+    namespace["__qualname__"] = cls.__qualname__
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, frozen=True, namespace=namespace
+    )
+
+
+def test_record_scan_finds_the_package_records():
+    assert {"RootSystem", "WeylElement", "Grading", "PluckerIndex", "RunConfig"} <= set(
+        RECORDS
+    )
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_matches_frozen_dataclass(name):
+    cls, body = RECORDS[name]
+    # the methods the class body defines are the ones the class keeps
+    for method in body - set(cls.__annotations__):
+        defined = vars(cls)[method]
+        if isinstance(defined, types.FunctionType):
+            assert defined.__qualname__ == f"{cls.__qualname__}.{method}"
+    twin = dataclass_twin(cls, body)
+    names = tuple(cls.__annotations__)
+    args = sample_args(name, len(names))
+    objs = [cls(*a) for a in args]
+    twins = [twin(*a) for a in args]
+    for obj, tw in zip(objs, twins):
+        assert repr(obj) == repr(tw)
+        assert hash(obj) == hash(tw)
+        assert obj.__eq__(object()) is tw.__eq__(object())
+        assert (obj == tw) is False
+        # another record class holding the same values
+        values = tuple(getattr(obj, n) for n in names)
+        other = rs._record(type(name, (), {"__annotations__": dict.fromkeys(names)}))
+        assert (obj == other(*values), obj != other(*values)) == (False, True)
+        for field in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 0
+    if "__eq__" in body:
+        # the body's own __eq__ names the class, so its twin is no oracle
+        return
+    for obj, tw in zip(objs, twins):
+        # a subclass compares as the dataclass's subclass does
+        values = tuple(getattr(obj, n) for n in names)
+        sub, twin_sub = type(name, (cls,), {}), type(name, (twin,), {})
+        assert (sub(*values) == obj) == (twin_sub(*values) == tw)
+        assert (obj == sub(*values)) == (tw == twin_sub(*values))
+    for (a, ta), (b, tb) in itertools.product(zip(objs, twins), repeat=2):
+        assert (a == b, a != b) == (ta == tb, ta != tb)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_construction_matches_frozen_dataclass(name):
+    cls, body = RECORDS[name]
+    twin = dataclass_twin(cls, body)
+    names = tuple(cls.__annotations__)
+    args = sample_args(name, len(names))[0]
+    by_keyword = dict(zip(names, args))
+    assert repr(cls(**by_keyword)) == repr(cls(*args)) == repr(twin(**by_keyword))
+    required = [n for n in names if n not in body]
+    assert repr(cls(*args[: len(required)])) == repr(twin(*args[: len(required)]))
+    bad = [(args + (0,), {}), (args, {"not_a_field": 0}), (args, {names[0]: args[0]})]
+    if required:
+        bad.append((args[: len(required) - 1], {}))
+    for bad_args, bad_kwargs in bad:
+        with pytest.raises(TypeError):
+            twin(*bad_args, **bad_kwargs)
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+
+
+def test_record_post_init_runs():
+    from wonderco.cli import InputError, RunConfig
+    from wonderco.gitgrass import PluckerIndex
+
+    index = PluckerIndex(second=(3, 2), first=(1,))
+    assert (index.first, index.second) == ((1,), (2, 3))
+    with pytest.raises(InputError, match="empty window 3:0"):
+        RunConfig((3, 0), None, None, "tsv")
+    with pytest.raises(InputError, match="unknown format"):
+        RunConfig(window=None, height_cutoff=None, box_radius=None, fmt="csv")
+
+
+def test_record_keeps_class_body_methods():
+    assert repr(A2) == "RootSystem(A2)"
+    assert hash(A2) == A2._hash
+    grading = RECORDS["Grading"][0]((1, 2, 3, 2, 1))
+    assert grading.simple_root_degrees is grading.simple_root_degrees

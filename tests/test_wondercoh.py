@@ -1,6 +1,5 @@
 """Tests for line-bundle cohomology on the compactified group."""
 
-import dataclasses
 import itertools
 import random
 
@@ -554,7 +553,7 @@ class TestCrossValidation:
             wide = (rep.n - 3, rep.n + 2)
             got = cross_validate_h3(diag(*ab), window=wide, height_cutoff=cutoff)
             assert got.window == wide
-            assert dataclasses.replace(got, window=rep.window) == rep, ab
+            assert {**vars(got), "window": rep.window} == vars(rep), ab
 
     def test_both_windows_deep_level(self):
         rep = cross_validate_h3(diag(-5, -5))
