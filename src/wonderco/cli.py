@@ -36,6 +36,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from contextlib import redirect_stdout
 from fractions import Fraction
 from io import TextIOBase
 
@@ -749,12 +750,12 @@ def main(
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         parser = build_parser()
-        args = parser.parse_args(_merge_signed_values(argv))
+        with redirect_stdout(out):  # argparse prints --help itself
+            args = parser.parse_args(_merge_signed_values(argv))
         cfg = _config_from_args(args)
         return args.func(cfg, args, out)
     except SystemExit as exc:  # argparse --help
-        code = exc.code
-        return code if isinstance(code, int) else 0
+        return exc.code if isinstance(exc.code, int) else 0
     except BoxTooSmallError as exc:
         print(f"certification failure: {exc}", file=err)
         return EXIT_CERTIFICATION

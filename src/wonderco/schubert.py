@@ -26,17 +26,19 @@ the one fold of :func:`_cone_keys`: positive-degree roots first, then the
 terms below the window dropped, then the degree-0 roots, which leave every
 degree as it is.  The cone is level-free: it is cached per window relative
 to the numerator degree, and every level on that relative window shares
-it.  :class:`UnstableStratum` owns the read-off of both strata: their
-frame, their cached bounds (shared by a stratum and its mirror) and their
-certification.  No other module reads packed series.
+it, with its read-off (:class:`_Cone`): a level's weights are the cone's
+Cartan image plus its numerator.  :class:`UnstableStratum` owns the
+read-off of both strata: their frame, their cached bounds (shared by a
+stratum and its mirror) and their certification.  No other module reads
+packed series.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Mapping, Sequence
-from functools import cached_property, lru_cache
+from collections.abc import Iterator, Mapping
+from functools import cached_property, lru_cache, partial, reduce
 from types import MappingProxyType
 
 from .charring import DEFAULT_HEIGHT_CUTOFF, Character
@@ -152,13 +154,8 @@ def component_cell(component: str) -> SchubertCell:
     """
     if component != "F1":
         raise ValueError(f"no cell closure for component {component!r}")
-    best = max(
-        (
-            c.fixed_point
-            for c in enumerate_cells()
-            if sum(1 for i in c.fixed_point if i <= 3) >= 2
-        ),
-    )
+    fixed = (c.fixed_point for c in enumerate_cells())
+    best = max(fp for fp in fixed if sum(i <= 3 for i in fp) >= 2)
     return cell_for_fixed_point(best)
 
 
@@ -191,11 +188,7 @@ def covering_cells() -> tuple[SchubertCell, ...]:
 @lru_cache(maxsize=1)
 def _radical_roots() -> tuple[Root, ...]:
     """Positive roots outside the Levi: those with middle coefficient 1."""
-    return tuple(
-        r
-        for r in GRASS_SYSTEM.positive_roots
-        if r[2] > 0
-    )
+    return tuple(r for r in GRASS_SYSTEM.positive_roots if r[2] > 0)
 
 
 def _check_minimal(w: WeylElement) -> None:
@@ -260,6 +253,9 @@ def _boundary_shifts(k: int) -> tuple[tuple[int, ...], ...]:
     shifts = tuple(root_lattice_coords(GRASS_SYSTEM, num - top) for num in boundary)
     if None in shifts:
         raise AssertionError("covering-cell numerators off one lattice coset")
+    # k + 3 along the first or the last simple root: one field to mask
+    if any(len(s) - s.count(0) > 1 for s in shifts):
+        raise AssertionError("boundary shift moves more than one field")
     return shifts
 
 
@@ -279,11 +275,8 @@ class Grading:
     @cached_property
     def simple_root_degrees(self) -> tuple[int, ...]:
         """Degree of each simple root; root degrees are linear in these."""
-        c = GRASS_SYSTEM.cartan
-        n = GRASS_SYSTEM.rank
-        return tuple(
-            sum(self.values[i] * c[i][j] for i in range(n)) for j in range(n)
-        )
+        cols = zip(*GRASS_SYSTEM.cartan)
+        return tuple(sum(map(operator.mul, self.values, col)) for col in cols)
 
 
 # the scaling cocharacter (twice the middle fundamental coweight) evaluated
@@ -302,6 +295,45 @@ def _key(vec: tuple[int, ...], bits: int) -> int:
     return key + (sum(map(operator.mul, per_root, vec)) << bits * len(vec))
 
 
+class _Cone(tuple):
+    """The pair ``(bits, packed)`` of :func:`_cone_keys` and the read-off all
+    levels on its relative window share, each built on first use: the
+    offsets unpacked per simple root in ``packed`` order (``columns``),
+    their Cartan image and its block swap.  All tuples; none can be set."""
+
+    def __new__(cls, bits: int, packed: Mapping[int, int]):
+        return super().__new__(cls, (bits, MappingProxyType(packed)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"_Cone.{name} is read-only")
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        bits, packed = self
+        mask, fields = (1 << bits) - 1, range(0, bits * GRASS_SYSTEM.rank, bits)
+        return tuple(tuple([key >> sh & mask for key in packed]) for sh in fields)
+
+    @cached_property
+    def image(self) -> tuple[tuple[int, ...], ...]:
+        # row i of the Cartan matrix against the offsets, chained lazily from
+        # the diagonal; every other entry is 0 or negative, mostly -1
+        cols, image = self.columns, []
+        for i, row in enumerate(GRASS_SYSTEM.cartan):
+            acc = map(operator.mul, cols[i], itertools.repeat(row[i]))
+            for c, xs in zip(row, cols):
+                if c == -1:
+                    acc = map(operator.sub, acc, xs)
+                elif c < 0:
+                    scaled = map(operator.mul, xs, itertools.repeat(-c))
+                    acc = map(operator.sub, acc, scaled)
+            image.append(tuple(acc))
+        return tuple(image)
+
+    @cached_property
+    def swapped_image(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _swap_blocks(self.image)))
+
+
 class TruncatedSeries:
     """Windowed expansion of a cell character; see the module docstring.
 
@@ -309,36 +341,28 @@ class TruncatedSeries:
     :func:`_key` of its offset ``mu - numerator_exponent``, in fields of
     ``bits``.  A term's degree is the numerator's plus
     ``key >> bits * rank``, and its offset height is the sum of its fields.
+    ``cone`` holds ``(bits, packed)`` with their level-free read-off.
     Fields are set once and ``packed`` is read-only, so a cached series
     cannot be altered.
     """
 
     __slots__ = (
-        "numerator_exponent",
-        "denominator",
-        "window",
-        "height_cutoff",
-        "bits",
-        "packed",
+        "numerator_exponent", "denominator", "window", "height_cutoff",
+        "cone", "bits", "packed",
     )
 
     def __init__(
-        self,
-        numerator_exponent: Weight,
-        denominator: tuple[Root, ...],
-        window: tuple[int, int],
-        height_cutoff: int,
-        bits: int,
-        packed: Mapping[int, int],
+        self, numerator_exponent: Weight, denominator: tuple[Root, ...],
+        window: tuple[int, int], height_cutoff: int,
+        bits: int, packed: Mapping[int, int], cone: _Cone | None = None,
     ):
         self.numerator_exponent = numerator_exponent
         self.denominator = tuple(sorted(denominator))
         self.window = window
         self.height_cutoff = height_cutoff
-        self.bits = bits
-        # a cached cone is read-only already, and shared rather than rewrapped
-        ro = isinstance(packed, MappingProxyType)
-        self.packed = packed if ro else MappingProxyType(packed)
+        # a cached cone is shared with its read-off; other keys get their own
+        self.cone = _Cone(bits, packed) if cone is None else cone
+        self.bits, self.packed = self.cone
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
@@ -358,37 +382,23 @@ class TruncatedSeries:
         difference is off the root lattice."""
         return root_lattice_coords(GRASS_SYSTEM, w - self.numerator_exponent)
 
-    def _columns(self) -> list[list[int]]:
-        """The stored offsets unpacked, one list per simple root, in the
-        order of ``packed``."""
-        mask = (1 << self.bits) - 1
-        return [
-            [(key >> sh) & mask for key in self.packed]
-            for sh in range(0, self.bits * GRASS_SYSTEM.rank, self.bits)
+    def weights(self, swapped: bool = False, kept=None) -> Iterator[Weight]:
+        """The weights of the terms, or of those ``kept`` selects: image
+        column i plus the numerator's coordinate i, the column itself where
+        that is 0; swapped, the swapped numerator on the swapped image."""
+        num, image = self.numerator_exponent, self.cone.image
+        if swapped:
+            num, image = swap_blocks_weight(num), self.cone.swapped_image
+        cols = [
+            col if not b else map(operator.add, col, itertools.repeat(b))
+            for b, col in zip(num, image)
         ]
-
-    def _weight_columns(self, by_root: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Weights of terms given by offset columns, a coordinate at a time
-        over all terms: coordinate i is the numerator's plus row i of the
-        Cartan matrix against the offsets."""
-        coords = []
-        for b, row in zip(self.numerator_exponent, GRASS_SYSTEM.cartan):
-            acc = itertools.repeat(b, len(by_root[0]))
-            for c, xs in zip(row, by_root):
-                # chained lazily; the off-diagonal entries of a Cartan
-                # matrix are mostly -1, which needs no product
-                if c == -1:
-                    acc = map(operator.sub, acc, xs)
-                elif c:
-                    scaled = map(operator.mul, xs, itertools.repeat(c))
-                    acc = map(operator.add, acc, scaled)
-            coords.append(list(acc))
-        return coords
+        rows = zip(*cols)
+        return map(Weight, rows if kept is None else itertools.compress(rows, kept))
 
     def terms(self) -> dict[Weight, int]:
         """The stored terms keyed by their weights."""
-        weights = map(Weight, zip(*self._weight_columns(self._columns())))
-        return dict(zip(weights, self.packed.values()))
+        return dict(zip(self.weights(), self.packed.values()))
 
     def is_certified(self, w: Weight) -> bool:
         """True when the stored multiplicity of ``w`` is exact: integral
@@ -430,9 +440,10 @@ class TruncatedSeries:
 @lru_cache(maxsize=64)
 def _cone_keys(
     roots: tuple[Root, ...], window: tuple[int, int], cutoff: int
-) -> tuple[int, Mapping[int, int]]:
+) -> _Cone:
     """The expansion of 1 / prod (1 - e^beta) inside the window, as the
-    field width and the read-only packed keys of ``TruncatedSeries``.
+    field width and the read-only packed keys of ``TruncatedSeries``, in a
+    :class:`_Cone` that keeps their read-off.
 
     The window is relative: a term at offset o has the grading of o as its
     degree, and a series at numerator degree ``base`` asks for its own
@@ -460,7 +471,7 @@ def _cone_keys(
         raise AssertionError("negative-degree denominator root in a product")
     bits = max(1, cutoff.bit_length())
     if hi < 0 or cutoff < 0:
-        return bits, MappingProxyType({})
+        return _Cone(bits, {})
     deg_shift = bits * GRASS_SYSTEM.rank
     limit = (hi + 1) << deg_shift
     floor = lo << deg_shift
@@ -487,8 +498,7 @@ def _cone_keys(
     for d, beta in tallest_first:
         if not d:
             fold(beta)
-    keys = {key: m for terms in by_height for key, m in terms.items()}
-    return bits, MappingProxyType(keys)
+    return _Cone(bits, {key: m for terms in by_height for key, m in terms.items()})
 
 
 @lru_cache(maxsize=512)
@@ -504,8 +514,8 @@ def kempf_character(
     negative degree, so nothing lives below the numerator degree and the
     whole window is certified up to the height cutoff.  Results are cached
     and immutable.  The cone itself is level-free: this only attaches the
-    numerator to the shared :func:`_cone_keys` expansion on the window
-    taken relative to the numerator degree.
+    numerator to the shared :func:`_cone_keys` expansion, and its read-off,
+    on the window taken relative to the numerator degree.
     """
     lo, hi = window
     if lo > hi:
@@ -513,8 +523,8 @@ def kempf_character(
     num = _numerator(w, k)
     roots = kl_sets(w).J
     base = CSTAR_GRADING.degree(num)
-    bits, keys = _cone_keys(roots, (lo - base, hi - base), height_cutoff)
-    return TruncatedSeries(num, roots, window, height_cutoff, bits, keys)
+    bits, keys = cone = _cone_keys(roots, (lo - base, hi - base), height_cutoff)
+    return TruncatedSeries(num, roots, window, height_cutoff, bits, keys, cone)
 
 
 def _swap_blocks(cols: list) -> list:
@@ -526,7 +536,8 @@ def _swap_blocks(cols: list) -> list:
     consecutive differences again gives (mu_4, mu_5, -sum(mu), mu_1, mu_2).
     """
     c0, c1, _, c3, c4 = cols
-    return [c3, c4, list(map(operator.neg, map(sum, zip(*cols)))), c0, c1]
+    total = reduce(partial(map, operator.add), cols)  # sum(mu), chained lazily
+    return [c3, c4, list(map(operator.neg, total)), c0, c1]
 
 
 def swap_blocks_weight(mu: Weight) -> Weight:
@@ -541,11 +552,11 @@ def swap_blocks_weight(mu: Weight) -> Weight:
 @lru_cache(maxsize=64)
 def _stratum_bounds(
     k: int, window: tuple[int, int], height_cutoff: int
-) -> tuple[TruncatedSeries, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The first stratum's bounds at level ``k``: its open cell's series,
-    that series' offset columns (``TruncatedSeries._columns``) and each
-    term's lower bound, all in the order of ``packed``; the upper bound is
-    the term's multiplicity.  Cached and immutable; :class:`UnstableStratum`
+) -> tuple[TruncatedSeries, tuple[int, ...]]:
+    """The first stratum's bounds at level ``k``: its open cell's series and
+    each term's lower bound, in the order of ``packed``; the upper bound is
+    the term's multiplicity, and the terms' offsets and weights are read
+    off the series' cone.  Cached and immutable; :class:`UnstableStratum`
     reads them for both strata, so a bundle and its mirror share them."""
     # every stored term survives the height and degree pruning, so the
     # read-off is exact on its support
@@ -553,30 +564,25 @@ def _stratum_bounds(
         kempf_character(cell.w, k, window, height_cutoff)
         for cell in covering_cells()
     )
-    # subtract on the open cell's terms.  Its term at offset o sits at
-    # o - s in a boundary series, s that numerator's offset; all three share
-    # one field width, so the boundary key is the open cell's less the key
-    # of s.  A positive boundary term off the open cell's support leaves no
-    # positive lower bound there.
-    cols = tuple(map(tuple, top._columns()))
-    lower = list(top.packed.values())
+    # one pass per boundary cell: the term at offset o sits at o - s there,
+    # s that numerator's offset, so at the open cell's key less that of s.
+    # s moves one field j; where j leaves [0, cutoff] there is no boundary
+    # term and the key would alias a neighbour.  A boundary term off the open
+    # cell's support would leave no positive lower bound, so none is read.
+    lower = top.packed.values()
     for series, s in zip(boundary, _boundary_shifts(k)):
         if series.numerator_exponent != top.weight_of(s):
             raise AssertionError("boundary numerator off the open cell's lattice coset")
         if min(series.packed.values(), default=1) <= 0:
             raise AssertionError("nonpositive boundary multiplicity")
-        delta = _key(s, top.bits)
-        shifted = [key - delta for key in top.packed]
-        for col, sj in zip(cols, s):
-            if sj:
-                # a field shifted out of [0, cutoff] holds no boundary
-                # term, and its key would alias a neighbouring field
-                for i, c in enumerate(col):
-                    if not sj <= c <= height_cutoff + sj:
-                        shifted[i] = None
-        got = series.packed
-        lower = [m - got[x] if x in got else m for m, x in zip(lower, shifted)]
-    return top, cols, tuple(lower)
+        delta, got = _key(s, top.bits), series.packed.get
+        j = next((i for i, sj in enumerate(s) if sj), 0)
+        lo, hi = s[j], height_cutoff + s[j]
+        lower = [
+            m - got(key - delta, 0) if lo <= c <= hi else m
+            for m, key, c in zip(lower, top.packed, top.cone.columns[j])
+        ]
+    return top, tuple(lower)
 
 
 class UnstableStratum:
@@ -606,12 +612,6 @@ class UnstableStratum:
             window = (-window[1], -window[0])
         return _stratum_bounds(self.level, window, height_cutoff)
 
-    def _weights(self, top: TruncatedSeries, cols: Sequence) -> list[Weight]:
-        weight_cols = top._weight_columns(cols)
-        if self.component == "F2":
-            weight_cols = _swap_blocks(weight_cols)
-        return list(map(Weight, zip(*weight_cols)))
-
     def _offset(self, w: Weight) -> tuple[int, ...] | None:
         if w not in self._offsets:
             mu = swap_blocks_weight(w) if self.component == "F2" else w
@@ -636,15 +636,13 @@ class UnstableStratum:
         """(lower, upper, certified) at each weight with a positive lower
         bound.  Only those terms become weights, certified by the sum of
         their offset columns."""
-        top, cols, lower = self._read(window, height_cutoff)
-        kept = [i for i, m in enumerate(lower) if m > 0]
-        sub = [[col[i] for i in kept] for col in cols]
-        upper = list(top.packed.values())
+        top, lower = self._read(window, height_cutoff)
+        kept = [m > 0 for m in lower]
+        weights = top.weights(self.component == "F2", kept)
+        rows = itertools.compress(zip(lower, top.packed.values()), kept)
+        heights = map(sum, itertools.compress(zip(*top.cone.columns), kept))
         limit = height_cutoff + self.slack
-        return {
-            w: (lower[i], upper[i], h <= limit)
-            for w, i, h in zip(self._weights(top, sub), kept, map(sum, zip(*sub)))
-        }
+        return {w: (m, up, h <= limit) for w, (m, up), h in zip(weights, rows, heights)}
 
     def bounds_at(self, w: Weight, window: tuple[int, int], height_cutoff: int):
         """(0, upper, certified) at a weight without a positive lower bound."""
@@ -668,8 +666,8 @@ def unstable_character_bounds(
     second's ceiling; elsewhere they are valid within the height cutoff.
     """
     stratum = UnstableStratum(component, k)
-    top, cols, lower = stratum._read(window, height_cutoff)
-    weights = stratum._weights(top, cols)
+    top, lower = stratum._read(window, height_cutoff)
+    weights = list(top.weights(stratum.component == "F2"))
     return (
         Character((w, m) for w, m in zip(weights, lower) if m > 0),
         Character(zip(weights, top.packed.values())),

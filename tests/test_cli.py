@@ -258,6 +258,31 @@ class TestSchubert:
         assert out == ""
         assert err == f"internal error: {message}\n"
 
+    def test_boundary_shift_across_fields_is_internal_error(self, monkeypatch):
+        # the stratum subtraction masks one key field per boundary cell, so a
+        # boundary numerator moved along two simple roots is an internal bug
+        real = schubert.root_lattice_coords
+
+        def two_fields(system, v):
+            s = real(system, v)
+            return None if s is None else (s[0] + 1, *s[1:4], s[4] + 1)
+
+        monkeypatch.setattr(schubert, "root_lattice_coords", two_fields)
+        # shifts and bounds cached by an earlier test would never reach it
+        schubert._boundary_shifts.cache_clear()
+        schubert._stratum_bounds.cache_clear()
+        message = "boundary shift moves more than one field"
+        with pytest.raises(AssertionError, match=message):
+            schubert.unstable_character_bounds("F1", 1, (1, 13), 12)
+        for argv in (
+            ("schubert", "kempf", "--cell", "F2", "--k", "-2"),
+            ("cohomology", "--lambda", "-4,2,0,0", "--i", "3"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert code == EXIT_INTERNAL == 4
+            assert out == ""
+            assert err == f"internal error: {message}\n"
+
 
 class TestCohomology:
     def test_global_sections(self):
@@ -409,6 +434,15 @@ class TestPlumbing:
     def test_help_exits_clean(self):
         assert run_cli("--help")[0] == EXIT_OK
         assert run_cli("schubert", "--help")[0] == EXIT_OK
+
+    def test_help_goes_to_out(self, capsys):
+        # argparse prints help itself; it lands on the stream main was given
+        for argv in ((), ("satake",)):
+            code, out, err = run_cli(*argv, "--help")
+            usage = " ".join(("usage: wonderco", *argv, ""))
+            assert code == EXIT_OK
+            assert out.startswith(usage) and err == ""
+        assert capsys.readouterr() == ("", "")
 
     def test_missing_subcommand(self):
         code, _, err = run_cli()

@@ -1,6 +1,7 @@
 """Tests for the exponent criterion solver."""
 
 import itertools
+import operator
 
 import pytest
 from fm_reference import has_solutions as reference_has_solutions
@@ -26,20 +27,15 @@ A2 = ((2, -1), (-1, 2))
 
 
 def brute_solutions(matrices, bound):
-    """Direct enumeration of the inequality system, no shortcuts."""
-    r = len(matrices[0])
-    out = set()
-    for n in itertools.product(range(bound + 1), repeat=r):
-        if not any(n):
-            continue
-        ok = all(
-            sum(row[j] * n[j] for j in range(r)) >= n[i]
-            for m in matrices
-            for i, row in enumerate(m)
-        )
-        if ok:
-            out.add(n)
-    return out
+    """Direct enumeration of the inequality system, no shortcuts: every
+    nonzero vector of the box, kept while it meets each inequality in turn."""
+    candidates = itertools.product(range(bound + 1), repeat=len(matrices[0]))
+    for m in matrices:
+        for i, row in enumerate(m):
+            candidates = [
+                n for n in candidates if sum(map(operator.mul, row, n)) >= n[i]
+            ]
+    return {n for n in candidates if any(n)}
 
 
 def square_matrices(r, count):

@@ -66,8 +66,8 @@ def test_character_kernel_imports_no_fractions(name):
 def test_stratum_read_off_has_one_owner():
     # schubert alone knows the packed-series format and the stratum frame;
     # the degree-3 cross-check reads them through public schubert names
-    packed = {"packed", "_key_of", "_columns", "_weight_columns"}
-    private = {"_stratum_bounds", "_stratum_weights", "TruncatedSeries"}
+    packed = {"packed", "_key_of", "cone", "image", "swapped_image", "weights"}
+    private = {"_stratum_bounds", "_stratum_weights", "_Cone", "TruncatedSeries"}
     for name in MODULES:
         if name == "schubert":
             continue

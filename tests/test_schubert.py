@@ -113,7 +113,7 @@ def numerator_weight(w, k):
 
 def offsets_of(s):
     """A series' stored terms keyed by offset tuples."""
-    return dict(zip(zip(*s._columns()), s.packed.values()))
+    return dict(zip(zip(*s.cone.columns), s.packed.values()))
 
 
 def brute_offsets(w, k, window, cutoff):
@@ -518,8 +518,10 @@ class TestKempfSeries:
         # degree: two levels on one relative window share it, and each
         # series equals the uncached fold at its own level, on a wide
         # window, one whose floor is below the numerator degree, a single
-        # grade and one wholly below the support.  Two levels on one
-        # absolute window get different cones.
+        # grade and one wholly below the support.  They also share the
+        # cone's read-off: the same offset columns, Cartan image and
+        # swapped image.  Two levels on one absolute window get different
+        # cones.
         cutoff = 9
         for cell in covering_cells():
             roots = kl_sets(cell.w).J
@@ -543,6 +545,10 @@ class TestKempfSeries:
             for lo, hi in ((0, 12), (-5, 6), (4, 4), (-12, -3)):
                 low, high = (built(k, (b + lo, b + hi)) for k, b in bases.items())
                 assert low.packed is high.packed, (cell.fixed_point, (lo, hi))
+                for name in ("columns", "image", "swapped_image"):
+                    got = getattr(low.cone, name)
+                    assert got is getattr(high.cone, name), (name, (lo, hi))
+                    assert all(type(col) is tuple for col in got)
             window = (bases[-4], bases[-4] + 12)
             low, high = (built(k, window) for k in bases)
             assert low.packed and high.packed and low.packed != high.packed
@@ -559,16 +565,18 @@ class TestKempfSeries:
         assert _cone_keys(kl_sets(f1_cell().w).J, (0, 12), 9)[1] is cone
 
     def test_weight_columns_of_a_column_subset(self):
-        # every third term's offset columns give exactly those terms'
-        # weights, although the series holds three times as many terms
+        # every third term selected from the cone's image gives exactly
+        # those terms' weights, although the series holds three times as
+        # many terms, and each is its offset's weight
         s = kempf_character(f1_cell().w, -3, (5, 15))
-        cols = s._columns()
         picked = range(0, len(s.packed), 3)
-        sub = [[col[i] for i in picked] for col in cols]
-        weights = list(map(Weight, zip(*s._weight_columns(sub))))
+        kept = [i % 3 == 0 for i in range(len(s.packed))]
+        weights = list(s.weights(kept=kept))
         terms = list(s.terms())
         assert len(s.packed) > 3 * len(weights) - 3 > 100
         assert weights == [terms[i] for i in picked]
+        offsets = list(zip(*s.cone.columns))
+        assert weights == [s.weight_of(offsets[i]) for i in picked]
 
     def test_negative_level_narrow_window(self):
         # the numerator degree sits below the requested floor, so the
@@ -661,7 +669,8 @@ class TestUnstableBounds:
         # the second stratum at -k on the reversed window reads the first
         # stratum's cached bounds at k
         bounds = _stratum_bounds(1, (9, 13), 12)
-        top, cols, lower = bounds
+        top, lower = bounds
+        cols, image = top.cone.columns, top.cone.image
         hits = _stratum_bounds.cache_info().hits
         _, upper = unstable_character_bounds("F2", -1, (-13, -9), 12)
         assert _stratum_bounds.cache_info().hits == hits + 1
@@ -670,12 +679,15 @@ class TestUnstableBounds:
         }
         assert _stratum_bounds(1, (9, 13), 12) is bounds
         assert bounds == _stratum_bounds.__wrapped__(1, (9, 13), 12)
-        assert lower and len(cols) == GRASS_SYSTEM.rank
-        for seq in (cols, cols[0], lower):
+        assert lower and len(cols) == GRASS_SYSTEM.rank == len(image)
+        for seq in (cols, cols[0], image, image[0], lower):
             with pytest.raises(TypeError):
                 seq[0] = 0
         with pytest.raises(TypeError):
             top.packed[0] = 1
+        for name in ("columns", "image", "swapped_image", "bits"):
+            with pytest.raises(AttributeError):
+                setattr(top.cone, name, ())
 
     def test_unknown_component(self):
         with pytest.raises(ValueError, match="unknown component"):
