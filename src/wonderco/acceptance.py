@@ -94,9 +94,20 @@ NONZERO_H3_SAMPLES = (
     (4, -4),
 )
 
+# random pairs drawn for the cross-route check besides the fixed samples
+_CROSS_ROUTE_DRAWS = 20
+
 
 class FixtureError(ValueError):
     """A golden fixture file is missing or malformed."""
+
+
+class _Mismatch(Exception):
+    """A criterion computed a value other than the expected one."""
+
+
+class _Uncertified(Exception):
+    """A criterion's bounds are too coarse to decide it."""
 
 
 def fixtures_dir() -> Path:
@@ -136,6 +147,22 @@ class AcceptanceConfig:
             raise ValueError("window width and height cutoff must be positive")
         if self.box_radius < 0 or self.sample_count < 1:
             raise ValueError("box radius and sample count must be positive")
+        # the sampled checks draw distinct points of the box until they
+        # have enough, so a box with too few points would never finish
+        side = 2 * self.box_radius + 1
+        if side**4 < self.sample_count:
+            raise ValueError(
+                f"box radius {self.box_radius} has room for {side**4} "
+                f"duality samples, not {self.sample_count}"
+            )
+        spare = side**2 - sum(
+            max(map(abs, pair)) <= self.box_radius for pair in NONZERO_H3_SAMPLES
+        )
+        if spare < _CROSS_ROUTE_DRAWS:
+            raise ValueError(
+                f"box radius {self.box_radius} has room for {spare} "
+                f"cross-route draws, not {_CROSS_ROUTE_DRAWS}"
+            )
 
     def rng(self, criterion: int) -> random.Random:
         return random.Random(self.seed * 101 + criterion)
@@ -168,13 +195,6 @@ class AcceptanceReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    @property
-    def exit_code(self) -> int:
-        if self.passed:
-            return 0
-        kinds = {r.kind for r in self.results if not r.passed}
-        return 1 if "mismatch" in kinds else 2
-
     def lines(self, timed: bool = True) -> list[str]:
         """One line per criterion and a summary; ``timed=False`` leaves out
         the run times, for output that must be byte-stable."""
@@ -205,24 +225,22 @@ class AcceptanceReport:
 # criterion 1: operator classification sweep
 
 
-def _check_operator_sweep(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_operator_sweep(cfg: AcceptanceConfig) -> str:
     sweep = abstract_sweep(max_rank=8)
     exists = {label for label, ok in sweep.items() if ok}
     if exists != {"A1", "A2", "BC1"}:
-        return False, "mismatch", f"solutions found for {sorted(exists)}"
+        raise _Mismatch(f"solutions found for {sorted(exists)}")
     for matrix in series_matrices("A2"):
         pairs = joint_solution_set((matrix,), 12)
         if not pairs:
-            return False, "mismatch", "A2 admits no solutions up to bound 12"
+            raise _Mismatch("A2 admits no solutions up to bound 12")
         unequal = [p for p in pairs if len(set(p)) != 1]
         if unequal:
-            return False, "mismatch", f"A2 solutions with unequal entries: {unequal}"
+            raise _Mismatch(f"A2 solutions with unequal entries: {unequal}")
     return (
-        True,
-        "ok",
         "among reduced types of rank <= 8 and BC ranks 2..8, solutions occur "
         "exactly for A1 and A2 (plus the degenerate BC1 case); all A2 "
-        "exponent pairs are equal",
+        "exponent pairs are equal"
     )
 
 
@@ -230,20 +248,18 @@ def _check_operator_sweep(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
 # criterion 2: decomposition of the degree-three exterior power
 
 
-def _check_module_decomposition(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_module_decomposition(cfg: AcceptanceConfig) -> str:
     golden = load_fixture("module_summands.json")
     want = sorted(tuple(pair) for pair in golden["summands"])
     got = sorted((s.dim, s.cstar) for s in decompose_module())
     if got != want:
-        return False, "mismatch", f"(dim, weight) pairs {got} != {want}"
+        raise _Mismatch(f"(dim, weight) pairs {got} != {want}")
     total = sum(d for d, _ in got)
     if total != 20:
-        return False, "mismatch", f"total dimension {total} != 20"
+        raise _Mismatch(f"total dimension {total} != 20")
     return (
-        True,
-        "ok",
         "summand dimensions (9, 9, 1, 1) with scaling weights (1, -1, 3, -3) "
-        "summing to dimension 20",
+        "summing to dimension 20"
     )
 
 
@@ -257,7 +273,7 @@ def _covering_elements() -> dict[str, WeylElement]:
     return dict(zip(("w", "s5w", "s1w"), (c.w for c in covering_cells())))
 
 
-def _check_inversion_sets(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_inversion_sets(cfg: AcceptanceConfig) -> str:
     golden = load_fixture("inversion_sets.json")
     for name, w in _covering_elements().items():
         data = kl_sets(w)
@@ -265,19 +281,15 @@ def _check_inversion_sets(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
             want = {tuple(v) for v in golden[name][side]}
             got = {r.coords for r in getattr(data, side)}
             if got != want:
-                return (
-                    False,
-                    "mismatch",
-                    f"{side}({name}) = {sorted(got)} != {sorted(want)}",
-                )
-    return True, "ok", "all six stored root lists match exactly"
+                raise _Mismatch(f"{side}({name}) = {sorted(got)} != {sorted(want)}")
+    return "all six stored root lists match exactly"
 
 
 # ---------------------------------------------------------------------------
 # criterion 4: extremal degrees of the unstable-stratum series
 
 
-def _check_weight_bounds(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_weight_bounds(cfg: AcceptanceConfig) -> str:
     golden = load_fixture("weight_bound_offsets.json")
     width = cfg.window_width
     for k in range(0, 7):
@@ -287,21 +299,17 @@ def _check_weight_bounds(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
                 comp, k, windows[comp], height_cutoff=cfg.height_cutoff
             )
             if not upper.terms:
-                return False, "mismatch", f"{comp} series empty at level {k}"
+                raise _Mismatch(f"{comp} series empty at level {k}")
             degrees = [CSTAR_GRADING.degree(w) for w in upper.terms]
             extreme = min(degrees) if golden[comp]["extreme"] == "min" else max(degrees)
             want = k + golden[comp]["offset"]
             if extreme != want:
-                return (
-                    False,
-                    "mismatch",
-                    f"{comp} extremal degree {extreme} != {want} at level {k}",
+                raise _Mismatch(
+                    f"{comp} extremal degree {extreme} != {want} at level {k}"
                 )
     return (
-        True,
-        "ok",
         f"for levels 0..6 on width-{width} windows, the F1 series starts at "
-        "k + 8 and the F2 series ends at k - 8",
+        "k + 8 and the F2 series ends at k - 8"
     )
 
 
@@ -309,7 +317,7 @@ def _check_weight_bounds(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
 # criterion 5: leading exponents of the boundary cells
 
 
-def _check_leading_exponents(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_leading_exponents(cfg: AcceptanceConfig) -> str:
     golden = load_fixture("leading_exponent_slopes.json")
     slopes = {name: tuple(golden[name]) for name in ("w", "s1w", "s5w")}
     combos = {
@@ -325,26 +333,18 @@ def _check_leading_exponents(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
         doubled = Weight(tuple(2 * s for s in slopes[name]))
         combo = alpha[3].scale(c3) + alpha[5].scale(c5) + alpha[1].scale(c1)
         if doubled != combo:
-            return (
-                False,
-                "mismatch",
-                f"stored slope for {name} is not half the root combination",
-            )
+            raise _Mismatch(f"stored slope for {name} is not half the root combination")
     for name, w in _covering_elements().items():
         for k in range(0, 7):
             want = Weight(tuple(k * s for s in slopes[name]))
             got = cell_exponent(w, k)
             if got != want:
-                return (
-                    False,
-                    "mismatch",
-                    f"exponent of {name} at level {k}: {got.coords} != {want.coords}",
+                raise _Mismatch(
+                    f"exponent of {name} at level {k}: {got.coords} != {want.coords}"
                 )
     return (
-        True,
-        "ok",
         "cell exponents match the stored slopes for levels 0..6, and each "
-        "doubled slope is the expected signed combination of simple roots",
+        "doubled slope is the expected signed combination of simple roots"
     )
 
 
@@ -352,21 +352,21 @@ def _check_leading_exponents(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
 # criterion 6: fixed-point combinatorics
 
 
-def _check_fixed_points(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_fixed_points(cfg: AcceptanceConfig) -> str:
     reps = coset_reps(GRASS_SYSTEM, LEVI)
     if len(reps) != 20:
-        return False, "mismatch", f"|W^P| = {len(reps)} != 20"
+        raise _Mismatch(f"|W^P| = {len(reps)} != 20")
     pts = fixed_points()
     if len(pts) != 20:
-        return False, "mismatch", f"{len(pts)} torus-fixed points != 20"
+        raise _Mismatch(f"{len(pts)} torus-fixed points != 20")
     tally: dict[str | None, int] = {}
     for p in pts:
         comp = unstable_component(p)
         tally[comp] = tally.get(comp, 0) + 1
     if tally.get(None):
-        return False, "mismatch", f"{tally[None]} fixed points are semistable"
+        raise _Mismatch(f"{tally[None]} fixed points are semistable")
     if tally.get("F1") != 10 or tally.get("F2") != 10:
-        return False, "mismatch", f"stratum tally {tally} != 10 + 10"
+        raise _Mismatch(f"stratum tally {tally} != 10 + 10")
 
     golden = load_fixture("stratum_poset.json")
     nodes = [tuple(n) for n in golden["nodes"]]
@@ -375,7 +375,7 @@ def _check_fixed_points(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
     top = component_cell("F1")
     for n in nodes:
         if not closure_contains(top, cells[n]):
-            return False, "mismatch", f"node {n} escapes the stratum closure"
+            raise _Mismatch(f"node {n} escapes the stratum closure")
     covers = set()
     for a in nodes:
         for b in nodes:
@@ -392,16 +392,10 @@ def _check_fixed_points(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
     if covers != want_covers:
         extra = sorted(covers - want_covers)
         missing = sorted(want_covers - covers)
-        return (
-            False,
-            "mismatch",
-            f"cover relations differ: extra {extra}, missing {missing}",
-        )
+        raise _Mismatch(f"cover relations differ: extra {extra}, missing {missing}")
     return (
-        True,
-        "ok",
         "20 minimal coset representatives; 10 fixed points on each stratum, "
-        "none semistable; the 10-node poset embeds with all 13 covers",
+        "none semistable; the 10-node poset embeds with all 13 covers"
     )
 
 
@@ -414,7 +408,7 @@ def _coefficient_box(radius: int):
     return itertools.product(span, span, span, span)
 
 
-def _check_vanishing_profiles(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_vanishing_profiles(cfg: AcceptanceConfig) -> str:
     seen: set[Weight] = set()
     profiles: set[frozenset[int]] = set()
     for coeffs in _coefficient_box(cfg.box_radius):
@@ -425,18 +419,14 @@ def _check_vanishing_profiles(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
         profile = vanishing_profile(lam)
         profiles.add(profile)
         if not profile <= ALLOWED_DEGREES:
-            return (
-                False,
-                "mismatch",
+            raise _Mismatch(
                 f"profile {sorted(profile)} at coefficients {coeffs} leaves "
-                f"{sorted(ALLOWED_DEGREES)}",
+                f"{sorted(ALLOWED_DEGREES)}"
             )
     return (
-        True,
-        "ok",
         f"{len(seen)} line bundles in the radius-{cfg.box_radius} coefficient "
         f"box; every nonvanishing degree lies in {{0, 3, 5, 8}} "
-        f"({len(profiles)} distinct profiles)",
+        f"({len(profiles)} distinct profiles)"
     )
 
 
@@ -444,34 +434,32 @@ def _check_vanishing_profiles(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
 # criterion 8: Serre duality
 
 
-def _sampled_coefficients(rng: random.Random, count: int, radius: int):
+def _sampled_coefficients(
+    rng: random.Random, count: int, radius: int, size: int = 4, taken=()
+) -> list[tuple[int, ...]]:
+    """``count`` distinct draws from ``[-radius, radius]**size`` outside
+    ``taken``, in the order drawn."""
+    seen = set(taken)
     out = []
-    taken = set()
     while len(out) < count:
-        coeffs = tuple(rng.randint(-radius, radius) for _ in range(4))
-        if coeffs in taken:
-            continue
-        taken.add(coeffs)
-        out.append(coeffs)
+        coeffs = tuple(rng.randint(-radius, radius) for _ in range(size))
+        if coeffs not in seen:
+            seen.add(coeffs)
+            out.append(coeffs)
     return out
 
-def _check_serre_duality(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+
+def _check_serre_duality(cfg: AcceptanceConfig) -> str:
     rng = cfg.rng(8)
     samples = _sampled_coefficients(rng, cfg.sample_count, cfg.box_radius)
     for coeffs in samples:
         lam = spanning_weight(*coeffs)
         for i in range(0, 9):
             if not serre_dual_check(lam, i):
-                return (
-                    False,
-                    "mismatch",
-                    f"duality fails at coefficients {coeffs}, degree {i}",
-                )
+                raise _Mismatch(f"duality fails at coefficients {coeffs}, degree {i}")
     return (
-        True,
-        "ok",
         f"all {len(samples)} sampled line bundles are dual to their mirror "
-        "in complementary degrees 0..8",
+        "in complementary degrees 0..8"
     )
 
 
@@ -479,48 +467,26 @@ def _check_serre_duality(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
 # criterion 9: cross-route multiplicity bounds
 
 
-def _check_cross_route(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
-    rng = cfg.rng(9)
-    pairs = list(NONZERO_H3_SAMPLES)
-    taken = set(pairs)
-    while len(pairs) < len(NONZERO_H3_SAMPLES) + 20:
-        pair = (
-            rng.randint(-cfg.box_radius, cfg.box_radius),
-            rng.randint(-cfg.box_radius, cfg.box_radius),
-        )
-        if pair in taken:
-            continue
-        taken.add(pair)
-        pairs.append(pair)
+def _check_cross_route(cfg: AcceptanceConfig) -> str:
+    drawn = _sampled_coefficients(
+        cfg.rng(9), _CROSS_ROUTE_DRAWS, cfg.box_radius, 2, NONZERO_H3_SAMPLES
+    )
+    pairs = [*NONZERO_H3_SAMPLES, *drawn]
     with_content = 0
     for a1, a2 in pairs:
+        # a report is ok only if at most one stratum carries content
         report = cross_validate_h3(spanning_weight(a1, a2, 0, 0))
+        issues = "; ".join(report.issues)
         if not report.certified:
-            return (
-                False,
-                "certification",
-                f"bounds not certified at ({a1}, {a2}): {'; '.join(report.issues)}",
-            )
+            raise _Uncertified(f"bounds not certified at ({a1}, {a2}): {issues}")
         if not report.ok:
-            return (
-                False,
-                "mismatch",
-                f"bound violation at ({a1}, {a2}): {'; '.join(report.issues)}",
-            )
-        if not report.at_most_one:
-            return (
-                False,
-                "mismatch",
-                f"both strata carry certified content at ({a1}, {a2})",
-            )
+            raise _Mismatch(f"bound violation at ({a1}, {a2}): {issues}")
         if any(found for _, _, found, _ in report.rows):
             with_content += 1
     return (
-        True,
-        "ok",
         f"{len(pairs)} weights checked ({with_content} with nonzero middle "
         "cohomology); every graded multiplicity sits inside its certified "
-        "bounds and at most one stratum contributes",
+        "bounds and at most one stratum contributes"
     )
 
 
@@ -609,22 +575,18 @@ def _characters_agree(
     return all(mu in produced.terms for mu in dominant)
 
 
-def _check_oracles(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
+def _check_oracles(cfg: AcceptanceConfig) -> str:
     # irreducible characters against the alternating partition-count sum
     char_checks = 0
-    for label, rank in (("A1", 1), ("A2", 2), ("A2xA2", 4)):
-        system = build_root_system(label) if rank == 4 else build_root_system(
-            label[0], rank
-        )
+    for label in ("A1", "A2", "A2xA2"):
+        system = build_root_system(label)
         counter = _vector_partition_counts(system)
         weyl = coset_reps(system, frozenset())
-        for coords in itertools.product(range(5), repeat=rank):
+        for coords in itertools.product(range(5), repeat=system.rank):
             lam = Weight(coords)
             if not _characters_agree(system, lam, counter, weyl):
-                return (
-                    False,
-                    "mismatch",
-                    f"character routes disagree for {label} weight {coords}",
+                raise _Mismatch(
+                    f"character routes disagree for {label} weight {coords}"
                 )
             char_checks += 1
 
@@ -644,10 +606,8 @@ def _check_oracles(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
         for w in set(brute) | set(series.terms()):
             want = brute.get(w, 0) if series.is_certified(w) else 0
             if series.multiplicity(w) != want:
-                return (
-                    False,
-                    "mismatch",
-                    f"series product disagrees with convolution at {w.coords}",
+                raise _Mismatch(
+                    f"series product disagrees with convolution at {w.coords}"
                 )
         series_checks += 1
 
@@ -655,22 +615,20 @@ def _check_oracles(cfg: AcceptanceConfig) -> tuple[bool, str, str]:
     for name in catalog_names():
         diagram = catalog_diagram(name)
         if not check_involution(diagram):
-            return False, "mismatch", f"{name} does not induce an involution"
+            raise _Mismatch(f"{name} does not induce an involution")
         roots = all_roots(diagram.system)
         for root in sorted(roots):
             coords = root.coords
             image = apply_theta(diagram, root)
             if image not in roots:
-                return False, "mismatch", f"{name} moves {coords} off the roots"
+                raise _Mismatch(f"{name} moves {coords} off the roots")
             if apply_theta(diagram, image) != root:
-                return False, "mismatch", f"{name} fails to square at {coords}"
+                raise _Mismatch(f"{name} fails to square at {coords}")
     return (
-        True,
-        "ok",
         f"{char_checks} characters match the alternating-sum route; "
         f"{series_checks} random products match convolution; all "
         f"{len(catalog_names())} catalog involutions square to the identity "
-        "and permute the roots",
+        "and permute the roots"
     )
 
 
@@ -693,7 +651,8 @@ def _convolved_terms(series) -> dict[Weight, int]:
 
 
 # ---------------------------------------------------------------------------
-# the engine
+# the engine: a check returns its pass detail, or raises ``_Mismatch`` or
+# ``_Uncertified`` with the failure detail
 
 _CRITERIA: tuple[tuple[int, str, Callable, float | None], ...] = (
     (1, "operator classification sweep", _check_operator_sweep, 5.0),
@@ -723,21 +682,18 @@ def run_acceptance(
     for number, title, func, limit in _CRITERIA:
         start = time.perf_counter()
         try:
-            passed, kind, detail = func(cfg)
-        except BoxTooSmallError as exc:
-            passed, kind, detail = False, "certification", str(exc)
-        except FixtureError as exc:
-            passed, kind, detail = False, "mismatch", str(exc)
+            kind, detail = "ok", func(cfg)
+        except (BoxTooSmallError, _Uncertified) as exc:
+            kind, detail = "certification", str(exc)
+        except (FixtureError, _Mismatch) as exc:
+            kind, detail = "mismatch", str(exc)
         elapsed = time.perf_counter() - start
-        if passed and limit is not None and elapsed >= limit:
-            passed = False
+        if kind == "ok" and limit is not None and elapsed >= limit:
             kind = "mismatch"
             detail += f"; runtime {elapsed:.2f}s exceeded the {limit:.0f}s budget"
-        elif passed and limit is not None:
+        elif kind == "ok" and limit is not None:
             detail += f"; within the {limit:.0f}s budget"
-        if passed:
-            kind = "ok"
-        result = CriterionResult(number, title, passed, kind, elapsed, detail)
+        result = CriterionResult(number, title, kind == "ok", kind, elapsed, detail)
         results.append(result)
         if stream is not None:
             print(result.line(), file=stream, flush=True)

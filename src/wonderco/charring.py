@@ -1,8 +1,8 @@
 """Character-ring arithmetic.
 
 Finitely supported characters over a weight lattice, and irreducible
-characters and dimensions via the Freudenthal recursion and the Weyl
-product formula, all in exact integer arithmetic.
+characters via the Freudenthal recursion, all in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "Character",
     "TruncationError",
     "weyl_character",
-    "weyl_dimension",
 ]
 
 
@@ -193,23 +192,6 @@ def weyl_character(system: RootSystem, lam: Weight) -> Character:
         terms = {(*w, *v): m * k for w, m in terms.items() for v, k in part.items()}
     assert tuple(blocks) == system.cartan, system.type_label
     return Character((Weight(w), m) for w, m in terms.items())
-
-
-def weyl_dimension(system: RootSystem, lam: Weight) -> int:
-    """dim of the irreducible with highest weight lam, by the product formula
-    prod_{alpha > 0} (lam + rho, alpha) / (rho, alpha), as one exact ratio
-    of integer products under the form of ``rootsys._symmetrizer``."""
-    if not lam.is_dominant():
-        raise ValueError(f"highest weight {lam.coords} is not dominant")
-    rho = half_sum_positive(system)
-    lam_rho = lam + rho
-    num = den = 1
-    for scaled in _scaled_roots(system):
-        num *= sum(map(operator.mul, lam_rho, scaled))
-        den *= sum(map(operator.mul, rho, scaled))
-    dim, rem = divmod(num, den)
-    assert rem == 0
-    return dim
 
 
 # the cell series' default height cutoff (see ``schubert``); it stays here

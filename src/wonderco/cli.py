@@ -26,8 +26,8 @@ Output is tab-separated rows whose first field names the row, or JSON
 across reruns with the same flags and seed; timings are omitted for that
 reason.  Exit codes: 0 success, 1 value mismatch, 2 certification
 failure (a truncation window or search box too small to decide), 3
-invalid input, 4 internal error (a consistency guard inside the library
-failed).
+invalid input (a bad flag value or diagram), 4 internal error (a
+consistency guard or any other value check inside the library failed).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .gitgrass import (
     unstable_component,
 )
 from .opcrit import classify
-from .rootsys import Weight, _record
 from .satake import (
     CATALOG,
     DiagramError,
@@ -76,34 +75,15 @@ EXIT_CERTIFICATION = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
+# exit status of a failed acceptance criterion by its kind; a run with both
+# kinds reports the mismatch, whose code is the lower one
+_ACCEPTANCE_EXITS = {"mismatch": EXIT_MISMATCH, "certification": EXIT_CERTIFICATION}
+
 DEFAULT_BOUND = 12
 
 
 class InputError(ValueError):
     """A flag or input value the interface cannot act on."""
-
-
-@_record
-class RunConfig:
-    """Validated values of the flags that several subcommands read; None
-    where the flag is not given or the subcommand does not register it."""
-
-    window: tuple[int, int] | None
-    height_cutoff: int | None
-    box_radius: int | None
-    fmt: str
-
-    def __post_init__(self):
-        if self.window is not None and self.window[0] > self.window[1]:
-            raise InputError(
-                f"empty window {self.window[0]}:{self.window[1]}"
-            )
-        if self.height_cutoff is not None and self.height_cutoff < 1:
-            raise InputError("height cutoff must be at least 1")
-        if self.box_radius is not None and self.box_radius < 0:
-            raise InputError("box radius must be nonnegative")
-        if self.fmt not in ("tsv", "json"):
-            raise InputError(f"unknown format {self.fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +129,34 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
     return rows
 
 
+def _check_shared_flags(args: argparse.Namespace) -> None:
+    """Parse ``--window`` in place and range-check the ``_SHARED_FLAGS``
+    the subcommand registers; an empty ``--window`` counts as not given."""
+    if "window" in vars(args):
+        args.window = _parse_window(args.window) if args.window else None
+        if args.window is not None and args.window[0] > args.window[1]:
+            raise InputError(f"empty window {args.window[0]}:{args.window[1]}")
+    if getattr(args, "height_cutoff", None) is not None and args.height_cutoff < 1:
+        raise InputError("height cutoff must be at least 1")
+    if getattr(args, "box_radius", None) is not None and args.box_radius < 0:
+        raise InputError("box radius must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _print_tsv(rows, out: TextIOBase) -> None:
+def _write(args: argparse.Namespace, payload: dict, rows, out: TextIOBase) -> None:
+    """Print ``payload`` as JSON, or ``rows``, an iterable rendered from it,
+    as tab-separated lines."""
+    if args.fmt == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+        return
     for row in rows:
         print("\t".join(str(x) for x in row), file=out)
 
 
-def _print_json(payload: dict, out: TextIOBase) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2), file=out)
-
-
-def _coords_str(w: Weight) -> str:
-    return ",".join(str(c) for c in w.coords)
+def _joined(values, sep: str = ",") -> str:
+    return sep.join(str(x) for x in values)
 
 
 def _character_payload(ch: Character) -> dict:
@@ -184,22 +178,36 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _catalog_entry(name: str):
+    if name not in CATALOG:
+        raise InputError(
+            f"unknown diagram {name!r}; available: " + ", ".join(catalog_names())
+        )
+    return parse_diagram(CATALOG[name])
+
+
 # ---------------------------------------------------------------------------
 # satake
 
-def _cmd_satake(cfg: RunConfig, args, out: TextIOBase) -> int:
-    if args.diagram is not None:
-        names = [args.diagram]
-    else:
-        names = list(catalog_names())
+def _satake_rows(payload: dict):
+    for e in payload["diagrams"]:
+        yield (
+            "diagram",
+            e["name"],
+            e["ambient"],
+            e["restricted"],
+            e["restricted_rank"],
+            _yesno(e["nonreduced"]),
+            _joined(e["black"]) or "-",
+            ";".join(f"{a}-{b}" for a, b in e["arrows"]) or "-",
+        )
+
+
+def _cmd_satake(args, out: TextIOBase) -> int:
+    names = catalog_names() if args.diagram is None else (args.diagram,)
     entries = []
     for name in names:
-        if name not in CATALOG:
-            raise InputError(
-                f"unknown diagram {name!r}; available: "
-                + ", ".join(catalog_names())
-            )
-        d = parse_diagram(CATALOG[name])
+        d = _catalog_entry(name)
         rs = restricted_system(d)
         entries.append(
             {
@@ -212,91 +220,64 @@ def _cmd_satake(cfg: RunConfig, args, out: TextIOBase) -> int:
                 "nonreduced": rs.nonreduced,
             }
         )
-    if cfg.fmt == "json":
-        _print_json({"diagrams": entries}, out)
-        return EXIT_OK
-    rows = []
-    for e in entries:
-        rows.append(
-            (
-                "diagram",
-                e["name"],
-                e["ambient"],
-                e["restricted"],
-                e["restricted_rank"],
-                _yesno(e["nonreduced"]),
-                ",".join(str(i) for i in e["black"]) or "-",
-                ";".join(f"{a}-{b}" for a, b in e["arrows"]) or "-",
-            )
-        )
-    _print_tsv(rows, out)
+    payload = {"diagrams": entries}
+    _write(args, payload, _satake_rows(payload), out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # classify
 
-def _cmd_classify(cfg: RunConfig, args, out: TextIOBase) -> int:
+def _classify_rows(payload: dict):
+    yield ("diagram", payload["diagram"])
+    yield ("ambient", payload["ambient"])
+    yield ("restricted", payload["restricted"])
+    yield ("nonreduced", _yesno(payload["nonreduced"]))
+    yield ("exists", _yesno(payload["exists"]))
+    yield ("bound", payload["bound"])
+    for n in payload["minimal"]:
+        yield ("minimal", _joined(n))
+    yield ("solutions-within-bound", len(payload["solutions"]))
+
+
+def _cmd_classify(args, out: TextIOBase) -> int:
     if args.bound < 1:
         raise InputError("bound must be at least 1")
     if args.diagram is not None:
-        if args.diagram not in CATALOG:
-            raise InputError(
-                f"unknown diagram {args.diagram!r}; available: "
-                + ", ".join(catalog_names())
-            )
         label = args.diagram
-        d = parse_diagram(CATALOG[label])
+        d = _catalog_entry(label)
     elif args.spec is not None:
         label = "(inline)"
         d = parse_diagram(args.spec.replace(";", "\n"))
     else:
         raise InputError("classify needs --diagram NAME or --spec TEXT")
     c = classify(d, bound=args.bound)
-    minimal = sorted(c.minimal)
-    solutions = sorted(c.solutions)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "diagram": label,
-                "ambient": d.system.type_label,
-                "restricted": c.restricted.type_label,
-                "nonreduced": c.restricted.nonreduced,
-                "exists": c.exists,
-                "bound": args.bound,
-                "minimal": [list(n) for n in minimal],
-                "solutions": [list(n) for n in solutions],
-            },
-            out,
-        )
-        return EXIT_OK
-    rows = [
-        ("diagram", label),
-        ("ambient", d.system.type_label),
-        ("restricted", c.restricted.type_label),
-        ("nonreduced", _yesno(c.restricted.nonreduced)),
-        ("exists", _yesno(c.exists)),
-        ("bound", args.bound),
-    ]
-    for n in minimal:
-        rows.append(("minimal", ",".join(str(x) for x in n)))
-    rows.append(("solutions-within-bound", len(solutions)))
-    _print_tsv(rows, out)
+    payload = {
+        "diagram": label,
+        "ambient": d.system.type_label,
+        "restricted": c.restricted.type_label,
+        "nonreduced": c.restricted.nonreduced,
+        "exists": c.exists,
+        "bound": args.bound,
+        "minimal": [list(n) for n in sorted(c.minimal)],
+        "solutions": [list(n) for n in sorted(c.solutions)],
+    }
+    _write(args, payload, _classify_rows(payload), out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # git
 
-def _cmd_git(cfg: RunConfig, args, out: TextIOBase) -> int:
-    if args.action == "stratify":
-        return _git_stratify(cfg, args, out)
-    if args.action == "fixed-points":
-        return _git_fixed_points(cfg, out)
-    return _git_module(cfg, out)
+def _stratify_rows(payload: dict):
+    yield ("matrix", ":".join(_joined(row) for row in payload["matrix"]))
+    yield ("dim-meet-v", payload["intersection"][0])
+    yield ("dim-meet-dual", payload["intersection"][1])
+    yield ("semistable", _yesno(payload["semistable"]))
+    yield ("component", payload["component"] or "none")
 
 
-def _git_stratify(cfg: RunConfig, args, out: TextIOBase) -> int:
+def _git_stratify(args, out: TextIOBase) -> int:
     if args.matrix is not None:
         matrix = _parse_matrix(args.matrix)
     else:
@@ -304,33 +285,14 @@ def _git_stratify(cfg: RunConfig, args, out: TextIOBase) -> int:
             [Fraction(int(i == j)) for j in range(3)] for i in range(3)
         ]
     u = graph_point(matrix)
-    d_v, d_dual = intersection_dims(u)
-    component = unstable_component(u)
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "matrix": [[str(x) for x in row] for row in matrix],
-                "point": [[str(x) for x in row] for row in u.rows],
-                "intersection": [d_v, d_dual],
-                "semistable": is_semistable(u),
-                "component": component,
-            },
-            out,
-        )
-        return EXIT_OK
-    rows = [
-        (
-            "matrix",
-            ":".join(
-                ",".join(str(x) for x in row) for row in matrix
-            ),
-        ),
-        ("dim-meet-v", d_v),
-        ("dim-meet-dual", d_dual),
-        ("semistable", _yesno(is_semistable(u))),
-        ("component", component or "none"),
-    ]
-    _print_tsv(rows, out)
+    payload = {
+        "matrix": [[str(x) for x in row] for row in matrix],
+        "point": [[str(x) for x in row] for row in u.rows],
+        "intersection": list(intersection_dims(u)),
+        "semistable": is_semistable(u),
+        "component": unstable_component(u),
+    }
+    _write(args, payload, _stratify_rows(payload), out)
     return EXIT_OK
 
 
@@ -340,7 +302,14 @@ def _point_label(p) -> str:
     return f"{first}|{second}"
 
 
-def _git_fixed_points(cfg: RunConfig, out: TextIOBase) -> int:
+def _fixed_point_rows(payload: dict):
+    for e in payload["points"]:
+        yield ("point", e["index"], e["cstar"], e["component"] or "none")
+    for key in sorted(payload["counts"]):
+        yield ("count", key, payload["counts"][key])
+
+
+def _git_fixed_points(args, out: TextIOBase) -> int:
     entries = []
     for p in all_plucker_indices():
         u = coordinate_point(p)
@@ -356,54 +325,65 @@ def _git_fixed_points(cfg: RunConfig, out: TextIOBase) -> int:
     for e in entries:
         key = e["component"] or "none"
         counts[key] = counts.get(key, 0) + 1
-    if cfg.fmt == "json":
-        _print_json({"points": entries, "counts": counts}, out)
-        return EXIT_OK
-    rows = [
-        ("point", e["index"], e["cstar"], e["component"] or "none")
-        for e in entries
-    ]
-    for key in sorted(counts):
-        rows.append(("count", key, counts[key]))
-    _print_tsv(rows, out)
+    payload = {"points": entries, "counts": counts}
+    _write(args, payload, _fixed_point_rows(payload), out)
     return EXIT_OK
 
 
-def _git_module(cfg: RunConfig, out: TextIOBase) -> int:
+def _module_rows(payload: dict):
+    for s in payload["summands"]:
+        yield ("summand", _joined(s["highest_weight"]), s["cstar"], s["dim"])
+    yield ("total", payload["total"])
+
+
+def _git_module(args, out: TextIOBase) -> int:
     summands = decompose_module()
-    if cfg.fmt == "json":
-        _print_json(
+    payload = {
+        "summands": [
             {
-                "summands": [
-                    {
-                        "highest_weight": list(s.highest_weight.coords),
-                        "cstar": s.cstar,
-                        "dim": s.dim,
-                    }
-                    for s in summands
-                ],
-                "total": sum(s.dim for s in summands),
-            },
-            out,
-        )
-        return EXIT_OK
-    rows = [
-        ("summand", _coords_str(s.highest_weight), s.cstar, s.dim)
-        for s in summands
-    ]
-    rows.append(("total", sum(s.dim for s in summands)))
-    _print_tsv(rows, out)
+                "highest_weight": list(s.highest_weight.coords),
+                "cstar": s.cstar,
+                "dim": s.dim,
+            }
+            for s in summands
+        ],
+        "total": sum(s.dim for s in summands),
+    }
+    _write(args, payload, _module_rows(payload), out)
     return EXIT_OK
+
+
+_GIT_ACTIONS = {
+    "stratify": _git_stratify,
+    "fixed-points": _git_fixed_points,
+    "module": _git_module,
+}
+
+
+def _cmd_git(args, out: TextIOBase) -> int:
+    return _GIT_ACTIONS[args.action](args, out)
 
 
 # ---------------------------------------------------------------------------
 # schubert
 
-def _cmd_schubert(cfg: RunConfig, args, out: TextIOBase) -> int:
+def _kempf_rows(payload: dict):
+    yield ("cell", payload["cell"])
+    yield ("k", payload["k"])
+    yield ("window", _joined(payload["window"], ":"))
+    yield ("height-cutoff", payload["height_cutoff"])
+    low, high = payload["min_degree"], payload["max_degree"]
+    yield ("min-degree", "-" if low is None else low)
+    yield ("max-degree", "-" if high is None else high)
+    for d, lower, upper in payload["degrees"]:
+        yield ("degree", d, lower, upper)
+
+
+def _cmd_schubert(args, out: TextIOBase) -> int:
     cell, k = args.cell, args.k
-    cutoff = DEFAULT_HEIGHT_CUTOFF if cfg.height_cutoff is None else cfg.height_cutoff
-    if cfg.window is not None:
-        window = cfg.window
+    cutoff = DEFAULT_HEIGHT_CUTOFF if args.height_cutoff is None else args.height_cutoff
+    if args.window is not None:
+        window = args.window
     elif cell == "F1":
         window = (k, k + 40)
     else:
@@ -411,36 +391,18 @@ def _cmd_schubert(cfg: RunConfig, args, out: TextIOBase) -> int:
     lower, upper = unstable_character_bounds(cell, k, window, cutoff)
     lower_dims = _degree_dimensions(lower)
     upper_dims = _degree_dimensions(upper)
-    min_degree = min(upper_dims) if upper_dims else None
-    max_degree = max(upper_dims) if upper_dims else None
-    if cfg.fmt == "json":
-        _print_json(
-            {
-                "cell": cell,
-                "k": k,
-                "window": list(window),
-                "height_cutoff": cutoff,
-                "min_degree": min_degree,
-                "max_degree": max_degree,
-                "degrees": [
-                    [d, lower_dims.get(d, 0), upper_dims[d]]
-                    for d in sorted(upper_dims)
-                ],
-            },
-            out,
-        )
-        return EXIT_OK
-    rows = [
-        ("cell", cell),
-        ("k", k),
-        ("window", f"{window[0]}:{window[1]}"),
-        ("height-cutoff", cutoff),
-        ("min-degree", "-" if min_degree is None else min_degree),
-        ("max-degree", "-" if max_degree is None else max_degree),
-    ]
-    for d in sorted(upper_dims):
-        rows.append(("degree", d, lower_dims.get(d, 0), upper_dims[d]))
-    _print_tsv(rows, out)
+    payload = {
+        "cell": cell,
+        "k": k,
+        "window": list(window),
+        "height_cutoff": cutoff,
+        "min_degree": min(upper_dims, default=None),
+        "max_degree": max(upper_dims, default=None),
+        "degrees": [
+            [d, lower_dims.get(d, 0), upper_dims[d]] for d in sorted(upper_dims)
+        ],
+    }
+    _write(args, payload, _kempf_rows(payload), out)
     return EXIT_OK
 
 
@@ -448,7 +410,6 @@ def _cmd_schubert(cfg: RunConfig, args, out: TextIOBase) -> int:
 # cohomology
 
 def _cross_payload(report) -> dict:
-    rows = sorted(report.rows, key=lambda r: r[0].coords)
     return {
         "k": report.k,
         "n": report.n,
@@ -460,7 +421,8 @@ def _cross_payload(report) -> dict:
         "ok": report.ok,
         "issues": list(report.issues),
         "rows": [
-            [list(w.coords), lo, found, hi] for w, lo, found, hi in rows
+            [list(w.coords), lo, found, hi]
+            for w, lo, found, hi in sorted(report.rows, key=lambda r: r[0].coords)
         ],
         "unverified": sorted(
             [list(w.coords) for w in report.unverified]
@@ -468,78 +430,81 @@ def _cross_payload(report) -> dict:
     }
 
 
-def _cmd_cohomology(cfg: RunConfig, args, out: TextIOBase) -> int:
+def _cohomology_rows(payload: dict):
+    yield ("coefficients", _joined(payload["coefficients"]))
+    yield ("weight", _joined(payload["weight"]))
+    yield ("degree", payload["degree"])
+    yield ("profile", _joined(payload["profile"]) or "-")
+    yield ("dimension", payload["character"]["dimension"])
+    for coords, m in payload["character"]["terms"]:
+        yield ("term", _joined(coords), m)
+    cross = payload.get("cross_check")
+    if cross is None:
+        return
+    yield ("cross-component", cross["component"] or "none")
+    yield ("cross-certified", _yesno(cross["certified"]))
+    yield ("cross-at-most-one", _yesno(cross["at_most_one"]))
+    yield ("cross-consistent", _yesno(cross["ok"]))
+    for coords, lo, found, hi in cross["rows"]:
+        yield ("cross-row", _joined(coords), lo, found, hi)
+    for coords in cross["unverified"]:
+        yield ("cross-unverified", _joined(coords))
+    for issue in cross["issues"]:
+        yield ("cross-issue", issue)
+
+
+def _cmd_cohomology(args, out: TextIOBase) -> int:
     coeffs = _parse_coefficients(args.lam)
     degree = args.degree
     if not 0 <= degree <= 8:
         raise InputError(f"degree must lie in 0..8, got {degree}")
     lam = spanning_weight(*coeffs)
-    ch = h_character(lam, degree, cfg.box_radius)
-    profile = sorted(vanishing_profile(lam, cfg.box_radius))
+    ch = h_character(lam, degree, args.box_radius)
     payload: dict = {
         "coefficients": list(coeffs),
         "weight": list(lam.coords),
         "degree": degree,
-        "profile": profile,
+        "profile": sorted(vanishing_profile(lam, args.box_radius)),
         "character": _character_payload(ch),
     }
     status = EXIT_OK
-    report = None
     if degree == 3:
         report = cross_validate_h3(
-            lam, cfg.window, cfg.box_radius, cfg.height_cutoff
+            lam, args.window, args.box_radius, args.height_cutoff
         )
         payload["cross_check"] = _cross_payload(report)
         if not report.certified:
             status = EXIT_CERTIFICATION
         elif not report.ok:
             status = EXIT_MISMATCH
-    if cfg.fmt == "json":
-        _print_json(payload, out)
-        return status
-    rows = [
-        ("coefficients", ",".join(str(c) for c in coeffs)),
-        ("weight", _coords_str(lam)),
-        ("degree", degree),
-        ("profile", ",".join(str(i) for i in profile) or "-"),
-        ("dimension", ch.dimension()),
-    ]
-    for w, m in ch.sorted_items():
-        rows.append(("term", _coords_str(w), m))
-    if report is not None:
-        rows.append(("cross-component", report.component or "none"))
-        rows.append(("cross-certified", _yesno(report.certified)))
-        rows.append(("cross-at-most-one", _yesno(report.at_most_one)))
-        rows.append(("cross-consistent", _yesno(report.ok)))
-        for w, lo, found, hi in sorted(
-            report.rows, key=lambda r: r[0].coords
-        ):
-            rows.append(("cross-row", _coords_str(w), lo, found, hi))
-        for w in sorted(report.unverified, key=lambda w: w.coords):
-            rows.append(("cross-unverified", _coords_str(w)))
-        for issue in report.issues:
-            rows.append(("cross-issue", issue))
-    _print_tsv(rows, out)
+    _write(args, payload, _cohomology_rows(payload), out)
     return status
 
 
 # ---------------------------------------------------------------------------
 # acceptance
 
+def _acceptance_exit(report: AcceptanceReport) -> int:
+    return min(
+        (_ACCEPTANCE_EXITS[r.kind] for r in report.results if not r.passed),
+        default=EXIT_OK,
+    )
+
+
 def _report_payload(report: AcceptanceReport) -> dict:
     data = report.to_dict(timed=False)
-    data["exit_code"] = report.exit_code
+    data["exit_code"] = _acceptance_exit(report)
     return data
 
 
-def _cmd_acceptance(cfg: RunConfig, args, out: TextIOBase) -> int:
+def _cmd_acceptance(args, out: TextIOBase) -> int:
     kwargs: dict = {"seed": args.seed}
-    if cfg.window is not None:
-        kwargs["window_width"] = cfg.window[1] - cfg.window[0]
-    if cfg.height_cutoff is not None:
-        kwargs["height_cutoff"] = cfg.height_cutoff
-    if cfg.box_radius is not None:
-        kwargs["box_radius"] = cfg.box_radius
+    if args.window is not None:
+        kwargs["window_width"] = args.window[1] - args.window[0]
+    if args.height_cutoff is not None:
+        kwargs["height_cutoff"] = args.height_cutoff
+    if args.box_radius is not None:
+        kwargs["box_radius"] = args.box_radius
     if args.samples is not None:
         kwargs["sample_count"] = args.samples
     try:
@@ -547,11 +512,9 @@ def _cmd_acceptance(cfg: RunConfig, args, out: TextIOBase) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     report = run_acceptance(config)
-    if cfg.fmt == "json":
-        _print_json(_report_payload(report), out)
-    else:
-        _print_tsv([(line,) for line in report.lines(timed=False)], out)
-    return report.exit_code
+    lines = ((line,) for line in report.lines(timed=False))
+    _write(args, _report_payload(report), lines, out)
+    return _acceptance_exit(report)
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    window = getattr(args, "window", None)
-    return RunConfig(
-        window=_parse_window(window) if window else None,
-        height_cutoff=getattr(args, "height_cutoff", None),
-        box_radius=getattr(args, "box_radius", None),
-        fmt=args.fmt,
-    )
-
-
 # flags whose values may start with "-" followed by a digit; argparse
 # mistakes such values for option strings unless written as FLAG=VALUE
 _SIGNED_VALUE_FLAGS = ("--lambda", "--window", "--matrix")
@@ -752,17 +705,17 @@ def main(
         parser = build_parser()
         with redirect_stdout(out):  # argparse prints --help itself
             args = parser.parse_args(_merge_signed_values(argv))
-        cfg = _config_from_args(args)
-        return args.func(cfg, args, out)
+        _check_shared_flags(args)
+        return args.func(args, out)
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else 0
     except BoxTooSmallError as exc:
         print(f"certification failure: {exc}", file=err)
         return EXIT_CERTIFICATION
-    except (InputError, DiagramError, ValueError) as exc:
+    except (InputError, DiagramError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INPUT
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"internal error: {exc}", file=err)
         return EXIT_INTERNAL
 

@@ -31,7 +31,6 @@ __all__ = [
     "graph_point",
     "coordinate_point",
     "fixed_points",
-    "block_swap",
     "intersection_dims",
     "is_semistable",
     "unstable_component",
@@ -132,11 +131,6 @@ def coordinate_point(p: PluckerIndex) -> SubspacePoint:
 def fixed_points() -> tuple[SubspacePoint, ...]:
     """All 20 coordinate 3-planes (the torus-fixed points)."""
     return tuple(coordinate_point(p) for p in all_plucker_indices())
-
-
-def block_swap(u: SubspacePoint) -> SubspacePoint:
-    """Exchange the two blocks: e_i <-> e*_i."""
-    return subspace_point([row[3:] + row[:3] for row in u.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .rootsys import _record, build_root_system
+from .rootsys import _MAX_RANK, _MIN_RANK, _record, build_root_system
 from .satake import RestrictedSystem, SatakeDiagram, criterion_matrices, restricted_system
 
 __all__ = [
@@ -224,20 +224,11 @@ def series_matrices(label: str) -> tuple[Matrix, ...]:
 
 
 def _sweep_labels(max_rank: int) -> tuple[str, ...]:
-    labels = []
-    ranges = {
-        "A": range(1, max_rank + 1),
-        "B": range(2, max_rank + 1),
-        "C": range(2, max_rank + 1),
-        "D": range(3, max_rank + 1),
-        "E": (6, 7, 8),
-        "F": (4,),
-        "G": (2,),
-    }
-    for series, rr in ranges.items():
-        for r in rr:
-            if r <= max_rank:
-                labels.append(f"{series}{r}")
+    labels = [
+        f"{series}{r}"
+        for series, low in _MIN_RANK.items()
+        for r in range(low, min(max_rank, _MAX_RANK.get(series, max_rank)) + 1)
+    ]
     labels.extend(f"BC{r}" for r in range(1, max_rank + 1))
     return tuple(labels)
 

@@ -109,6 +109,13 @@ def make_diagram(
     return SatakeDiagram(system, black, tuple(sorted(norm)))
 
 
+def _vertices(words: list[str]) -> list[int]:
+    try:
+        return [int(x) for x in words]
+    except ValueError as exc:
+        raise DiagramError(str(exc)) from None
+
+
 def parse_diagram(text: str) -> SatakeDiagram:
     """Build a diagram from ``type``/``black``/``arrow`` directives."""
     type_label: str | None = None
@@ -124,16 +131,20 @@ def parse_diagram(text: str) -> SatakeDiagram:
                 raise DiagramError(f"malformed type line: {line!r}")
             type_label = rest[0]
         elif head == "black":
-            black.update(int(x) for x in rest)
+            black.update(_vertices(rest))
         elif head == "arrow":
             if len(rest) != 2:
                 raise DiagramError(f"malformed arrow line: {line!r}")
-            arrows.append((int(rest[0]), int(rest[1])))
+            arrows.append(tuple(_vertices(rest)))
         else:
             raise DiagramError(f"unknown directive {head!r}")
     if type_label is None:
         raise DiagramError("missing 'type' line")
-    return make_diagram(build_root_system(type_label), black, arrows)
+    try:
+        system = build_root_system(type_label)
+    except ValueError as exc:
+        raise DiagramError(str(exc)) from None
+    return make_diagram(system, black, arrows)
 
 
 CATALOG: dict[str, str] = {

@@ -1,5 +1,6 @@
 """End-to-end acceptance run: one test per criterion, plus engine plumbing."""
 
+import hashlib
 import io
 import json
 import random
@@ -7,17 +8,18 @@ import shutil
 
 import pytest
 
+from wonderco import acceptance
 from wonderco.acceptance import (
     AcceptanceConfig,
     AcceptanceReport,
     CriterionResult,
     FixtureError,
-    _check_inversion_sets,
     _sampled_coefficients,
     fixtures_dir,
     load_fixture,
     run_acceptance,
 )
+from wonderco.cli import EXIT_OK, _report_payload
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,7 @@ class TestCriteria:
 class TestReport:
     def test_all_passed(self, report):
         assert report.passed
-        assert report.exit_code == 0
+        assert _report_payload(report)["exit_code"] == EXIT_OK
 
     def test_one_line_per_criterion(self, report):
         lines = report.lines()
@@ -94,6 +96,13 @@ class TestReport:
         assert data["passed"] is True
         assert [c["number"] for c in data["criteria"]] == list(range(1, 11))
         assert all(c["kind"] == "ok" for c in data["criteria"])
+
+    def test_recorded_report_is_byte_identical(self, report):
+        # recorded details and payload of the default run, byte for byte
+        lines = "\n".join(report.lines(timed=False))
+        payload = json.dumps(_report_payload(report), sort_keys=True)
+        assert hashlib.md5(lines.encode()).hexdigest() == "5ca59bc5ca032d54f3ba99e2e7601613"
+        assert hashlib.md5(payload.encode()).hexdigest() == "7f9ceada723ae550ac36f9461d0aaa96"
 
     def test_stream_output_matches_lines(self, run_output):
         result, streamed = run_output
@@ -128,6 +137,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             AcceptanceConfig(sample_count=0)
 
+    def test_rejects_box_too_small_for_its_draws(self):
+        # Serre duality draws distinct 4-tuples, the cross-route check 20
+        # distinct pairs besides its fixed samples, each from the box
+        for radius, samples in ((0, 1), (1, 2)):
+            with pytest.raises(ValueError, match="cross-route draws"):
+                AcceptanceConfig(box_radius=radius, sample_count=samples)
+        with pytest.raises(ValueError, match="room for 625 duality samples"):
+            AcceptanceConfig(box_radius=2, sample_count=626)
+        # at radius 2 each draw still finishes: 625 tuples, 25 pairs
+        cfg = AcceptanceConfig(box_radius=2, sample_count=625)
+        assert len(_sampled_coefficients(cfg.rng(8), 625, 2)) == 625
+        pairs = acceptance.NONZERO_H3_SAMPLES
+        assert len(_sampled_coefficients(cfg.rng(9), 20, 2, 2, pairs)) == 20
+
 
 class TestFixtures:
     def test_directory_override(self, tmp_path, monkeypatch):
@@ -153,7 +176,9 @@ class TestFixtures:
         data["w"]["K"][0] = [1, 1, 1, 1, 1]
         (tmp_path / "inversion_sets.json").write_text(json.dumps(data))
         monkeypatch.setenv("WONDERCO_FIXTURES", str(tmp_path))
-        ok, kind, detail = _check_inversion_sets(AcceptanceConfig())
-        assert not ok
-        assert kind == "mismatch"
-        assert "K(w)" in detail
+        # the engine alone, on the one criterion the tampered fixture feeds
+        monkeypatch.setattr(acceptance, "_CRITERIA", acceptance._CRITERIA[2:3])
+        (result,) = run_acceptance(AcceptanceConfig()).results
+        assert not result.passed
+        assert result.kind == "mismatch"
+        assert "K(w)" in result.detail

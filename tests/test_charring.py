@@ -9,7 +9,6 @@ import pytest
 from wonderco.charring import (
     Character,
     weyl_character,
-    weyl_dimension,
 )
 from wonderco.rootsys import (
     Weight,
@@ -19,7 +18,7 @@ from wonderco.rootsys import (
     half_sum_positive,
     weyl_element,
 )
-from weyl_descent import dominant_conjugate, weight_to_root
+from weyl_descent import dominant_conjugate, weight_to_root, weyl_dimension
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)

@@ -20,7 +20,6 @@ from wonderco.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     InputError,
-    RunConfig,
     _merge_signed_values,
     _parse_coefficients,
     _parse_matrix,
@@ -93,6 +92,20 @@ class TestClassify:
         code, _, err = run_cli("classify", "--diagram", "NOPE")
         assert code == EXIT_INPUT
         assert "unknown diagram" in err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("type A2; black x", "invalid literal for int() with base 10: 'x'"),
+            ("type Z3", "unknown series 'Z'"),
+            ("type A0", "invalid rank 0 for series A"),
+            ("type E9", "invalid rank 9 for series E"),
+        ],
+        ids=["vertex", "series", "rank-low", "rank-high"],
+    )
+    def test_bad_spec_is_invalid_input(self, spec, message):
+        code, out, err = run_cli("classify", "--spec", spec)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
 
     def test_rank_two_solutions_are_diagonal(self):
         code, out, _ = run_cli(
@@ -400,11 +413,30 @@ class TestAcceptanceCommand:
         assert lines[-1] == "10/10 criteria passed"
         assert all(line.startswith("criterion") for line in lines[:-1])
         assert all("(" + "0." not in line for line in lines)
+        assert hashlib.md5(out.encode()).hexdigest() == "aa3c2f315011a436d1ab6524b2151690"
 
     def test_rejects_bad_samples(self):
         code, _, err = run_cli("acceptance", "--samples", "0")
         assert code == EXIT_INPUT
         assert "sample count" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--box-radius", "1", "--samples", "2"), "room for 9 cross-route draws"),
+            (("--box-radius", "0", "--samples", "1"), "room for 1 cross-route draws"),
+            (("--box-radius", "2", "--samples", "626"), "room for 625 duality samples"),
+        ],
+        ids=["radius-1", "radius-0", "too-many-samples"],
+    )
+    def test_rejects_box_too_small_for_its_draws(self, monkeypatch, argv, message):
+        # the draws of distinct samples would never end, so the config is
+        # rejected before any criterion runs
+        ran = []
+        monkeypatch.setattr(wonderco.cli, "run_acceptance", ran.append)
+        code, out, err = run_cli("acceptance", *argv)
+        assert (code, out, ran) == (EXIT_INPUT, "", [])
+        assert err.startswith("error: box radius") and message in err
 
 
 class TestReportRendering:
@@ -478,6 +510,15 @@ class TestPlumbing:
             "internal error: the doubled diagram must restrict to rank two\n"
         )
 
+        # a library value check that no user input reaches is internal too
+        def broken_value_check(*args, **kwargs):
+            raise ValueError("highest weight (0, -1) is not dominant")
+
+        monkeypatch.setattr(wonderco.cli, "h_character", broken_value_check)
+        code, out, err = run_cli("cohomology", "--lambda", "1,1,0,0", "--i", "0")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "internal error: highest weight (0, -1) is not dominant\n"
+
     def test_signed_value_merge(self):
         argv = ["cohomology", "--lambda", "-4,2,0,0", "--i", "3"]
         merged = _merge_signed_values(argv)
@@ -506,17 +547,106 @@ class TestPlumbing:
                 _parse_matrix(bad)
 
     def test_config_validation(self):
-        with pytest.raises(InputError):
-            RunConfig((5, 1), 12, None, "tsv")
-        with pytest.raises(InputError):
-            RunConfig(None, 0, None, "tsv")
-        with pytest.raises(InputError):
-            RunConfig(None, 12, -1, "tsv")
-        with pytest.raises(InputError):
-            RunConfig(None, 12, None, "xml")
+        kempf = ("schubert", "kempf", "--cell", "F1", "--k", "0")
+        coh = ("cohomology", "--lambda", "0,0,0,0", "--i", "0")
+        for argv, message in (
+            ((*kempf, "--window", "5:1"), "empty window 5:1"),
+            ((*kempf, "--height-cutoff", "0"), "height cutoff must be at least 1"),
+            ((*coh, "--box-radius", "-1"), "box radius must be nonnegative"),
+            ((*kempf, "--format", "xml"), "invalid choice: 'xml'"),
+        ):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (EXIT_INPUT, ""), argv
+            assert err.startswith("error: ") and message in err, argv
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv,md5",
+        [
+            (("satake",), "1c2026b0a7db2a108df3c5aaa408826d"),
+            (("satake", "--format", "json"), "d186c36a3834c043e6a15ba4389761d1"),
+            (("satake", "--diagram", "GxG-A2"), "5b278001fe1a2a784e33a2432acdf8e2"),
+            (
+                ("satake", "--diagram", "GxG-A2", "--format", "json"),
+                "f94bab365e64ef67543f1ea1f0fa05d6",
+            ),
+            (
+                ("classify", "--diagram", "PGL6-PSp6"),
+                "d920919a6e16c575fd90c2d3c62abe36",
+            ),
+            (
+                ("classify", "--diagram", "PGL6-PSp6", "--format", "json"),
+                "45728dd3ccaea9cde6a7b51a325a481e",
+            ),
+            (
+                ("classify", "--spec", "type A2; arrow 1 2"),
+                "fc1f6f5596d244cec792470fcaf82c94",
+            ),
+            (
+                ("classify", "--spec", "type A2; arrow 1 2", "--format", "json"),
+                "cbb82c57f0c556ac10e480f340ff6fb9",
+            ),
+            (
+                ("git", "stratify", "--matrix", "1/2,0,0:0,0,0:0,0,0"),
+                "b8f7a01d60c0dd6e6eca6e87539478b8",
+            ),
+            (
+                ("git", "stratify", "--matrix", "1/2,0,0:0,0,0:0,0,0", "--format", "json"),
+                "0355c207dbc384c3b2392969ceb0f1d3",
+            ),
+            (("git", "fixed-points"), "41eed277c9a2370610db0ce7af42ccc9"),
+            (
+                ("git", "fixed-points", "--format", "json"),
+                "c00d8918a87a6d23cb1eac1906152218",
+            ),
+            (("git", "module"), "f764906d96b45990991490543062e823"),
+            (("git", "module", "--format", "json"), "a741365838ed3820250af9a03a0c6b57"),
+            (
+                ("schubert", "kempf", "--cell", "F1", "--k", "2"),
+                "ee623c8346771b3dcbd8bab5575faee9",
+            ),
+            (
+                ("schubert", "kempf", "--cell", "F2", "--k", "3"),
+                "63a4062d9ecf3975ac1a7586d4ffe63d",
+            ),
+            (
+                ("schubert", "kempf", "--cell", "F1", "--k", "0", "--window", "0:5"),
+                "cca36838afdac34425018e84bc9150e8",
+            ),
+            (
+                (
+                    "schubert", "kempf", "--cell", "F1", "--k", "0",
+                    "--window", "0:5", "--format", "json",
+                ),
+                "ab945629d793b54bdcbbb377e9d75d64",
+            ),
+            (
+                ("cohomology", "--lambda", "-3,-3,-2,1", "--i", "5"),
+                "384d1da3b7900ce39506bed3143af15f",
+            ),
+            (
+                ("cohomology", "--lambda", "-3,-3,-2,1", "--i", "5", "--format", "json"),
+                "908f16263ea96ba7ade4b092c6cbde7c",
+            ),
+        ],
+        ids=[
+            "satake-tsv", "satake-json", "satake-one-tsv", "satake-one-json",
+            "classify-diagram-tsv", "classify-diagram-json",
+            "classify-spec-tsv", "classify-spec-json",
+            "stratify-tsv", "stratify-json", "fixed-points-tsv", "fixed-points-json",
+            "module-tsv", "module-json", "kempf-F1-tsv", "kempf-F2-tsv",
+            "kempf-empty-tsv", "kempf-empty-json", "cohomology-h5-tsv",
+            "cohomology-h5-json",
+        ],
+    )
+    def test_recorded_output_is_byte_identical(self, argv, md5):
+        # recorded output, byte for byte, for each subcommand and format;
+        # the empty Kempf window prints the missing-degree placeholders
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+
     def test_byte_identical_reruns(self):
         argvs = (
             ("satake", "--format", "json"),

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wonderco.charring import weyl_character, weyl_dimension
+from wonderco.charring import weyl_character
 from wonderco.gitgrass import (
     PluckerIndex,
+    SubspacePoint,
     all_plucker_indices,
-    block_swap,
     coordinate_point,
     cstar_weight,
     decompose_module,
@@ -25,6 +25,7 @@ from wonderco.gitgrass import (
     unstable_component,
 )
 from wonderco.rootsys import Weight, build_root_system
+from weyl_descent import weyl_dimension
 
 A2xA2 = build_root_system("A2xA2")
 
@@ -54,6 +55,12 @@ def torus_weight(p: PluckerIndex) -> Weight:
         b[0] += _EPS_DUAL[j][0]
         b[1] += _EPS_DUAL[j][1]
     return Weight((a[0], a[1], b[0], b[1]))
+
+
+def block_swap(u: SubspacePoint) -> SubspacePoint:
+    """Exchange the two blocks, e_i <-> e*_i: the geometric check behind
+    ``schubert.swap_blocks_weight``."""
+    return subspace_point([row[3:] + row[:3] for row in u.rows])
 
 
 def random_rows(rng, lo=-5, hi=5):

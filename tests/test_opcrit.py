@@ -110,6 +110,17 @@ class TestExistence:
         assert len(labels) == 41
         assert "A8" in labels and "BC8" in labels
         assert "E7" in labels and "G2" in labels
+        # every valid rank up to 8 of each series, series by series
+        assert labels == (
+            *(f"A{r}" for r in range(1, 9)),
+            *(f"{s}{r}" for s in "BC" for r in range(2, 9)),
+            *(f"D{r}" for r in range(3, 9)),
+            "E6", "E7", "E8", "F4", "G2",
+            *(f"BC{r}" for r in range(1, 9)),
+        )
+        assert _sweep_labels(3) == (
+            "A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2", "BC1", "BC2", "BC3",
+        )
 
     def test_displayed_policy(self):
         # the displayed bordered chain matrix, joined with the reduced B3

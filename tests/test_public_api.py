@@ -107,9 +107,7 @@ def test_cli_import_leaves_out_heavy_stdlib_modules():
 
 # exports that no code of the package calls, each with why it stays
 UNCALLED_EXPORTS = {
-    "charring.weyl_dimension": "dimension oracle the character tests check against",
     "charring.TruncationError": "raised nowhere in the package; perfbench/worker.py imports it",
-    "gitgrass.block_swap": "geometric check behind schubert.swap_blocks_weight",
     "schubert.cousin_terms": "groups closure-cell series by depth for ROADMAP item 1",
 }
 

@@ -529,15 +529,9 @@ RECORDS = _record_classes()
 # generic values below
 VALID_ARGS = {
     "PluckerIndex": [((2, 1), (3,)), ((1,), (3, 2)), ((2, 1), (3,)), ((2, 1), (2,))],
-    "RunConfig": [
-        ((0, 3), 12, None, "tsv"),
-        (None, None, 0, "json"),
-        ((0, 3), 12, None, "tsv"),
-        ((0, 3), 12, None, "json"),
-    ],
     "AcceptanceConfig": [
         (7, 40, 12, 5, 50),
-        (8, 10, 3, 0, 1),
+        (8, 10, 3, 2, 1),
         (7, 40, 12, 5, 50),
         (7, 40, 12, 5, 49),
     ],
@@ -572,9 +566,9 @@ def dataclass_twin(cls: type, body: set[str]) -> type:
 
 
 def test_record_scan_finds_the_package_records():
-    assert {"RootSystem", "WeylElement", "Grading", "PluckerIndex", "RunConfig"} <= set(
-        RECORDS
-    )
+    assert {
+        "RootSystem", "WeylElement", "Grading", "PluckerIndex", "AcceptanceConfig"
+    } <= set(RECORDS)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -640,15 +634,15 @@ def test_record_construction_matches_frozen_dataclass(name):
 
 
 def test_record_post_init_runs():
-    from wonderco.cli import InputError, RunConfig
+    from wonderco.acceptance import AcceptanceConfig
     from wonderco.gitgrass import PluckerIndex
 
     index = PluckerIndex(second=(3, 2), first=(1,))
     assert (index.first, index.second) == ((1,), (2, 3))
-    with pytest.raises(InputError, match="empty window 3:0"):
-        RunConfig((3, 0), None, None, "tsv")
-    with pytest.raises(InputError, match="unknown format"):
-        RunConfig(window=None, height_cutoff=None, box_radius=None, fmt="csv")
+    with pytest.raises(ValueError, match="window width and height cutoff"):
+        AcceptanceConfig(7, 0, 12, 5, 50)
+    with pytest.raises(ValueError, match="box radius and sample count"):
+        AcceptanceConfig(seed=7, box_radius=-1)
 
 
 def test_record_keeps_class_body_methods():

@@ -90,6 +90,10 @@ class TestDiagramConstruction:
             ("type A2\ntype A2", "malformed type"),
             ("type A2\narrow 1", "malformed arrow"),
             ("type A2\ncolour 1", "unknown directive"),
+            ("type A2\nblack x", "invalid literal for int"),
+            ("type A2\narrow 1 y", "invalid literal for int"),
+            ("type Z3", "unknown series 'Z'"),
+            ("type E9", "invalid rank 9 for series E"),
         ],
     )
     def test_parse_errors(self, text, msg):

@@ -12,7 +12,6 @@ from wonderco.charring import (
     DEFAULT_HEIGHT_CUTOFF,
     Character,
     weyl_character,
-    weyl_dimension,
 )
 from wonderco.gitgrass import sheaf_correspondence
 from wonderco.rootsys import Weight, build_root_system
@@ -45,7 +44,7 @@ from cross_h3_reference import (
     every_series_certified,
     reference_cross_h3,
 )
-from weyl_descent import dominant_conjugate, weight_to_root
+from weyl_descent import dominant_conjugate, weight_to_root, weyl_dimension
 
 A5 = build_root_system("A5")
 

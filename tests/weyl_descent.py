@@ -7,7 +7,8 @@ root-lattice coordinates (``rootsys.root_lattice_coords``).  The oracles in
 the tests keep separate routes, so they stay independent of the code they
 check: a Weyl element here is its integer action matrix on simple-root
 coordinates, and its canonical word comes from greedy left-descent
-stripping on those matrices.
+stripping on those matrices.  The Weyl product formula gives the
+dimensions the character tests check against.
 """
 
 from fractions import Fraction
@@ -18,6 +19,8 @@ from wonderco.rootsys import (
     RootSystem,
     Weight,
     WeylElement,
+    _symmetrizer,
+    half_sum_positive,
     reflect_weight,
 )
 
@@ -151,3 +154,22 @@ def weight_to_root(system: RootSystem, weight: Weight) -> tuple[Fraction, ...]:
     the solution x of cartan @ x = weight."""
     inv = _cartan_inverse(system)
     return tuple(sum(map(mul, row, weight), Fraction(0)) for row in inv)
+
+
+def weyl_dimension(system: RootSystem, lam: Weight) -> int:
+    """dim of the irreducible with highest weight lam, by the product formula
+    prod_{alpha > 0} (lam + rho, alpha) / (rho, alpha), as one exact ratio
+    of integer products under the form of ``rootsys._symmetrizer``."""
+    if not lam.is_dominant():
+        raise ValueError(f"highest weight {lam.coords} is not dominant")
+    d = _symmetrizer(system)
+    rho = half_sum_positive(system)
+    lam_rho = lam + rho
+    num = den = 1
+    for alpha in system.positive_roots:
+        scaled = tuple(map(mul, d, alpha))
+        num *= sum(map(mul, lam_rho, scaled))
+        den *= sum(map(mul, rho, scaled))
+    dim, rem = divmod(num, den)
+    assert rem == 0
+    return dim
