@@ -54,8 +54,8 @@ from .gitgrass import (
 )
 from .opcrit import classify
 from .satake import (
-    CATALOG,
     DiagramError,
+    catalog_diagram,
     catalog_names,
     parse_diagram,
     restricted_system,
@@ -130,11 +130,11 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
 
 
 def _check_shared_flags(args: argparse.Namespace) -> None:
-    """Parse ``--window`` in place and range-check the ``_SHARED_FLAGS``
-    the subcommand registers; an empty ``--window`` counts as not given."""
-    if "window" in vars(args):
-        args.window = _parse_window(args.window) if args.window else None
-        if args.window is not None and args.window[0] > args.window[1]:
+    """Parse a given ``--window`` in place and range-check the
+    ``_SHARED_FLAGS`` the subcommand registers."""
+    if getattr(args, "window", None) is not None:
+        args.window = _parse_window(args.window)
+        if args.window[0] > args.window[1]:
             raise InputError(f"empty window {args.window[0]}:{args.window[1]}")
     if getattr(args, "height_cutoff", None) is not None and args.height_cutoff < 1:
         raise InputError("height cutoff must be at least 1")
@@ -178,14 +178,6 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _catalog_entry(name: str):
-    if name not in CATALOG:
-        raise InputError(
-            f"unknown diagram {name!r}; available: " + ", ".join(catalog_names())
-        )
-    return parse_diagram(CATALOG[name])
-
-
 # ---------------------------------------------------------------------------
 # satake
 
@@ -207,7 +199,7 @@ def _cmd_satake(args, out: TextIOBase) -> int:
     names = catalog_names() if args.diagram is None else (args.diagram,)
     entries = []
     for name in names:
-        d = _catalog_entry(name)
+        d = catalog_diagram(name)
         rs = restricted_system(d)
         entries.append(
             {
@@ -245,7 +237,7 @@ def _cmd_classify(args, out: TextIOBase) -> int:
         raise InputError("bound must be at least 1")
     if args.diagram is not None:
         label = args.diagram
-        d = _catalog_entry(label)
+        d = catalog_diagram(label)
     elif args.spec is not None:
         label = "(inline)"
         d = parse_diagram(args.spec.replace(";", "\n"))
@@ -351,17 +343,6 @@ def _git_module(args, out: TextIOBase) -> int:
     }
     _write(args, payload, _module_rows(payload), out)
     return EXIT_OK
-
-
-_GIT_ACTIONS = {
-    "stratify": _git_stratify,
-    "fixed-points": _git_fixed_points,
-    "module": _git_module,
-}
-
-
-def _cmd_git(args, out: TextIOBase) -> int:
-    return _GIT_ACTIONS[args.action](args, out)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +519,14 @@ _SHARED_FLAGS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    """Register ``--format`` and the named ``_SHARED_FLAGS`` on ``p``."""
+def _add_common(p: argparse.ArgumentParser, *flags: str, fmt: str = "tsv") -> None:
+    """Register ``--format``, defaulting to ``fmt``, and the named
+    ``_SHARED_FLAGS`` on ``p``."""
     p.add_argument(
         "--format",
         dest="fmt",
         choices=("tsv", "json"),
-        default="tsv",
+        default=fmt,
         help="output format (default: tsv)",
     )
     for flag in flags:
@@ -595,20 +577,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "git", help="stability and strata of the 3-plane quotient model"
     )
-    p.add_argument(
-        "action",
-        choices=("stratify", "fixed-points", "module"),
+    _add_common(p)
+    actions = p.add_subparsers(
+        dest="action",
+        required=True,
         help="stratify a graph point, list fixed points, "
         "or show the module decomposition",
     )
-    p.add_argument(
+    for action, func in (
+        ("stratify", _git_stratify),
+        ("fixed-points", _git_fixed_points),
+        ("module", _git_module),
+    ):
+        a = actions.add_parser(action)
+        # --format may come before the action too; only a given one overrides
+        _add_common(a, fmt=argparse.SUPPRESS)
+        a.set_defaults(func=func)
+    actions.choices["stratify"].add_argument(
         "--matrix",
         metavar="R1:R2:R3",
         help="3x3 matrix, rows ':'-separated, entries ','-separated "
         "(default: identity)",
     )
-    _add_common(p)
-    p.set_defaults(func=_cmd_git)
 
     p = sub.add_parser(
         "schubert",

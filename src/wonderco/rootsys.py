@@ -200,17 +200,6 @@ class RootSystem:
             hash((self.type_label, self.rank, self.cartan, self.positive_roots)),
         )
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, RootSystem)
-            and self.type_label == other.type_label
-            and self.rank == other.rank
-            and self.cartan == other.cartan
-            and self.positive_roots == other.positive_roots
-        )
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -361,10 +350,6 @@ def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
 @lru_cache(maxsize=None)
 def all_roots(system: RootSystem) -> frozenset[Root]:
     return frozenset(system.positive_roots) | {-r for r in system.positive_roots}
-
-
-def is_root(system: RootSystem, root: Root) -> bool:
-    return root in all_roots(system)
 
 
 def _check_indices(system: RootSystem, indices) -> None:

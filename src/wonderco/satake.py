@@ -25,7 +25,6 @@ from .rootsys import (
     _simple_cartan,
     all_roots,
     build_root_system,
-    is_root,
     root_inner,
     simple_root,
 )
@@ -178,7 +177,7 @@ def catalog_diagram(name: str) -> SatakeDiagram:
     try:
         text = CATALOG[name]
     except KeyError:
-        raise KeyError(
+        raise DiagramError(
             f"unknown diagram {name!r}; available: {', '.join(catalog_names())}"
         ) from None
     return parse_diagram(text)
@@ -245,7 +244,7 @@ def theta_matrix(d: SatakeDiagram) -> tuple[tuple[int, ...], ...]:
             if entry != (i == j):
                 raise DiagramError("involution does not square to the identity")
     for beta in d.system.positive_roots:
-        if not is_root(d.system, _apply(mat, beta)):
+        if _apply(mat, beta) not in all_roots(d.system):
             raise DiagramError(
                 f"involution maps {beta.coords} outside the root system"
             )
@@ -345,7 +344,7 @@ def restricted_system(d: SatakeDiagram) -> RestrictedSystem:
     _, phi1_plus = phi_split(d)
     for alpha in phi1_plus:
         total = alpha + apply_theta(d, alpha)
-        if is_root(system, total):
+        if total in all_roots(system):
             raise DiagramError(
                 f"alpha + theta(alpha) is a root for alpha = {alpha.coords}; "
                 "the diagram is not of symmetric-space type"

@@ -74,7 +74,6 @@ __all__ = [
     "kempf_character",
     "UnstableStratum",
     "unstable_character_bounds",
-    "cousin_terms",
     "swap_blocks_weight",
 ]
 
@@ -377,11 +376,6 @@ class TruncatedSeries:
             for b, row in zip(self.numerator_exponent, GRASS_SYSTEM.cartan)
         )
 
-    def offset_of(self, w: Weight) -> tuple[int, ...] | None:
-        """The offset of ``w`` from the numerator exponent; None when the
-        difference is off the root lattice."""
-        return root_lattice_coords(GRASS_SYSTEM, w - self.numerator_exponent)
-
     def weights(self, swapped: bool = False, kept=None) -> Iterator[Weight]:
         """The weights of the terms, or of those ``kept`` selects: image
         column i plus the numerator's coordinate i, the column itself where
@@ -406,7 +400,7 @@ class TruncatedSeries:
         d = CSTAR_GRADING.degree(w)
         if not self.window[0] <= d <= self.window[1]:
             return False
-        off = self.offset_of(w)
+        off = root_lattice_coords(GRASS_SYSTEM, w - self.numerator_exponent)
         if off is None:
             return True  # off-lattice weights never occur: zero is exact
         return sum(off) <= self.height_cutoff
@@ -417,18 +411,6 @@ class TruncatedSeries:
         if min(offset) < 0 or max(offset) >> self.bits:
             return None
         return _key(offset, self.bits)
-
-    def multiplicity(self, w: Weight) -> int:
-        off = self.offset_of(w)
-        return 0 if off is None else self.packed.get(self._key_of(off), 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.window == other.window
-            and self.height_cutoff == other.height_cutoff
-            and self.terms() == other.terms()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -672,36 +654,3 @@ def unstable_character_bounds(
         Character((w, m) for w, m in zip(weights, lower) if m > 0),
         Character(zip(weights, top.packed.values())),
     )
-
-
-def cousin_terms(
-    w: WeylElement,
-    k: int,
-    depth: int,
-    window: tuple[int, int],
-    height_cutoff: int = DEFAULT_HEIGHT_CUTOFF,
-) -> tuple[tuple[TruncatedSeries, ...], ...]:
-    """Character series of the closure strata below a cell, by depth.
-
-    Entry j holds the cached :func:`kempf_character` series of the cells
-    of codimension codim(w)+j inside the closure of the cell of ``w``, all
-    on ``window`` at ``height_cutoff``; each certifies its own terms through
-    ``is_certified``.  The sequence stops early when no cells remain (depth
-    0 is the cell itself).  A Cousin sum adds the members of entry j with
-    sign (-1)^j, weight by weight.
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    _check_minimal(w)
-    base_cell = next(c for c in enumerate_cells() if c.w == w)
-    out = []
-    for j in range(depth + 1):
-        group = tuple(
-            kempf_character(c.w, k, window, height_cutoff)
-            for c in enumerate_cells()
-            if c.codim == base_cell.codim + j and closure_contains(base_cell, c)
-        )
-        if not group:
-            break
-        out.append(group)
-    return tuple(out)

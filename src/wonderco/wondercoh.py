@@ -307,7 +307,7 @@ def vanishing_profile(lam: Weight, box: int | None = None) -> frozenset[int]:
     return frozenset(i for i, _ in _graded_components(lam, box))
 
 
-def serre_dual_check(lam: Weight, i: int, box: int | None = None) -> bool:
+def serre_dual_check(lam: Weight, i: int) -> bool:
     """Verify duality: degree i of ``lam`` against the complementary
     degree of the dualizing mirror ``-lam - canonical_shift``.
 
@@ -319,8 +319,8 @@ def serre_dual_check(lam: Weight, i: int, box: int | None = None) -> bool:
     """
     data = spherical_data()
     mirror = -lam - data.canonical_shift
-    left = tchoudjem_components(lam, i, box)
-    right = tchoudjem_components(mirror, data.dim_y - i, box)
+    left = tchoudjem_components(lam, i)
+    right = tchoudjem_components(mirror, data.dim_y - i)
     duals = sorted(dominant_representative(data.lattice, -nu) for nu in right)
     return list(left) == duals
 

@@ -28,6 +28,7 @@ from wonderco.cli import (
     main,
 )
 from wonderco.rootsys import Weight
+from wonderco.satake import catalog_names
 from wonderco.schubert import TruncatedSeries
 
 
@@ -89,9 +90,12 @@ class TestClassify:
         assert "classify needs" in err
 
     def test_unknown_name(self):
-        code, _, err = run_cli("classify", "--diagram", "NOPE")
-        assert code == EXIT_INPUT
-        assert "unknown diagram" in err
+        # satake and classify read the catalog through one route
+        available = ", ".join(catalog_names())
+        for command in ("classify", "satake"):
+            code, out, err = run_cli(command, "--diagram", "NOPE")
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == f"error: unknown diagram 'NOPE'; available: {available}\n"
 
     @pytest.mark.parametrize(
         "spec,message",
@@ -489,8 +493,10 @@ class TestPlumbing:
         [
             ("satake", "--seed", "1"),
             ("schubert", "kempf", "--cell", "F1", "--k", "0", "--box-radius", "2"),
+            ("git", "module", "--matrix", "1,2,3:4,5,6:7,8,9"),
+            ("git", "fixed-points", "--matrix", "1,2,3:4,5,6:7,8,9"),
         ],
-        ids=["satake-seed", "schubert-box-radius"],
+        ids=["satake-seed", "schubert-box-radius", "module-matrix", "fixed-points-matrix"],
     )
     def test_flag_the_subcommand_does_not_read(self, argv):
         code, out, err = run_cli(*argv)
@@ -532,6 +538,17 @@ class TestPlumbing:
         for bad in ("40", "a:b", "1:2:3", ""):
             with pytest.raises(InputError):
                 _parse_window(bad)
+
+    def test_empty_window_is_malformed(self):
+        # a given --window is parsed as _parse_window parses it, "" included
+        for argv in (
+            ("schubert", "kempf", "--cell", "F1", "--k", "0"),
+            ("cohomology", "--lambda", "-4,2,0,0", "--i", "3"),
+            ("acceptance",),
+        ):
+            code, out, err = run_cli(*argv, "--window", "")
+            assert (code, out) == (EXIT_INPUT, ""), argv
+            assert err == "error: window must be two integers as LO:HI, got ''\n", argv
 
     def test_coefficient_parser(self):
         assert _parse_coefficients("-1,2,0,3") == (-1, 2, 0, 3)

@@ -108,7 +108,6 @@ def test_cli_import_leaves_out_heavy_stdlib_modules():
 # exports that no code of the package calls, each with why it stays
 UNCALLED_EXPORTS = {
     "charring.TruncationError": "raised nowhere in the package; perfbench/worker.py imports it",
-    "schubert.cousin_terms": "groups closure-cell series by depth for ROADMAP item 1",
 }
 
 
@@ -176,8 +175,9 @@ def uncalled_methods() -> set[str]:
     outside its own definition.
 
     The scan goes by attribute name, not by the receiver's type: any
-    attribute of the same name counts as a call, so a name shared by two
-    classes, such as ``multiplicity``, is called if either one is.
+    attribute of the same name counts as a call, so
+    ``TruncatedSeries.terms`` counts as called wherever the field
+    ``Character.terms`` is read.
     """
     methods: dict[str, tuple[str, int, int]] = {}
     reads: dict[str, list[tuple[str, int]]] = {}
@@ -207,3 +207,87 @@ def test_every_public_method_has_a_caller_or_a_reason():
     # a new public method without a caller in the package needs an entry
     # above
     assert uncalled_methods() == set(UNCALLED_METHODS)
+
+
+# parameters with a default that no call in the package passes, each with
+# why it stays
+UNPASSED_PARAMETERS = {
+    "cli.main(argv)": "tests drive the CLI in-process with their own arguments",
+    "cli.main(out)": "tests drive the CLI in-process and capture its output",
+    "cli.main(err)": "tests drive the CLI in-process and capture its errors",
+    "acceptance.run_acceptance(stream)": "streams each criterion's line as it finishes",
+}
+
+
+def unpassed_parameters() -> set[str]:
+    """``module.function(parameter)`` or ``module.Class.method(parameter)``
+    of each defaulted parameter of a module-level function or a method that
+    no call in the package passes, by keyword or by position.
+
+    Only a parameter with a default can go unpassed by a call that runs.
+    Calls go by the callee's name, as the method scan goes by attribute
+    name: ``f(...)`` (through the module's ``from .x import`` names) and
+    ``x.f(...)`` both count for every function or method named ``f``, and
+    ``C(...)`` for ``C.__init__`` and ``C.__new__``, whose first parameter,
+    like a method's receiver, is not in the call.  A ``*args`` passes every
+    positional parameter from its place on, a ``**kwargs`` every parameter.
+    """
+    defs: list[tuple[str, str, ast.arguments, int]] = []
+    calls: dict[str, list[tuple[int, bool, set]]] = {}
+    for path in pathlib.Path(wonderco.__file__).parent.glob("*.py"):
+        mod, tree = path.stem, ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{mod}.{node.name}", node.name, node.args, 0))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in fn.decorator_list
+                    )
+                    called = node.name if fn.name in ("__init__", "__new__") else fn.name
+                    key = f"{mod}.{node.name}.{fn.name}"
+                    defs.append((key, called, fn.args, 0 if static else 1))
+        bound = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = bound.get(func.id, func.id)
+            else:
+                name = getattr(func, "attr", None)
+            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            given = starred[0] if starred else len(node.args)
+            keywords = {k.arg for k in node.keywords}  # None is a **kwargs
+            calls.setdefault(name, []).append((given, bool(starred), keywords))
+    unpassed = set()
+    for key, name, args, receiver in defs:
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        params = [(positional.index(a) - receiver, a.arg) for a in defaulted]
+        params += [
+            (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        for place, param in params:
+            if not any(
+                param in keywords
+                or None in keywords
+                or (place is not None and (place < given or starred))
+                for given, starred, keywords in calls.get(name, ())
+            ):
+                unpassed.add(f"{key}({param})")
+    return unpassed
+
+
+def test_every_parameter_is_passed_or_has_a_reason():
+    # a new defaulted parameter that no package call passes needs an entry
+    # above
+    assert unpassed_parameters() == set(UNPASSED_PARAMETERS)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from wonderco.rootsys import Root, build_root_system, is_root, simple_root
+from wonderco.rootsys import Root, all_roots, build_root_system, simple_root
 from wonderco.satake import (
     CATALOG,
     DiagramError,
@@ -75,7 +75,7 @@ class TestDiagramConstruction:
         assert set(catalog_names()) == set(CATALOG)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown diagram"):
+        with pytest.raises(DiagramError, match="unknown diagram"):
             catalog_diagram("nope")
 
     def test_comments_and_blanks(self):
@@ -166,7 +166,7 @@ class TestTheta:
         # permutes the roots
         for beta in d.system.positive_roots:
             image = apply_theta(d, beta)
-            assert is_root(d.system, image)
+            assert image in all_roots(d.system)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_phi_split_counts(self, name):
