@@ -526,9 +526,12 @@ def swap_blocks_weight(mu: Weight) -> Weight:
     """Weight action of the block swap exchanging e_i and e*_i.
 
     As a permutation of the six coordinate lines it is the product of the
-    longest Weyl element with the Levi longest element.
+    longest Weyl element with the Levi longest element, and sends ``mu`` to
+    ``(mu_4, mu_5, -sum(mu), mu_1, mu_2)``; :func:`_swap_blocks` is the
+    same map on columns.
     """
-    return Weight(col[0] for col in _swap_blocks([(c,) for c in mu]))
+    m1, m2, m3, m4, m5 = mu
+    return Weight((m4, m5, -(m1 + m2 + m3 + m4 + m5), m1, m2))
 
 
 @lru_cache(maxsize=64)
@@ -578,7 +581,8 @@ class UnstableStratum:
     weight exactly when its degree is in the window and its offset height
     over the open cell's numerator is at most the cutoff plus ``slack``,
     the least height of a boundary numerator's shift (0 if none is
-    negative).  Offsets are solved once per weight and kept.
+    negative).  The open cell's numerator is read once, and offsets from
+    it are solved once per weight and kept.
     """
 
     def __init__(self, component: str, k: int):
@@ -587,6 +591,7 @@ class UnstableStratum:
         self.component = component
         self.level = -k if component == "F2" else k
         self.slack = min(0, *map(sum, _boundary_shifts(self.level)))
+        self._top = _numerator(covering_cells()[0].w, self.level)
         self._offsets: dict[Weight, tuple[int, ...] | None] = {}
 
     def _read(self, window: tuple[int, int], height_cutoff: int):
@@ -597,8 +602,7 @@ class UnstableStratum:
     def _offset(self, w: Weight) -> tuple[int, ...] | None:
         if w not in self._offsets:
             mu = swap_blocks_weight(w) if self.component == "F2" else w
-            top = _numerator(covering_cells()[0].w, self.level)
-            self._offsets[w] = root_lattice_coords(GRASS_SYSTEM, mu - top)
+            self._offsets[w] = root_lattice_coords(GRASS_SYSTEM, mu - self._top)
         return self._offsets[w]
 
     def cutoff_for(self, w: Weight) -> int | None:
@@ -614,20 +618,26 @@ class UnstableStratum:
         off = self._offset(w)
         return off is None or sum(off) <= height_cutoff + self.slack
 
-    def positive_bounds(self, window: tuple[int, int], height_cutoff: int) -> dict:
-        """(lower, upper, certified) at each weight with a positive lower
-        bound.  Only those terms become weights, certified by the sum of
-        their offset columns."""
+    def positive_bounds(self, window: tuple[int, int], height_cutoff: int) -> tuple:
+        """The terms with a positive lower bound, split by certification: a
+        dict of the certified ones, ``(lower, upper, True)`` at each weight,
+        and a list of the weights of the rest, which carry no bounds.  Only
+        these terms become weights, certified by the sum of their offset
+        columns."""
         top, lower = self._read(window, height_cutoff)
         kept = [m > 0 for m in lower]
-        weights = top.weights(self.component == "F2", kept)
-        rows = itertools.compress(zip(lower, top.packed.values()), kept)
-        heights = map(sum, itertools.compress(zip(*top.cone.columns), kept))
+        weights = list(top.weights(self.component == "F2", kept))
         limit = height_cutoff + self.slack
-        return {w: (m, up, h <= limit) for w, (m, up), h in zip(weights, rows, heights)}
+        heights = map(sum, itertools.compress(zip(*top.cone.columns), kept))
+        ok = [h <= limit for h in heights]
+        rows = itertools.compress(zip(lower, top.packed.values()), kept)
+        pairs = itertools.compress(zip(weights, rows), ok)
+        certified = {w: (m, up, True) for w, (m, up) in pairs}
+        return certified, [w for w, c in zip(weights, ok) if not c]
 
     def bounds_at(self, w: Weight, window: tuple[int, int], height_cutoff: int):
-        """(0, upper, certified) at a weight without a positive lower bound."""
+        """(0, upper, certified) at a weight without a certified positive
+        lower bound."""
         off, top = self._offset(w), self._read(window, height_cutoff)[0]
         upper = 0 if off is None else top.packed.get(top._key_of(off), 0)
         return 0, upper, self.certifies(w, window, height_cutoff)

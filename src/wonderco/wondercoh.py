@@ -400,8 +400,13 @@ def cross_validate_h3(
     below -k-8.  Each is read through :class:`schubert.UnstableStratum`,
     which owns the frame, the bounds and their certification.
 
-    Every comparison weight must be certified on each open stratum, and
-    failures are reported rather than passed.  The auto cutoff is the
+    The compared weights are the formula weights and those with a
+    certified positive lower bound on some open side; each side's bounds
+    are read once per compared weight, and every formula weight must be
+    certified on each open side.  A side's uncertified positive entries
+    have the sound lower bound zero: those that are not compared are
+    listed under ``unverified`` in bulk, by set difference, and sorted.
+    Failures are reported rather than passed.  The auto cutoff is the
     least one, and at least the default, that certifies every formula
     weight.  Only grade n is compared, so the bounds are asked on the
     single-grade window whatever ``window`` is.  This is exact: the cone
@@ -444,7 +449,7 @@ def cross_validate_h3(
         )
 
     needed: dict[Weight, int] = {}
-    for omega in sorted(h3.terms, key=lambda w: w.coords):
+    for omega in sorted(h3.terms):
         nu = _ambient_weight(omega, n)
         if nu is None:
             issues.append(
@@ -462,26 +467,25 @@ def cross_validate_h3(
         heights = (s.cutoff_for(nu) for s in strata.values() for nu in needed)
         cutoff = max([DEFAULT_HEIGHT_CUTOFF, *(h for h in heights if h is not None)])
     grade = (n, n)
-    positive = {comp: s.positive_bounds(grade, cutoff) for comp, s in strata.items()}
-
-    def bounds_at(comp: str, nu: Weight) -> tuple[int, int, bool]:
-        return positive[comp].get(nu) or strata[comp].bounds_at(nu, grade, cutoff)
+    positive, listed = {}, set()
+    for comp, s in strata.items():
+        positive[comp], uncertified = s.positive_bounds(grade, cutoff)
+        listed.update(uncertified)
+    compared = set(needed).union(*positive.values())
+    unverified = sorted(listed - compared)
 
     certified = True
-    rows, unverified = [], []
+    rows = []
     content_sides: set[str] = set()
-    support = set(needed).union(*positive.values())
-    for nu in sorted(support, key=lambda w: w.coords):
+    for nu in sorted(compared):
         found = needed.get(nu, 0)
-        # formula content is compared on every open side; otherwise only
-        # a side's positive lower bound can refute the formula, and only
-        # where its series are certified
-        at = {
-            comp: bounds_at(comp, nu)
-            for comp in strata
-            if found or nu in positive[comp]
-        }
-        if found and not all(cert for *_, cert in at.values()):
+        # each side's bounds once: a certified positive entry, or
+        # (0, upper, certified) read at the weight
+        at = [
+            pos.get(nu) or strata[comp].bounds_at(nu, grade, cutoff)
+            for comp, pos in positive.items()
+        ]
+        if found and not all(cert for *_, cert in at):
             certified = False
             issues.append(
                 f"bounds at ambient weight {nu.coords} carrying "
@@ -489,25 +493,20 @@ def cross_validate_h3(
                 f"{cutoff}"
             )
             continue
-        sides = {comp for comp, (m, _, cert) in at.items() if cert and m > 0}
-        low = sum(at[comp][0] for comp in sides)
-        if found or low:
-            up = sum(bounds_at(comp, nu)[1] for comp in strata)
-            rows.append((nu, low, found, up))
-            if not found:
-                issues.append(
-                    f"certified lower bound {low} at ambient weight "
-                    f"{nu.coords} but the character vanishes there"
-                )
-            elif not low <= found <= up:
-                issues.append(
-                    f"multiplicity {found} at ambient weight {nu.coords} "
-                    f"is outside [{low}, {up}]"
-                )
-            content_sides |= sides
-        elif at:
-            # positive raw entries, none certified: the sound bound is zero
-            unverified.append(nu)
+        # only a certified positive entry has a nonzero lower bound
+        low, up = sum(m for m, *_ in at), sum(u for _, u, _ in at)
+        rows.append((nu, low, found, up))
+        if not found:
+            issues.append(
+                f"certified lower bound {low} at ambient weight "
+                f"{nu.coords} but the character vanishes there"
+            )
+        elif not low <= found <= up:
+            issues.append(
+                f"multiplicity {found} at ambient weight {nu.coords} "
+                f"is outside [{low}, {up}]"
+            )
+        content_sides.update(c for c, (m, *_) in zip(positive, at) if m)
 
     at_most_one = len(content_sides) <= 1
     if not at_most_one:

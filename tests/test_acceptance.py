@@ -12,7 +12,6 @@ from wonderco import acceptance
 from wonderco.acceptance import (
     AcceptanceConfig,
     AcceptanceReport,
-    CriterionResult,
     FixtureError,
     _sampled_coefficients,
     fixtures_dir,

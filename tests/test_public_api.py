@@ -291,3 +291,68 @@ def test_every_parameter_is_passed_or_has_a_reason():
     # a new defaulted parameter that no package call passes needs an entry
     # above
     assert unpassed_parameters() == set(UNPASSED_PARAMETERS)
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """``name:line`` of each name a module imports and never reads.
+
+    A name counts as read where it appears as a name node anywhere in the
+    module, annotations included.  ``from __future__`` imports, names the
+    module lists in ``__all__`` and explicit re-exports (``import x as x``,
+    ``from m import x as x``) are allowed.
+    """
+    tree = ast.parse(path.read_text())
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*" or alias.asname == alias.name:
+                    continue
+                bound = alias.asname or alias.name
+                if isinstance(node, ast.Import) and not alias.asname:
+                    bound = alias.name.split(".")[0]
+                imported.setdefault(bound, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    return [
+        f"{name}:{line}"
+        for name, line in sorted(imported.items())
+        if name not in read and name not in exported
+    ]
+
+
+def test_every_import_is_used():
+    # an import nobody reads costs start-up time and misleads the reader
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert len(paths) > 20
+    unused = {
+        str(path.relative_to(root)): names
+        for path in paths
+        if (names := unused_imports(path))
+    }
+    assert unused == {}
+
+
+def test_unused_import_scan_flags_and_allows(tmp_path):
+    # the scan flags a plain unused import and keeps the allowed forms
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import pi, tau\n"
+        "from math import e as e\n"
+        "from itertools import chain\n"
+        "__all__ = ['chain']\n"
+        "def f(x: tau) -> None:\n"
+        "    return os\n"
+    )
+    assert unused_imports(probe) == ["js:3", "pi:4"]

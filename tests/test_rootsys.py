@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import importlib
 import itertools
-import math
 import pathlib
 import types
 

@@ -39,6 +39,7 @@ from wonderco.wondercoh import (
     tchoudjem_components,
     vanishing_profile,
 )
+import cross_h3_reference
 from cross_h3_reference import (
     every_numerator_cutoff,
     every_series_certified,
@@ -600,6 +601,154 @@ class TestCrossValidation:
         assert {c for c, *_ in seen} == {"F1", "F2", "F1+F2"}
         assert {cert for _, cert, _ in seen} == {True, False}
         assert any(unv for *_, unv in seen)
+
+    def test_failure_paths_match_reference(self, monkeypatch):
+        # a wrong formula must fail the same way on both routes, issue
+        # order included: drop a component of the degree-3 module, or raise
+        # one multiplicity by one where it meets its upper bound.  The
+        # F1+F2 bundle's group is zero; it is raised at a listed entry that
+        # the first stratum cannot certify at cutoff 8 and the mirror can,
+        # which makes that entry formula content: not certified at cutoff
+        # 8, compared and within bounds at the auto cutoff.
+        bundles = [diag(-4, 3), diag(3, -4), diag(-5, 4), diag(4, -5), diag(-6, -4)]
+        raised = {}
+        for lam in bundles:
+            rep = cross_validate_h3(lam, height_cutoff=8)
+            mirror = UnstableStratum("F2", -rep.k)
+            tight = [nu for nu, _, found, up in rep.rows if found == up]
+            listed = [nu for nu in rep.unverified if mirror.certifies(nu, (rep.n,) * 2, 8)]
+            nu = (tight or listed)[0]
+            raised[lam] = Weight((nu[1], nu[0], -nu[4], -nu[3]))
+            assert _ambient_weight(raised[lam], rep.n) == nu
+        assert [cross_validate_h3(lam).component for lam in bundles] == [
+            "F1", "F2", "F1", "F2", "F1+F2",
+        ]
+
+        def drop_component(lam, terms):
+            first, *_ = tchoudjem_components(lam, 3)
+            for w, m in _dual_module_character(first).terms.items():
+                terms[w] -= m
+            return terms
+
+        def raise_multiplicity(lam, terms):
+            terms[raised[lam]] = terms.get(raised[lam], 0) + 1
+            return terms
+
+        real = wondercoh.h_character
+        kinds = set()
+        for change in (drop_component, raise_multiplicity):
+
+            def perturbed(lam, i, box=None, change=change):
+                ch = real(lam, i, box)
+                return Character(change(lam, dict(ch.terms))) if i == 3 else ch
+
+            with monkeypatch.context() as m:
+                # both routes read the formula through their module's name
+                m.setattr(wondercoh, "h_character", perturbed)
+                m.setattr(cross_h3_reference, "h_character", perturbed)
+                for lam in bundles:
+                    if change is drop_component and not tchoudjem_components(lam, 3):
+                        continue
+                    for cutoff in (None, 8):
+                        rep = cross_validate_h3(lam, height_cutoff=cutoff)
+                        want = reference_cross_h3(lam, None, cutoff)
+                        assert rep == want, (change.__name__, lam, cutoff)
+                        kinds |= {
+                            kind
+                            for kind in ("vanishes there", "is outside", "not certified")
+                            if any(kind in issue for issue in rep.issues)
+                        }
+        assert kinds == {"vanishes there", "is outside", "not certified"}
+
+    def test_entry_certified_on_another_side_is_compared(self, monkeypatch):
+        # an entry one side cannot certify is listed only while no other
+        # side certifies a positive lower bound there: give the first
+        # stratum a certified bound at one of the mirror's listed entries
+        lam = diag(-6, -4)
+        before = cross_validate_h3(lam)
+        assert before.component == "F1+F2" and before.rows == ()
+        mirror = UnstableStratum("F2", -before.k)
+        grade, cutoff = (before.n,) * 2, before.height_cutoff
+        _, listed = mirror.positive_bounds(grade, cutoff)
+        nu = min(listed)
+        real_positive = UnstableStratum.positive_bounds
+
+        def positive_bounds(stratum, window, height_cutoff):
+            certified, uncertified = real_positive(stratum, window, height_cutoff)
+            if stratum.component == "F1":
+                certified = {**certified, nu: (1, 1, True)}
+            return certified, uncertified
+
+        monkeypatch.setattr(UnstableStratum, "positive_bounds", positive_bounds)
+        rep = cross_validate_h3(lam)
+        up = 1 + mirror.bounds_at(nu, grade, cutoff)[1]
+        assert rep.rows == ((nu, 1, 0, up),)
+        assert rep.unverified == tuple(w for w in before.unverified if w != nu)
+        assert rep.issues == (
+            f"certified lower bound 1 at ambient weight {nu.coords} but the "
+            "character vanishes there",
+        )
+        assert rep.certified and rep.at_most_one and not rep.ok
+        # a certified bound on the mirror too, at one of the first
+        # stratum's listed entries: both strata now carry content
+        _, first_listed = UnstableStratum("F1", before.k).positive_bounds(grade, cutoff)
+        mu = min(first_listed)
+        first_only = positive_bounds
+
+        def both_positive_bounds(stratum, window, height_cutoff):
+            certified, uncertified = first_only(stratum, window, height_cutoff)
+            if stratum.component == "F2":
+                certified = {**certified, mu: (2, 2, True)}
+            return certified, uncertified
+
+        monkeypatch.setattr(UnstableStratum, "positive_bounds", both_positive_bounds)
+        rep = cross_validate_h3(lam)
+        assert [(w, low, found) for w, low, found, _ in rep.rows] == sorted(
+            [(nu, 1, 0), (mu, 2, 0)]
+        )
+        assert not rep.at_most_one
+        assert rep.issues[-1] == "both unstable strata carry certified content at this grade"
+        assert set(rep.unverified) == set(before.unverified) - {nu, mu}
+
+    def test_cost_tracks_formula_weights(self, monkeypatch):
+        # spanning weight (-2, -2, -2, 2): the first stratum alone, one
+        # compared row beside 139 listed entries.  The side lookups (bounds
+        # read at a weight, or a certified positive entry looked up) must
+        # scale with the formula weights per open side, not the support.
+        bounds_calls, lookups = [], []
+        real_bounds_at = UnstableStratum.bounds_at
+        real_positive = UnstableStratum.positive_bounds
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                lookups.append(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                lookups.append(key)
+                return super().__contains__(key)
+
+        def positive_bounds(stratum, window, cutoff):
+            certified, uncertified = real_positive(stratum, window, cutoff)
+            return Counted(certified), uncertified
+
+        def bounds_at(stratum, w, window, cutoff):
+            bounds_calls.append(w)
+            return real_bounds_at(stratum, w, window, cutoff)
+
+        monkeypatch.setattr(UnstableStratum, "positive_bounds", positive_bounds)
+        monkeypatch.setattr(UnstableStratum, "bounds_at", bounds_at)
+        lam = spanning_weight(-2, -2, -2, 2)
+        rep = cross_validate_h3(lam)
+        assert (rep.component, len(rep.rows), len(rep.unverified)) == ("F1", 1, 139)
+        assert rep.ok
+        bound = len(h_character(lam, 3).terms) * len(rep.component.split("+"))
+        assert 0 < len(bounds_calls) <= bound
+        assert 0 < len(lookups) <= bound
 
 
 class TestSlackCertification:
