@@ -29,6 +29,7 @@ from .rootsys import (
 __all__ = [
     "Character",
     "TruncationError",
+    "direct_sum_character",
     "weyl_character",
 ]
 
@@ -58,6 +59,13 @@ class Character:
         if isinstance(terms, Mapping):
             terms = terms.items()
         self.terms = MappingProxyType({w: m for w, m in terms if m != 0})
+
+    @classmethod
+    def _wrap(cls, terms: dict[Weight, int]) -> Character:
+        """Wrap, not copy, a fresh dict with no zero multiplicity."""
+        ch = cls.__new__(cls)
+        object.__setattr__(ch, "terms", MappingProxyType(terms))
+        return ch
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
@@ -117,15 +125,18 @@ def _scaled_roots(system: RootSystem) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _freudenthal(system: RootSystem, lam: Weight) -> dict[Weight, int]:
-    """Weight multiplicities of the irreducible of a simple ``system`` with
-    highest weight ``lam``, from the Freudenthal recursion
+@lru_cache(maxsize=128)
+def _freudenthal(system: RootSystem, lam: Weight) -> tuple[tuple[Weight, int], ...]:
+    """Dominant weight multiplicities of the irreducible of a simple
+    ``system`` with highest weight ``lam``, as (mu, m(mu)) pairs, from the
+    Freudenthal recursion
 
         (lam - mu, lam + mu + 2 rho) m(mu)
             = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha),
 
-    evaluated on dominant weights in decreasing order and spread over Weyl
-    orbits.  The form is the integer one of ``rootsys._symmetrizer``:
+    evaluated on dominant weights in decreasing order; a weight off the
+    dominant chamber has the multiplicity of its dominant representative.
+    The form is the integer one of ``rootsys._symmetrizer``:
     (nu, alpha) = sum_j nu_j d_j alpha_j with nu in fundamental and alpha
     in simple-root coordinates, and the left factor is sum_j r_j d_j
     (lam + mu + 2 rho)_j with r the root coordinates of lam - mu.  Both
@@ -165,33 +176,59 @@ def _freudenthal(system: RootSystem, lam: Weight) -> dict[Weight, int]:
             m_mu, rem = divmod(total, denom)
             assert rem == 0 and m_mu > 0, (lam, mu, total, denom)
             mult[mu] = m_mu
-    return {w: m for mu, m in mult.items() for w in _orbit(system, mu)}
+    return tuple(mult.items())
+
+
+@lru_cache(maxsize=2048)
+def _dominant_part(system: RootSystem, lam: Weight) -> tuple[tuple[tuple, int], ...]:
+    """Multiplicities of the irreducible with highest weight ``lam``, one per
+    Weyl orbit.  The irreducible of a product is the outer tensor product
+    of its factors' (block-diagonal, in label order): an orbit is one factor
+    orbit each, with the product of their :func:`_freudenthal` values."""
+    if not lam.is_dominant():
+        raise ValueError(f"highest weight {lam.coords} is not dominant")
+    product, blocks = {(): 1}, []
+    for series, r in _parse_label(system.type_label, None):
+        f, off = build_root_system(series, r), len(blocks)
+        part = _freudenthal(f, Weight(lam[off : off + r]))
+        part = [(_orbit(f, mu), k) for mu, k in part]
+        product = {(*key, o): m * k for key, m in product.items() for o, k in part}
+        pad = system.rank - off - r
+        blocks += ((0,) * off + row + (0,) * pad for row in f.cartan)
+    assert tuple(blocks) == system.cartan, system.type_label
+    return tuple(product.items())
+
+
+@lru_cache(maxsize=4096)
+def _spread(orbits: tuple[frozenset[Weight], ...]) -> tuple[Weight, ...]:
+    """The Weyl orbit of a product system whose factor orbits are
+    ``orbits``: every concatenation of one weight from each."""
+    return tuple(Weight(itertools.chain(*ws)) for ws in itertools.product(*orbits))
+
+
+def direct_sum_character(
+    system: RootSystem, highest_weights: Iterable[Weight]
+) -> Character:
+    """Character of the direct sum of the irreducibles V(lam) over a
+    multiset of dominant highest weights.
+
+    Characters are Weyl-invariant, so the multiplicities are summed once
+    per orbit, that is on dominant weights, and each orbit is then spread
+    out once.  Distinct orbits are disjoint, so the spread adds nothing.
+    """
+    per_orbit: dict[tuple, int] = {}
+    for lam in highest_weights:
+        for orbit, m in _dominant_part(system, lam):
+            per_orbit[orbit] = per_orbit.get(orbit, 0) + m
+    return Character._wrap(
+        {w: m for orbit, m in per_orbit.items() for w in _spread(orbit)}
+    )
 
 
 def weyl_character(system: RootSystem, lam: Weight) -> Character:
-    """Character of the irreducible module with highest weight ``lam``.
-
-    ``build_root_system`` lays the simple factors of a label such as
-    ``"A2xA2"`` out block-diagonally in label order.  The irreducible of a
-    product is the outer tensor product of its factors' irreducibles, so
-    its character is the product of the factor characters of
-    :func:`_freudenthal` on the factors' slices of ``lam``: each weight is
-    the concatenation of one weight per factor.
-    """
-    if not lam.is_dominant():
-        raise ValueError(f"highest weight {lam.coords} is not dominant")
-    terms: dict[tuple[int, ...], int] = {(): 1}
-    blocks: list[tuple[int, ...]] = []
-    for series, r in _parse_label(system.type_label, None):
-        factor = build_root_system(series, r)
-        off = len(blocks)
-        blocks += (
-            (0,) * off + row + (0,) * (system.rank - off - r) for row in factor.cartan
-        )
-        part = _freudenthal(factor, Weight(lam[off : off + r]))
-        terms = {(*w, *v): m * k for w, m in terms.items() for v, k in part.items()}
-    assert tuple(blocks) == system.cartan, system.type_label
-    return Character((Weight(w), m) for w, m in terms.items())
+    """Character of the irreducible with highest weight ``lam``: the
+    one-weight case of :func:`direct_sum_character`."""
+    return direct_sum_character(system, (lam,))
 
 
 # the cell series' default height cutoff (see ``schubert``); it stays here

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .charring import DEFAULT_HEIGHT_CUTOFF, Character, weyl_character
+from .charring import DEFAULT_HEIGHT_CUTOFF, Character, direct_sum_character
 from .gitgrass import _diagonal_coords, sheaf_correspondence
 from .rootsys import (
     RootSystem,
@@ -280,26 +280,20 @@ def tchoudjem_components(
     return dict(_graded_components(lam, box)).get(i, ())
 
 
-@lru_cache(maxsize=None)
-def _dual_module_character(mu: Weight) -> Character:
-    """Character of the dual of the irreducible with highest weight ``mu``.
-
-    V(mu)* is isomorphic to V(-w0 mu), and -w0 mu is the dominant
-    representative of -mu, so this is exactly the negated character of
-    V(mu).  Irreducible characters are linearly independent, so a sum of
-    these is determined by its multiset of highest weights.
-    """
-    lattice = spherical_data().lattice
-    return weyl_character(lattice, dominant_representative(lattice, -mu))
-
-
 def h_character(lam: Weight, i: int, box: int | None = None) -> Character:
-    """Character of the degree-i cohomology of the line bundle of ``lam``."""
-    terms: dict[Weight, int] = {}
-    for mu in tchoudjem_components(lam, i, box):
-        for w, m in _dual_module_character(mu).terms.items():
-            terms[w] = terms.get(w, 0) + m
-    return Character(terms)
+    """Character of the degree-i cohomology of the line bundle of ``lam``:
+    the sum of the V(mu)* = V(-w0 mu) over its components mu.  The last
+    few groups are kept (read-only, one key however ``box`` is passed):
+    the degree-3 cross-check reads the group its caller just read."""
+    return _h_character(lam, i, box)
+
+
+@lru_cache(maxsize=4)
+def _h_character(lam: Weight, i: int, box: int | None) -> Character:
+    lattice = spherical_data().lattice
+    components = tchoudjem_components(lam, i, box)
+    duals = (dominant_representative(lattice, -mu) for mu in components)
+    return direct_sum_character(lattice, duals)
 
 
 def vanishing_profile(lam: Weight, box: int | None = None) -> frozenset[int]:
@@ -313,9 +307,9 @@ def serre_dual_check(lam: Weight, i: int) -> bool:
 
     Degree i is the sum of the V(mu)* over its components mu, and the dual
     of the mirror's group the sum of the V(nu) = V(-w0 nu)*.  Irreducible
-    characters are linearly independent (``weyl_character`` is injective
-    on dominant weights), so the two characters agree exactly when the
-    multisets mu and -w0 nu do.
+    characters are linearly independent, so a ``direct_sum_character``
+    determines its multiset of highest weights, and the two characters
+    agree exactly when the multisets mu and -w0 nu do.
     """
     data = spherical_data()
     mirror = -lam - data.canonical_shift

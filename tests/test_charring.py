@@ -6,8 +6,10 @@ from functools import lru_cache
 
 import pytest
 
+from wonderco import charring
 from wonderco.charring import (
     Character,
+    direct_sum_character,
     weyl_character,
 )
 from wonderco.rootsys import (
@@ -213,3 +215,114 @@ class TestWeylCharacter:
         ch = weyl_character(A2, lam)
         assert negated(ch) == weyl_character(A2, Weight((0, 2))).terms
 
+
+# ---------------------------------------------------------------------------
+# direct sums, summed on dominant weights
+
+def summed(characters):
+    """The terms of a sum of characters, added weight by weight."""
+    terms = {}
+    for ch in characters:
+        for w, m in ch.terms.items():
+            terms[w] = terms.get(w, 0) + m
+    return Character(terms)
+
+
+# multisets of highest weights: repeated weights, weights whose modules
+# share dominant weights, and products with two and three factors
+SUMS = [
+    (A2, ((2, 1), (0, 0), (2, 1), (1, 1))),
+    (B2, ((1, 1), (0, 2), (2, 0))),
+    (A2xA2, ((0, 1, 0, 1), (2, 0, 2, 0))),
+    (A2xA2, ((1, 1, 2, 0), (0, 2, 1, 0), (1, 1, 2, 0), (0, 0, 0, 0))),
+    (B2xA1, ((1, 1, 2), (0, 2, 0), (1, 1, 2))),
+    (A1xG2, ((1, 1, 0), (3, 0, 1))),
+    (A1xA1xA1, ((2, 0, 1), (0, 2, 1), (2, 0, 1), (1, 1, 1))),
+]
+
+# the simple factors of each product label, with their coordinate slices
+FACTORS = {
+    A2xA2: ((A2, 0, 2), (A2, 2, 4)),
+    B2xA1: ((B2, 0, 2), (A1, 2, 3)),
+    A1xG2: ((A1, 0, 1), (G2, 1, 3)),
+    A1xA1xA1: ((A1, 0, 1), (A1, 1, 2), (A1, 2, 3)),
+}
+
+
+def immutable(value) -> bool:
+    """Built of tuples, frozensets, Weights and ints all the way down."""
+    if isinstance(value, (Weight, int)):
+        return True
+    if isinstance(value, (tuple, frozenset)):
+        return all(map(immutable, value))
+    return False
+
+
+class TestDirectSum:
+    @pytest.mark.parametrize("system,weights", SUMS)
+    def test_matches_alternating_sums(self, system, weights):
+        weights = [Weight(w) for w in weights]
+        expected = summed(kostant_character(system, lam) for lam in weights)
+        assert direct_sum_character(system, weights) == expected
+        assert direct_sum_character(system, iter(weights)) == expected
+
+    def test_empty_sum(self):
+        assert direct_sum_character(A2xA2, ()) == Character()
+
+    def test_rejects_nondominant(self):
+        with pytest.raises(ValueError, match="not dominant"):
+            direct_sum_character(A2xA2, [Weight((1, 0, 1, 0)), Weight((1, 0, -1, 1))])
+
+
+class TestCaches:
+    ROUTE = (charring._freudenthal, charring._dominant_part, charring._spread)
+
+    def test_cached_values_are_immutable(self):
+        # read back every value the summing route's caches hold, from keys
+        # rebuilt here: each is immutable all the way down (the orbits are
+        # rootsys._orbit's own frozensets), and no returned character can
+        # write through into them
+        for cache in self.ROUTE:
+            cache.cache_clear()
+        products = [(s, [Weight(w) for w in ws]) for s, ws in SUMS if s in FACTORS]
+        for system, weights in products:
+            ch = direct_sum_character(system, weights)
+            before = dict(ch.terms)
+            w = next(iter(ch.terms))
+            with pytest.raises(TypeError):
+                ch.terms[w] += 5
+            with pytest.raises(TypeError):
+                del ch.terms[w]
+            with pytest.raises(AttributeError):
+                ch.terms = {}
+            again = direct_sum_character(system, weights)
+            assert again.terms is not ch.terms
+            assert again.terms == before
+        factor_keys = {
+            (factor, Weight(lam[lo:hi]))
+            for system, weights in products
+            for lam in weights
+            for factor, lo, hi in FACTORS[system]
+        }
+        module_keys = {(system, lam) for system, weights in products for lam in weights}
+        parts = self.held(charring._dominant_part, module_keys)
+        self.held(charring._freudenthal, factor_keys)
+        self.held(charring._spread, {(orbit,) for part in parts for orbit, _ in part})
+
+    @staticmethod
+    def held(cache, keys):
+        """The values ``cache`` holds under ``keys``, which must be all of
+        them, each checked immutable."""
+        info = cache.cache_info()
+        assert info.currsize == len(keys)
+        values = [cache(*key) for key in keys]
+        after = cache.cache_info()
+        assert (after.hits, after.misses) == (info.hits + len(keys), info.misses)
+        assert all(map(immutable, values))
+        return values
+
+    def test_caches_are_bounded_above_an_acceptance_run(self):
+        # working sets measured on one default acceptance run: 30 factor
+        # weights, 655 modules and 1127 product orbits (c10's characters)
+        for cache, working_set in zip(self.ROUTE, (30, 655, 1127)):
+            assert working_set < cache.cache_info().maxsize < 8 * working_set

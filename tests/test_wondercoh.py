@@ -1,5 +1,6 @@
 """Tests for line-bundle cohomology on the compactified group."""
 
+import io
 import itertools
 import random
 
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wonderco import wondercoh
+from wonderco.cli import main
 from wonderco.charring import (
     DEFAULT_HEIGHT_CUTOFF,
     Character,
     weyl_character,
 )
 from wonderco.gitgrass import sheaf_correspondence
-from wonderco.rootsys import Weight, build_root_system
+from wonderco.rootsys import Weight, build_root_system, dominant_representative
 from wonderco.schubert import (
     CSTAR_GRADING,
     UnstableStratum,
@@ -27,7 +29,6 @@ from wonderco.wondercoh import (
     CrossCheckReport,
     SphericalData,
     _ambient_weight,
-    _dual_module_character,
     _required_radius,
     _shell_clear,
     _sign_pattern_ranges,
@@ -45,6 +46,7 @@ from cross_h3_reference import (
     every_series_certified,
     reference_cross_h3,
 )
+from test_charring import kostant_character, summed
 from weyl_descent import dominant_conjugate, weight_to_root, weyl_dimension
 
 A5 = build_root_system("A5")
@@ -57,6 +59,18 @@ def diag(a1, a2):
 def negated(ch):
     """The terms of the dual module's character: every weight negated."""
     return {-w: m for w, m in ch.terms.items()}
+
+
+def dual_module_character(mu):
+    """Character of V(mu)*, the irreducible of highest weight -w0 mu."""
+    lattice = spherical_data().lattice
+    return weyl_character(lattice, dominant_representative(lattice, -mu))
+
+
+def per_component_character(lam, i):
+    """The degree-i group summed module by module over every weight: the
+    oracle of ``h_character``, which sums on dominant weights."""
+    return summed(dual_module_character(mu) for mu in tchoudjem_components(lam, i))
 
 
 def oracle_components(a1, a2, i):
@@ -363,10 +377,11 @@ class TestHCharacter:
         assert h.dimension() == 9
 
     def test_cached_characters_are_read_only(self):
-        # the module characters are cached; no caller can write through a
-        # returned character into the cache behind the next call
+        # the last groups asked for are cached; no caller can write through
+        # a returned character into the cache behind the next call
         data = spherical_data()
-        cached = _dual_module_character(diag(1, 0))
+        cached = h_character(diag(1, 0), 0)
+        assert h_character(diag(1, 0), 0) is cached
         w = next(iter(cached.terms))
         with pytest.raises(TypeError):
             cached.terms[w] += 5
@@ -380,6 +395,57 @@ class TestHCharacter:
         with pytest.raises(AttributeError):
             ch.terms = {}
         assert weyl_character(data.lattice, diag(1, 0)).terms == expected
+
+    def test_matches_per_component_sum(self):
+        # every nonzero group of the radius-2 box against the module-by-
+        # module sum over every weight; 85 of the 145 groups have two or
+        # more components, whose modules share dominant weights
+        span = range(-2, 3)
+        bundles = {spanning_weight(*c) for c in itertools.product(span, repeat=4)}
+        groups = multi = 0
+        for lam in sorted(bundles):
+            for i in sorted(vanishing_profile(lam)):
+                want = per_component_character(lam, i)
+                assert h_character(lam, i) == want, (lam, i)
+                groups += 1
+                multi += len(tchoudjem_components(lam, i)) > 1
+        assert (len(bundles), groups, multi) == (177, 145, 85)
+
+    @pytest.mark.parametrize(
+        "lam,i",
+        [(diag(-8, 5), 3), (diag(-7, 2), 5), (diag(0, 2), 0), (diag(-4, -4), 8)],
+    )
+    def test_multi_component_groups_match_alternating_sum(self, lam, i):
+        # an oracle that shares no code with the summing route
+        lattice = spherical_data().lattice
+        components = tchoudjem_components(lam, i)
+        assert len(components) == 2
+        duals = [dominant_representative(lattice, -mu) for mu in components]
+        assert h_character(lam, i) == summed(
+            kostant_character(lattice, dual) for dual in duals
+        )
+
+    def test_degree_three_is_computed_once(self, monkeypatch):
+        # `cohomology --i 3` and the benchmark's cross-h3 query ask for the
+        # degree-3 group, then cross_validate_h3 asks again
+        calls = []
+        real = wondercoh.direct_sum_character
+
+        def counted(system, weights):
+            calls.append(system)
+            return real(system, weights)
+
+        monkeypatch.setattr(wondercoh, "direct_sum_character", counted)
+        lam = diag(-5, 4)
+        wondercoh._h_character.cache_clear()
+        assert h_character(lam, 3) and cross_validate_h3(lam).ok
+        assert len(calls) == 1
+        wondercoh._h_character.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["cohomology", "--lambda", "-5,4,0,0", "--i", "3"]
+        code = main(argv, out=out, err=err)
+        assert code == 0 and "cross-consistent\tyes" in out.getvalue()
+        assert len(calls) == 2
 
     def test_outside_cone_empty(self):
         assert h_character(diag(-1, 0), 0) == Character({})
@@ -626,7 +692,7 @@ class TestCrossValidation:
 
         def drop_component(lam, terms):
             first, *_ = tchoudjem_components(lam, 3)
-            for w, m in _dual_module_character(first).terms.items():
+            for w, m in dual_module_character(first).terms.items():
                 terms[w] -= m
             return terms
 
