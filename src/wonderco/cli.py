@@ -49,7 +49,6 @@ from .gitgrass import (
     decompose_module,
     graph_point,
     intersection_dims,
-    is_semistable,
     unstable_component,
 )
 from .opcrit import classify
@@ -277,12 +276,13 @@ def _git_stratify(args, out: TextIOBase) -> int:
             [Fraction(int(i == j)) for j in range(3)] for i in range(3)
         ]
     u = graph_point(matrix)
+    component = unstable_component(u)
     payload = {
         "matrix": [[str(x) for x in row] for row in matrix],
         "point": [[str(x) for x in row] for row in u.rows],
         "intersection": list(intersection_dims(u)),
-        "semistable": is_semistable(u),
-        "component": unstable_component(u),
+        "semistable": component is None,
+        "component": component,
     }
     _write(args, payload, _stratify_rows(payload), out)
     return EXIT_OK
@@ -402,12 +402,9 @@ def _cross_payload(report) -> dict:
         "ok": report.ok,
         "issues": list(report.issues),
         "rows": [
-            [list(w.coords), lo, found, hi]
-            for w, lo, found, hi in sorted(report.rows, key=lambda r: r[0].coords)
+            [list(w.coords), lo, found, hi] for w, lo, found, hi in report.rows
         ],
-        "unverified": sorted(
-            [list(w.coords) for w in report.unverified]
-        ),
+        "unverified": [list(w.coords) for w in report.unverified],
     }
 
 

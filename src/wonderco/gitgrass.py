@@ -32,7 +32,6 @@ __all__ = [
     "coordinate_point",
     "fixed_points",
     "intersection_dims",
-    "is_semistable",
     "unstable_component",
     "decompose_module",
     "sheaf_correspondence",
@@ -148,19 +147,11 @@ def intersection_dims(u: SubspacePoint) -> tuple[int, int]:
     return 3 - _rank(last), 3 - _rank(first)
 
 
-def is_semistable(u: SubspacePoint) -> bool:
-    """True when the plane meets each block in at most a line.
-
-    At this dimension the strict and non-strict thresholds coincide, so
-    semistable points are stable.
-    """
-    d_v, d_vstar = intersection_dims(u)
-    return d_v <= 1 and d_vstar <= 1
-
-
 def unstable_component(u: SubspacePoint) -> str | None:
     """"F1" when the plane meets V in a 2-plane or more, "F2" for V*,
-    None when semistable.  The two cases exclude each other."""
+    None when semistable, that is when it meets each block in at most a
+    line.  The two cases exclude each other.  At this dimension the strict
+    and non-strict thresholds coincide, so semistable points are stable."""
     d_v, d_vstar = intersection_dims(u)
     if d_v >= 2:
         return "F1"

@@ -16,7 +16,9 @@ Conventions used throughout the package:
   weight is dominant, recording the indices (``_descend``).  A Weyl element
   is stored as the descent word of its image of rho, its lexicographically
   least reduced word; the minimal coset representatives of a parabolic are
-  the descent words of one weight orbit.
+  the descent words of one weight orbit, and the longest element of a
+  parabolic is the descent word of rho minus the parabolic's positive
+  roots.  These are the only elements built; none are multiplied.
 
 Everything is an immutable value; all operations are pure functions.
 """
@@ -43,7 +45,6 @@ __all__ = [
     "root_lattice_coords",
     "reflect_root",
     "reflect_weight",
-    "weyl_element",
     "longest_parabolic",
     "root_inner",
 ]
@@ -500,7 +501,10 @@ class WeylElement:
 
     The canonical word is the descent word of ``w(rho)``: rho is regular, so
     it is the lexicographically least reduced word of ``w``.  Word equality
-    is element equality, and ``len(word)`` is the Coxeter length.
+    is element equality, and ``len(word)`` is the Coxeter length.  The
+    package builds elements only in :func:`coset_reps` and
+    :func:`longest_parabolic`, each from a descent, so every word is
+    canonical; nothing multiplies elements.
     """
 
     system: RootSystem
@@ -508,22 +512,6 @@ class WeylElement:
 
     def __len__(self) -> int:
         return len(self.word)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.system != other.system:
-            raise ValueError("mismatched root systems")
-        return weyl_element(self.system, self.word + other.word)
-
-
-def weyl_element(system: RootSystem, word: tuple[int, ...] | list[int]) -> WeylElement:
-    """The element spelled by ``word`` (applied right to left), in
-    canonical form: the descent word of its image of rho."""
-    word = tuple(word)
-    _check_indices(system, word)
-    v = half_sum_positive(system)
-    for i in reversed(word):
-        v = reflect_weight(system, i, v)
-    return WeylElement(system, _descend(system, v)[1])
 
 
 def act(w: WeylElement, x: Root | Weight):

@@ -2,7 +2,8 @@
 
 A Satake diagram decorates a Dynkin diagram with a set of black (compact)
 vertices and an involutive arrow pairing of white vertices.  From that data
-this module rebuilds the induced involution on the ambient root lattice,
+this module rebuilds the induced involution on the ambient root lattice
+by Araki's formula theta = -w_black o p (see :func:`theta_of_simple`),
 splits the roots into the pointwise-fixed part and its complement, forms
 the restricted root system carried by the white classes, and extracts the
 integer matrices consumed by the exponent criterion in :mod:`.opcrit`.
@@ -23,8 +24,10 @@ from .rootsys import (
     RootSystem,
     _record,
     _simple_cartan,
+    act,
     all_roots,
     build_root_system,
+    longest_parabolic,
     root_inner,
     simple_root,
 )
@@ -189,43 +192,15 @@ def catalog_diagram(name: str) -> SatakeDiagram:
 def theta_of_simple(d: SatakeDiagram, i: int) -> Root:
     """Image of the i-th simple root under the diagram's involution.
 
-    Black vertices are fixed.  For a white vertex the image is minus the
-    highest root supported on the arrow partner (with coefficient one) and
-    the black vertices; that maximum must be unique.
+    Araki (1962): theta = -w_black o p, with w_black the longest element
+    of the black vertices' Weyl group and p the arrow pairing.  A black
+    vertex is fixed; a white vertex i goes to -w_black(alpha_p(i)), minus
+    the highest root with coefficient one at p(i), the rest black.
     """
-    n = d.system.rank
-    if not 1 <= i <= n:
-        raise IndexError(f"simple index {i} out of range 1..{n}")
     if i in d.black:
         return simple_root(d.system, i)
-    partner = d.arrow_partner(i)
-    candidates = []
-    for beta in d.system.positive_roots:
-        ok = True
-        for j in range(1, n + 1):
-            c = beta.coords[j - 1]
-            if j == partner:
-                ok = c == 1
-            elif j not in d.black:
-                ok = c == 0
-            if not ok:
-                break
-        if ok:
-            candidates.append(beta)
-    maximal = [
-        b
-        for b in candidates
-        if not any(
-            o != b and all(x >= y for x, y in zip(o.coords, b.coords))
-            for o in candidates
-        )
-    ]
-    if len(maximal) != 1:
-        raise DiagramError(
-            f"white vertex {i}: no unique highest root over the black part "
-            f"({len(maximal)} maximal candidates)"
-        )
-    return -maximal[0]
+    w_black = longest_parabolic(d.system, d.black)
+    return -act(w_black, simple_root(d.system, d.arrow_partner(i)))
 
 
 @lru_cache(maxsize=None)

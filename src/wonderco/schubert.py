@@ -8,7 +8,8 @@ the local-cohomology character of a cell closure,
 
     e^{w w0(lam)} prod_{alpha in K} e^alpha / prod_{beta in J} (1 - e^beta)
 
-with w0 the longest element of the parabolic's Weyl subgroup, expands that
+with w0 the longest element of the parabolic's Weyl subgroup, which
+fixes lam = k varpi_3, so the exponent is w(lam).  It expands that
 character as a truncated series graded by the scaling cocharacter (twice
 the middle fundamental coweight), and derives per-weight character bounds
 for the two unstable strata of the split-block scaling action: the first
@@ -50,7 +51,6 @@ from .rootsys import (
     act,
     build_root_system,
     coset_reps,
-    longest_parabolic,
     root_lattice_coords,
     root_to_weight,
 )
@@ -225,16 +225,10 @@ def kl_sets(w: WeylElement) -> InversionData:
 # ---------------------------------------------------------------------------
 # character series
 
-@lru_cache(maxsize=32)
-def _exponent_element(w: WeylElement) -> WeylElement:
-    # the Weyl product is the costly part of an exponent; one per cell
-    return w * longest_parabolic(GRASS_SYSTEM, LEVI)
-
-
 def cell_exponent(w: WeylElement, k: int) -> Weight:
-    """The exponent w w0(k varpi_3), w0 the Levi longest element."""
-    lam = Weight(k * int(i == 2) for i in range(5))
-    return act(_exponent_element(w), lam)
+    """The exponent w w0(k varpi_3), w0 the Levi longest element; w0
+    fixes varpi_3, so it is w(k varpi_3)."""
+    return act(w, Weight(k * int(i == 2) for i in range(5)))
 
 
 @lru_cache(maxsize=256)

@@ -335,7 +335,9 @@ class CrossCheckReport:
     comparison passing.  A subtracted-series lower bound is only valid
     where its series are certified; elsewhere the sound lower bound is
     zero and the raw positive entry is listed under ``unverified``
-    instead of being compared.
+    instead of being compared.  ``rows`` are in increasing order of their
+    weights and ``unverified`` is sorted, both as coordinate tuples, so
+    callers print them as they are.
     """
 
     weight: Weight

@@ -18,9 +18,8 @@ from wonderco.rootsys import (
     build_root_system,
     coset_reps,
     half_sum_positive,
-    weyl_element,
 )
-from weyl_descent import dominant_conjugate, weight_to_root, weyl_dimension
+from weyl_descent import dominant_conjugate, weight_to_root, weyl_dimension, weyl_element
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)

@@ -19,7 +19,6 @@ from wonderco.gitgrass import (
     fixed_points,
     graph_point,
     intersection_dims,
-    is_semistable,
     sheaf_correspondence,
     subspace_point,
     unstable_component,
@@ -218,12 +217,11 @@ class TestIntersectionDims:
 
 class TestStability:
     def test_graph_points_semistable(self):
-        assert is_semistable(graph_point([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-        assert is_semistable(graph_point([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+        assert unstable_component(graph_point([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) is None
+        assert unstable_component(graph_point([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) is None
 
     def test_kernel_line_still_semistable(self):
         m = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
-        assert is_semistable(graph_point(m))
         assert unstable_component(graph_point(m)) is None
 
     def test_unstable_components(self):

@@ -165,6 +165,84 @@ def test_every_export_has_a_caller_or_a_reason():
     assert uncalled_exports() == set(UNCALLED_EXPORTS)
 
 
+# caches that can grow without bound, each with why it may
+UNBOUNDED_CACHES = {
+    "rootsys.build_root_system": "one entry per type label",
+    "rootsys.all_roots": "one entry per root system",
+    "rootsys._cartan_inverse": "one entry per root system",
+    "rootsys._orbit": "weight-keyed; to be bounded under ROADMAP item 5",
+    "rootsys.dominant_representative": "weight-keyed; to be bounded under ROADMAP item 5",
+    "rootsys._symmetrizer": "one entry per root system",
+    "charring._scaled_roots": "one entry per root system",
+    "satake.catalog_diagram": "one entry per catalog name",
+    "satake.theta_matrix": "one entry per diagram; a process reads the catalog and at most one --spec",
+    "wondercoh._graded_components": "weight-keyed; to be bounded under ROADMAP item 5",
+    "acceptance._vector_partition_counts.count": "one cache per root system of one c10 run, dropped after it",
+}
+
+
+def unbounded_caches(paths) -> set[str]:
+    """``module.function`` (``module.outer.function`` when nested) of each
+    function in ``paths`` decorated with ``lru_cache(maxsize=None)``,
+    ``lru_cache(None)`` or ``cache``, bare or through ``functools``."""
+
+    def unbounded(dec) -> bool:
+        if isinstance(dec, ast.Call):
+            name = getattr(dec.func, "id", getattr(dec.func, "attr", None))
+            size = [k.value for k in dec.keywords if k.arg == "maxsize"] + dec.args[:1]
+            return name == "lru_cache" and any(
+                isinstance(v, ast.Constant) and v.value is None for v in size
+            )
+        return getattr(dec, "id", getattr(dec, "attr", None)) == "cache"
+
+    found = set()
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = f"{prefix}.{child.name}"
+                if any(unbounded(dec) for dec in child.decorator_list):
+                    found.add(name)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_every_unbounded_cache_has_a_reason():
+    # a cache without a size bound holds every key it is ever asked; a new
+    # one needs an entry above
+    paths = pathlib.Path(wonderco.__file__).parent.glob("*.py")
+    assert unbounded_caches(paths) == set(UNBOUNDED_CACHES)
+
+
+def test_unbounded_cache_scan_flags_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@functools.lru_cache(None)\ndef b(): pass\n"
+        "@cache\ndef c(): pass\n"
+        "@functools.cache\ndef d(): pass\n"
+        "@lru_cache(maxsize=8)\ndef e(): pass\n"
+        "@lru_cache\ndef f(): pass\n"
+        "class K:\n"
+        "    @lru_cache(maxsize=None)\n"
+        "    def g(self):\n"
+        "        @cache\n"
+        "        def h(): pass\n"
+    )
+    assert unbounded_caches([probe]) == {
+        "probe.a", "probe.b", "probe.c", "probe.d", "probe.K.g", "probe.K.g.h",
+    }
+
+
 # public methods that no code of the package calls, each with why it stays
 UNCALLED_METHODS: dict[str, str] = {}
 

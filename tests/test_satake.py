@@ -1,5 +1,8 @@
 """Tests for diagram parsing, involutions, and restricted root data."""
 
+import itertools
+import time
+
 import pytest
 
 from wonderco.rootsys import Root, all_roots, build_root_system, simple_root
@@ -21,6 +24,13 @@ from wonderco.satake import (
 )
 
 A2_CARTAN = ((2, -1), (-1, 2))
+
+# every series of rank at most five, the exceptional types up to E6, and
+# the products of small type-A factors
+PROBE_LABELS = (
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+    "D3", "D4", "D5", "G2", "F4", "E6", "A1xA1", "A1xA2", "A2xA2",
+)
 
 # name -> (type label, classes, family sizes, gamma coords, criterion matrices)
 RESTRICTED_GOLDEN = {
@@ -124,6 +134,50 @@ class TestDiagramConstruction:
 # ---------------------------------------------------------------------------
 # the involution
 
+def theta_by_search(d, i):
+    """theta(alpha_i) by search: a black vertex is fixed; a white vertex
+    goes to minus the highest positive root with coefficient one at the
+    arrow partner and the rest of its support black, which must be the
+    unique maximal such root."""
+    if i in d.black:
+        return simple_root(d.system, i)
+    partner = d.arrow_partner(i)
+    candidates = [
+        beta
+        for beta in d.system.positive_roots
+        if beta[partner - 1] == 1
+        and all(c == 0 or j + 1 in d.black or j + 1 == partner for j, c in enumerate(beta))
+    ]
+    maximal = [
+        b
+        for b in candidates
+        if not any(o != b and all(x >= y for x, y in zip(o, b)) for o in candidates)
+    ]
+    assert len(maximal) == 1, (d, i, maximal)
+    return -maximal[0]
+
+
+def probe_diagrams():
+    """Every black subset of every probe label, with up to two disjoint
+    arrows among the whites when there are at most four of them."""
+    for label in PROBE_LABELS:
+        system = build_root_system(label)
+        vertices = range(1, system.rank + 1)
+        for size in range(system.rank + 1):
+            for black in itertools.combinations(vertices, size):
+                whites = [v for v in vertices if v not in black]
+                pairings = [()]
+                if len(whites) <= 4:
+                    pairs = list(itertools.combinations(whites, 2))
+                    pairings += [(p,) for p in pairs]
+                    pairings += [
+                        (p, q) for p, q in itertools.combinations(pairs, 2)
+                        if not set(p) & set(q)
+                    ]
+                for arrows in pairings:
+                    yield make_diagram(system, set(black), arrows)
+
+
 class TestTheta:
     def test_black_vertices_fixed(self):
         d = catalog_diagram("PGL6-PSp6")
@@ -153,6 +207,18 @@ class TestTheta:
         d = catalog_diagram("split-A1")
         with pytest.raises(IndexError):
             theta_of_simple(d, 2)
+
+    def test_araki_formula_matches_root_search(self):
+        # theta = -w_black o p against the highest-root search, on every
+        # vertex of every probe diagram, valid Satake diagram or not
+        start = time.perf_counter()
+        images = 0
+        for d in probe_diagrams():
+            for i in range(1, d.system.rank + 1):
+                assert theta_of_simple(d, i) == theta_by_search(d, i), (d, i)
+                images += 1
+        assert images == 4108
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_involution_properties(self, name):

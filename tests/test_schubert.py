@@ -12,7 +12,6 @@ from wonderco.rootsys import (
     act,
     longest_parabolic,
     root_to_weight,
-    weyl_element,
 )
 from wonderco.schubert import (
     CSTAR_GRADING,
@@ -33,6 +32,7 @@ from wonderco.schubert import (
     swap_blocks_weight,
     unstable_character_bounds,
 )
+from weyl_descent import weyl_element
 
 # printed inversion sets of the three cells at the unstable boundary, in
 # simple-root coordinates
@@ -384,6 +384,16 @@ class TestCellExponent:
         ident = weyl_element(GRASS_SYSTEM, ())
         assert cell_exponent(ident, 3) == Weight((0, 0, 3, 0, 0))
 
+    def test_matches_product_with_levi_longest(self):
+        # the exponent is w w0 (k varpi_3), the product built by the tests
+        w0 = longest_parabolic(GRASS_SYSTEM, LEVI)
+        assert len(w0) == 6
+        for cell in enumerate_cells():
+            ww0 = weyl_element(GRASS_SYSTEM, cell.w.word + w0.word)
+            for k in range(-6, 7):
+                lam = Weight((0, 0, k, 0, 0))
+                assert cell_exponent(cell.w, k) == act(ww0, lam), (cell, k)
+
     def test_numerator_degree_is_shifted(self):
         s1w, s5w = boundary_cells()
         for k in range(0, 4):
@@ -628,8 +638,10 @@ class TestKempfSeries:
 
 class TestBlockSwap:
     def test_matches_weyl_element(self):
-        sigma = longest_parabolic(GRASS_SYSTEM, {1, 2, 3, 4, 5}) * (
-            longest_parabolic(GRASS_SYSTEM, LEVI)
+        sigma = weyl_element(
+            GRASS_SYSTEM,
+            longest_parabolic(GRASS_SYSTEM, {1, 2, 3, 4, 5}).word
+            + longest_parabolic(GRASS_SYSTEM, LEVI).word,
         )
         for coords in [
             (1, 0, 0, 0, 0),

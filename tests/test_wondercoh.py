@@ -627,6 +627,22 @@ class TestCrossValidation:
         assert rep.ok and rep.at_most_one
         assert rep.rows == ()
 
+    def test_reports_are_sorted(self):
+        # the CLI prints rows and unverified weights in report order; every
+        # bundle of the radius-3 box with |f1| + |f2| <= 11
+        span = range(-3, 4)
+        bundles = {spanning_weight(*c) for c in itertools.product(span, repeat=4)}
+        reports = [
+            cross_validate_h3(lam) for lam in bundles if abs(lam[0]) + abs(lam[1]) <= 11
+        ]
+        for rep in reports:
+            weights = [nu for nu, *_ in rep.rows]
+            assert weights == sorted(weights), rep.weight
+            assert list(rep.unverified) == sorted(rep.unverified), rep.weight
+        assert (len(bundles), len(reports)) == (385, 237)
+        assert max(len(rep.rows) for rep in reports) > 1
+        assert max(len(rep.unverified) for rep in reports) > 1
+
     def test_small_box_sweep(self):
         for a1 in range(-3, 4):
             for a2 in range(-3, 4):

@@ -1,14 +1,16 @@
 """Test-side Weyl group, Weyl descent and rational change of basis.
 
 Production code reaches every Weyl element through one weight descent
-(``rootsys._descend``: canonical words, coset representatives, the longest
-parabolic element, the chamber representative) and needs only integer
-root-lattice coordinates (``rootsys.root_lattice_coords``).  The oracles in
-the tests keep separate routes, so they stay independent of the code they
-check: a Weyl element here is its integer action matrix on simple-root
+(``rootsys._descend``: coset representatives, the longest parabolic
+element, the chamber representative) and needs only integer root-lattice
+coordinates (``rootsys.root_lattice_coords``).  The oracles in the tests
+keep separate routes, so they stay independent of the code they check: a
+Weyl element here is its integer action matrix on simple-root
 coordinates, and its canonical word comes from greedy left-descent
-stripping on those matrices.  The Weyl product formula gives the
-dimensions the character tests check against.
+stripping on those matrices.  Tests build the elements they name by a
+word through :func:`weyl_element`, and products as the concatenated word.
+The Weyl product formula gives the dimensions the character tests check
+against.
 """
 
 from fractions import Fraction
@@ -83,6 +85,12 @@ def canonical_word(system: RootSystem, word) -> tuple[int, ...]:
     return _stripped_word(
         system, _word_matrix(system, word), _word_matrix(system, word[::-1])
     )
+
+
+def weyl_element(system: RootSystem, word) -> WeylElement:
+    """The element spelled by ``word`` (applied right to left), held under
+    its canonical word as the package's elements are."""
+    return WeylElement(system, canonical_word(system, word))
 
 
 @lru_cache(maxsize=None)
