@@ -36,7 +36,6 @@ from .rootsys import (
     WeylElement,
     _record,
     act,
-    all_roots,
     build_root_system,
     coset_reps,
     dominant_representative,
@@ -45,7 +44,7 @@ from .rootsys import (
     root_to_weight,
     simple_root,
 )
-from .satake import apply_theta, catalog_diagram, catalog_names, check_involution
+from .satake import catalog_diagram, catalog_names, check_involution
 from .schubert import (
     CSTAR_GRADING,
     GRASS_SYSTEM,
@@ -295,7 +294,7 @@ def _check_weight_bounds(cfg: AcceptanceConfig) -> str:
     for k in range(0, 7):
         windows = {"F1": (k, k + width), "F2": (k - width, k)}
         for comp in ("F1", "F2"):
-            lower, upper = unstable_character_bounds(
+            _, upper = unstable_character_bounds(
                 comp, k, windows[comp], height_cutoff=cfg.height_cutoff
             )
             if not upper.terms:
@@ -616,14 +615,6 @@ def _check_oracles(cfg: AcceptanceConfig) -> str:
         diagram = catalog_diagram(name)
         if not check_involution(diagram):
             raise _Mismatch(f"{name} does not induce an involution")
-        roots = all_roots(diagram.system)
-        for root in sorted(roots):
-            coords = root.coords
-            image = apply_theta(diagram, root)
-            if image not in roots:
-                raise _Mismatch(f"{name} moves {coords} off the roots")
-            if apply_theta(diagram, image) != root:
-                raise _Mismatch(f"{name} fails to square at {coords}")
     return (
         f"{char_checks} characters match the alternating-sum route; "
         f"{series_checks} random products match convolution; all "

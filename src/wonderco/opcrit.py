@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .rootsys import _MAX_RANK, _MIN_RANK, _record, build_root_system
+from .rootsys import _MAX_RANK, _MIN_RANK, _record, _simple_cartan, build_root_system
 from .satake import RestrictedSystem, SatakeDiagram, criterion_matrices, restricted_system
 
 __all__ = [
@@ -194,17 +194,7 @@ def classify(d: SatakeDiagram, bound: int) -> Classification:
 
 def bordered_chain_matrix(r: int) -> Matrix:
     """Chain Cartan matrix with the last diagonal entry lowered to 1."""
-    if r < 1:
-        raise ValueError("rank must be positive")
-    rows = []
-    for i in range(r):
-        row = [0] * r
-        row[i] = 2
-        if i > 0:
-            row[i - 1] = -1
-        if i < r - 1:
-            row[i + 1] = -1
-        rows.append(row)
+    rows = _simple_cartan("A", r)  # raises ValueError unless r >= 1
     rows[r - 1][r - 1] = 1
     return tuple(tuple(row) for row in rows)
 

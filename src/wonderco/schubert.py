@@ -200,10 +200,6 @@ def _check_minimal(w: WeylElement) -> None:
             )
 
 
-def _graded_lex(r: Root) -> tuple:
-    return (sum(r), tuple(-c for c in r))
-
-
 @lru_cache(maxsize=32)
 def kl_sets(w: WeylElement) -> InversionData:
     """Inversion data of a cell: how ``w`` moves the radical roots."""
@@ -215,10 +211,11 @@ def kl_sets(w: WeylElement) -> InversionData:
             kept.append(image)
         else:
             flipped.append(-image)
+    order = GRASS_SYSTEM.positive_roots.index
     return InversionData(
-        tuple(sorted(kept, key=_graded_lex)),
-        tuple(sorted(flipped, key=_graded_lex)),
-        tuple(sorted(kept + flipped, key=_graded_lex)),
+        tuple(sorted(kept, key=order)),
+        tuple(sorted(flipped, key=order)),
+        tuple(sorted(kept + flipped, key=order)),
     )
 
 
@@ -309,16 +306,14 @@ class _Cone(tuple):
     @cached_property
     def image(self) -> tuple[tuple[int, ...], ...]:
         # row i of the Cartan matrix against the offsets, chained lazily from
-        # the diagonal; every other entry is 0 or negative, mostly -1
+        # the diagonal; every other entry is 0 or -1
+        assert set(itertools.chain(*GRASS_SYSTEM.cartan)) <= {2, 0, -1}, "A5 Cartan"
         cols, image = self.columns, []
         for i, row in enumerate(GRASS_SYSTEM.cartan):
             acc = map(operator.mul, cols[i], itertools.repeat(row[i]))
             for c, xs in zip(row, cols):
                 if c == -1:
                     acc = map(operator.sub, acc, xs)
-                elif c < 0:
-                    scaled = map(operator.mul, xs, itertools.repeat(-c))
-                    acc = map(operator.sub, acc, scaled)
             image.append(tuple(acc))
         return tuple(image)
 
@@ -346,16 +341,14 @@ class TruncatedSeries:
 
     def __init__(
         self, numerator_exponent: Weight, denominator: tuple[Root, ...],
-        window: tuple[int, int], height_cutoff: int,
-        bits: int, packed: Mapping[int, int], cone: _Cone | None = None,
+        window: tuple[int, int], height_cutoff: int, cone: _Cone,
     ):
         self.numerator_exponent = numerator_exponent
         self.denominator = tuple(sorted(denominator))
         self.window = window
         self.height_cutoff = height_cutoff
-        # a cached cone is shared with its read-off; other keys get their own
-        self.cone = _Cone(bits, packed) if cone is None else cone
-        self.bits, self.packed = self.cone
+        self.cone = cone
+        self.bits, self.packed = cone
 
     def __setattr__(self, name, value):
         if hasattr(self, name):
@@ -499,8 +492,8 @@ def kempf_character(
     num = _numerator(w, k)
     roots = kl_sets(w).J
     base = CSTAR_GRADING.degree(num)
-    bits, keys = cone = _cone_keys(roots, (lo - base, hi - base), height_cutoff)
-    return TruncatedSeries(num, roots, window, height_cutoff, bits, keys, cone)
+    cone = _cone_keys(roots, (lo - base, hi - base), height_cutoff)
+    return TruncatedSeries(num, roots, window, height_cutoff, cone)
 
 
 def _swap_blocks(cols: list) -> list:
@@ -565,11 +558,11 @@ def _stratum_bounds(
 
 
 class UnstableStratum:
-    """An unstable stratum at parameter ``k``: the one owner of the
-    stratum read-off, in the first stratum's frame.
+    """An unstable stratum read off the first-stratum series at ``level``:
+    the one owner of the stratum read-off, in the first stratum's frame.
 
     The second stratum at ``k`` is the block swap's image of the first at
-    ``-k`` on the reversed window, so ``level`` is ``k`` or ``-k``, and
+    ``-k`` on the reversed window, so it has ``level`` ``-k``, and
     windows reverse and weights swap on the way in and out.  All three
     covering-cell series share one window and one cutoff, so they certify a
     weight exactly when its degree is in the window and its offset height
@@ -579,11 +572,11 @@ class UnstableStratum:
     it are solved once per weight and kept.
     """
 
-    def __init__(self, component: str, k: int):
+    def __init__(self, component: str, level: int):
         if component not in ("F1", "F2"):
             raise ValueError(f"unknown component {component!r}")
         self.component = component
-        self.level = -k if component == "F2" else k
+        self.level = level
         self.slack = min(0, *map(sum, _boundary_shifts(self.level)))
         self._top = _numerator(covering_cells()[0].w, self.level)
         self._offsets: dict[Weight, tuple[int, ...] | None] = {}
@@ -647,11 +640,11 @@ def unstable_character_bounds(
 
     The upper bound is the character of the covering cell closure; the
     lower bound subtracts the two boundary-cell characters and floors at
-    zero; :class:`UnstableStratum` reads the second stratum.  Bounds are
-    exact zero below the first stratum's degree floor and above the
-    second's ceiling; elsewhere they are valid within the height cutoff.
+    zero; the second stratum at ``k`` is read off the first at ``-k``.
+    Bounds are exact zero below the first stratum's degree floor and above
+    the second's ceiling; elsewhere they are valid within the height cutoff.
     """
-    stratum = UnstableStratum(component, k)
+    stratum = UnstableStratum(component, -k if component == "F2" else k)
     top, lower = stratum._read(window, height_cutoff)
     weights = list(top.weights(stratum.component == "F2"))
     return (

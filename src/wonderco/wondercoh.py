@@ -354,16 +354,6 @@ class CrossCheckReport:
     unverified: tuple[Weight, ...] = ()
 
 
-def _component_label(f1_open: bool, f2_open: bool) -> str | None:
-    if f1_open and f2_open:
-        return "F1+F2"
-    if f1_open:
-        return "F1"
-    if f2_open:
-        return "F2"
-    return None
-
-
 def _ambient_weight(omega: Weight, n: int) -> Weight | None:
     """The ambient five-coordinate weight carrying a doubled-lattice
     weight at a scaling grade, or None when the grade is incompatible.
@@ -415,7 +405,8 @@ def cross_validate_h3(
     h3 = h_character(lam, 3, box)
     f1_open = n >= k + 8
     f2_open = n <= -k - 8
-    component = _component_label(f1_open, f2_open)
+    opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]
+    component = "+".join(opened) or None
     if window is None:
         window = (n, n)
     lo, hi = window
@@ -455,9 +446,8 @@ def cross_validate_h3(
             continue
         needed[nu] = h3.terms[omega]
 
-    # the mirror stratum at level k is the second stratum at parameter -k
-    opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]
-    strata = {c: UnstableStratum(c, k if c == "F1" else -k) for c in opened}
+    # the mirror stratum at level k is the swapped first stratum at level k
+    strata = {c: UnstableStratum(c, k) for c in opened}
     cutoff = height_cutoff
     if cutoff is None:
         heights = (s.cutoff_for(nu) for s in strata.values() for nu in needed)

@@ -27,7 +27,6 @@ from wonderco.schubert import (
 from wonderco.wondercoh import (
     CrossCheckReport,
     _ambient_weight,
-    _component_label,
     h_character,
 )
 
@@ -61,7 +60,8 @@ def reference_cross_h3(lam, window=None, height_cutoff=None):
     k, n = desc.k, desc.n
     h3 = h_character(lam, 3)
     f1_open, f2_open = n >= k + 8, n <= -k - 8
-    component = _component_label(f1_open, f2_open)
+    labels = {(True, True): "F1+F2", (True, False): "F1", (False, True): "F2"}
+    component = labels.get((f1_open, f2_open))
     assert component is not None, "the reference covers reached grades only"
     window = window or (n, n)
     assert window[0] <= n <= window[1]

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from wonderco import acceptance
+from wonderco import acceptance, satake
 from wonderco.acceptance import (
     AcceptanceConfig,
     AcceptanceReport,
@@ -181,3 +181,17 @@ class TestFixtures:
         assert not result.passed
         assert result.kind == "mismatch"
         assert "K(w)" in result.detail
+
+    def test_bad_catalog_involution_reported_as_mismatch(self, monkeypatch):
+        # the arrow 1-2 of A3 squares to the identity but sends
+        # alpha_2 + alpha_3 to -(alpha_1 + alpha_3), which is no root
+        monkeypatch.setitem(satake.CATALOG, "bad-A3", "type A3\narrow 1 2")
+        # the two route comparisons ahead of the catalog pass as stubs, which
+        # keeps this to the catalog path
+        monkeypatch.setattr(acceptance, "_characters_agree", lambda *_: True)
+        monkeypatch.setattr(acceptance, "_convolved_terms", lambda s: s.terms())
+        monkeypatch.setattr(acceptance, "_CRITERIA", acceptance._CRITERIA[9:10])
+        (result,) = run_acceptance(AcceptanceConfig()).results
+        satake.catalog_diagram.cache_clear()
+        assert result.number == 10 and result.kind == "mismatch"
+        assert result.detail == "bad-A3 does not induce an involution"

@@ -257,7 +257,8 @@ class TestSchubert:
                 return s
             num, packed = alter(s)
             return TruncatedSeries(
-                num, s.denominator, s.window, s.height_cutoff, s.bits, packed,
+                num, s.denominator, s.window, s.height_cutoff,
+                schubert._Cone(s.bits, packed),
             )
 
         monkeypatch.setattr(schubert, "kempf_character", altered_boundary)

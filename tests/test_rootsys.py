@@ -383,8 +383,15 @@ def test_longest_parabolic():
         lambda: rs.coset_reps(A2, {0, 1}),
         lambda: rs.longest_parabolic(A2, {3}),
         lambda: rs.longest_parabolic(A2, {-1}),
+        # the tests' own constructor: a word naming no simple reflection
+        # spells no element, not the identity
+        lambda: weyl_element(A2, (3,)),
+        lambda: weyl_element(A2, (1, 0)),
     ],
-    ids=["cosets-high", "cosets-zero", "longest-high", "longest-negative"],
+    ids=[
+        "cosets-high", "cosets-zero", "longest-high", "longest-negative",
+        "oracle-word-high", "oracle-word-zero",
+    ],
 )
 def test_simple_index_out_of_range(call):
     with pytest.raises(IndexError, match="out of range"):

@@ -340,6 +340,15 @@ class TestInversionData:
             assert {r.coords for r in data.K} == want_k
             assert {r.coords for r in data.L} == want_l
 
+    def test_sets_in_positive_root_order(self):
+        # each set lists its roots in the order of GRASS_SYSTEM.positive_roots
+        for c in enumerate_cells():
+            data = kl_sets(c.w)
+            for name in ("K", "L", "J"):
+                got = getattr(data, name)
+                want = [r for r in GRASS_SYSTEM.positive_roots if r in got]
+                assert list(got) == want, (c.fixed_point, name)
+
     def test_sizes_and_disjointness(self):
         for c in enumerate_cells():
             data = kl_sets(c.w)
@@ -575,9 +584,9 @@ class TestKempfSeries:
                 base = bases[k]
                 s = kempf_character(cell.w, k, window, cutoff)
                 rel = (window[0] - base, window[1] - base)
-                bits, keys = _cone_keys.__wrapped__(roots, rel, cutoff)
+                _, keys = cone = _cone_keys.__wrapped__(roots, rel, cutoff)
                 num = numerator_weight(cell.w, k)
-                fresh = TruncatedSeries(num, roots, window, cutoff, bits, keys)
+                fresh = TruncatedSeries(num, roots, window, cutoff, cone)
                 assert series_fields(s) == series_fields(fresh)
                 assert s.packed == keys
                 assert offsets_of(s) == brute_offsets(cell.w, k, window, cutoff)

@@ -696,7 +696,7 @@ class TestCrossValidation:
         raised = {}
         for lam in bundles:
             rep = cross_validate_h3(lam, height_cutoff=8)
-            mirror = UnstableStratum("F2", -rep.k)
+            mirror = UnstableStratum("F2", rep.k)
             tight = [nu for nu, _, found, up in rep.rows if found == up]
             listed = [nu for nu in rep.unverified if mirror.certifies(nu, (rep.n,) * 2, 8)]
             nu = (tight or listed)[0]
@@ -749,7 +749,7 @@ class TestCrossValidation:
         lam = diag(-6, -4)
         before = cross_validate_h3(lam)
         assert before.component == "F1+F2" and before.rows == ()
-        mirror = UnstableStratum("F2", -before.k)
+        mirror = UnstableStratum("F2", before.k)
         grade, cutoff = (before.n,) * 2, before.height_cutoff
         _, listed = mirror.positive_bounds(grade, cutoff)
         nu = min(listed)
@@ -848,12 +848,12 @@ class TestSlackCertification:
     @pytest.mark.parametrize("width", [0, 6])
     def test_open_cell_height_rule_matches_every_series(self, width):
         # at cutoff 6 the probes straddle the limit on every level; the
-        # second stratum at -k certifies the swapped probes on the reversed
-        # window exactly as the first at k certifies the probes
+        # second stratum, read off the first at k, certifies the swapped
+        # probes on the reversed window exactly as the first certifies them
         cut = 6
         for k in range(-9, 10):
             starts = (k + 8, k + 12) if width == 0 else (k + 8,)
-            first, second = UnstableStratum("F1", k), UnstableStratum("F2", -k)
+            first, second = UnstableStratum("F1", k), UnstableStratum("F2", k)
             for start in starts:
                 window = (start, start + width)
                 mirror = (-window[1], -window[0])

@@ -33,6 +33,8 @@ Matrix = tuple[tuple[int, ...], ...]
 def _reflection_matrix(system: RootSystem, i: int) -> Matrix:
     """Matrix of s_i acting on simple-root coordinates (columns are images)."""
     n = system.rank
+    if not 1 <= i <= n:
+        raise IndexError(f"simple index {i} out of range 1..{n}")
     c = system.cartan
     return tuple(
         tuple(int(k == j) - (c[i - 1][j] if k == i - 1 else 0) for j in range(n))
