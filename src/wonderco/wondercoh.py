@@ -175,6 +175,16 @@ def _sign_pattern_ranges(a1: int, a2: int):
                 yield c1, c2
 
 
+def _positive_run(c: int, b: int, first: int, last: int) -> tuple[int, int]:
+    """The run of t in first..last where c + b t >= 1, as (first, last);
+    empty when first > last."""
+    if b > 0:
+        return max(first, (b - c) // b), last
+    if b < 0:
+        return first, min(last, (c - 1) // -b)
+    return (first, last) if c >= 1 else (first, first - 1)
+
+
 def _shell_clear(a1: int, a2: int, radius: int) -> None:
     """Check the first offset layer outside the box for valid candidates.
 
@@ -185,42 +195,46 @@ def _shell_clear(a1: int, a2: int, radius: int) -> None:
     then the columns t1 = -edge, edge interleaved along t2 in
     -radius..radius, with edge = radius + 1.
 
-    Only breakpoints are tested.  Along a side the free offset t enters
-    p, q and p + q as affine functions c + b t, and whether it is
-    positive is the sign of t - 1; the predicate of ``_valid_candidates``
-    depends on t through these four signs alone.  With b != 0 and
-    f = floor(-c/b), the sign of c + b t is constant on t < f, at f and
-    on t > f, so validity is constant on the runs into which the points
-    f and f + 1 of the four functions cut a side.  The first valid point
-    of a side is therefore its first point or one of these, and the
-    check costs the same at any radius.
+    Each side's first valid point is found by arithmetic.  Along a side
+    the free offset t enters the pairings p and q as affine functions
+    c + b t.  On either half of the side, t <= 0 or t >= 1, the sign of
+    each offset is fixed, so validity is two strict inequalities, one on
+    p and one on q, each bounding t on one side, and p + q != 0.  The
+    least t of the interval they leave is the side's first valid point,
+    unless p + q vanishes there: then it is the next t, as an affine
+    p + q vanishes at most once (or everywhere, leaving no point).
+    ``_valid_candidates`` judges the at most four points so found.
     """
     edge = radius + 1
     (g11, g12), (g21, g22), (r1, r2) = _block_coords()
+    # the pairings u, v whose signs the free and the fixed offset set (p, q
+    # on the rows, q, p on the columns): (base, fixed slope, free slope)
+    rows = ((a1 + r1, g21, g11), (a2 + r2, g22, g12))
+    cols = ((a2 + r2, g12, g22), (a1 + r1, g11, g21))
     columns = 2 * (2 * edge + 1)
-    # (free axis, fixed offset, first t, last t, scan position of first t)
+    # (pairings, fixed offset, first t, last t, scan position of first t)
     sides = (
-        (1, -edge, -edge, edge, 0),
-        (1, edge, -edge, edge, 1),
-        (2, -edge, -radius, radius, columns),
-        (2, edge, -radius, radius, columns + 1),
+        (rows, -edge, -edge, edge, 0),
+        (rows, edge, -edge, edge, 1),
+        (cols, -edge, -radius, radius, columns),
+        (cols, edge, -radius, radius, columns + 1),
     )
-    points = {}
-    for axis, fixed, lo, hi, start in sides:
-        (bp, bq), (fp, fq) = (
-            ((g11, g12), (g21, g22)) if axis == 1 else ((g21, g22), (g11, g12))
-        )
-        cp, cq = a1 + r1 + fixed * fp, a2 + r2 + fixed * fq
-        ts = {lo}
-        for c, b in ((cp, bp), (cq, bq), (cp + cq, bp + bq), (-1, 1)):
-            if b:
-                ts.update((-c // b, -c // b + 1))
-        for t in ts:
-            if lo <= t <= hi:
-                points[start + 2 * (t - lo)] = (
-                    (t, fixed) if axis == 1 else (fixed, t)
-                )
-    layer = (points[k] for k in sorted(points))
+    firsts = []
+    for pairings, fixed, lo, hi, start in sides:
+        (u, fu, bu), (v, fv, bv) = pairings
+        cu, cv = u + fixed * fu, v + fixed * fv
+        # a positive offset needs a negative pairing, the others positive
+        sv = -1 if fixed >= 1 else 1
+        lo_v, hi_v = _positive_run(sv * cv, sv * bv, lo, hi)
+        for su, first, last in ((1, lo_v, min(hi_v, 0)), (-1, max(lo_v, 1), hi_v)):
+            first, last = _positive_run(su * cu, su * bu, first, last)
+            if cu + cv + (bu + bv) * first == 0:
+                first = first + 1 if bu + bv else last + 1
+            if first <= last:
+                point = (first, fixed) if pairings is rows else (fixed, first)
+                firsts.append((start + 2 * (first - lo), point))
+                break
+    layer = (point for _, point in sorted(firsts))
     for t1, t2, _, _ in _valid_candidates(a1, a2, layer):
         raise BoxTooSmallError(
             f"a candidate at offsets ({t1}, {t2}) just outside the "
@@ -229,7 +243,7 @@ def _shell_clear(a1: int, a2: int, radius: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _graded_components(
     lam: Weight, box: int | None
 ) -> tuple[tuple[int, tuple[Weight, ...]], ...]:

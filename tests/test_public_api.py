@@ -176,7 +176,6 @@ UNBOUNDED_CACHES = {
     "charring._scaled_roots": "one entry per root system",
     "satake.catalog_diagram": "one entry per catalog name",
     "satake.theta_matrix": "one entry per diagram; a process reads the catalog and at most one --spec",
-    "wondercoh._graded_components": "weight-keyed; to be bounded under ROADMAP item 5",
     "acceptance._vector_partition_counts.count": "one cache per root system of one c10 run, dropped after it",
 }
 

@@ -107,6 +107,79 @@ def oracle_components(a1, a2, i):
     return sorted(out)
 
 
+def layer_point_valid(a1, a2, t1, t2):
+    """Whether the offset (t1, t2) gives a valid candidate, in plain
+    (p, q) arithmetic: p, q and p + q nonzero, and each offset positive
+    exactly where its pairing is negative."""
+    p = a1 + 1 + 2 * t1 - t2
+    q = a2 + 1 - t1 + 2 * t2
+    if p == 0 or q == 0 or p + q == 0:
+        return False
+    return (t1 >= 1) == (p < 0) and (t2 >= 1) == (q < 0)
+
+
+def breakpoint_first_valid(a1, a2, radius):
+    """The first valid point of the layer just outside the box, from its
+    breakpoints alone: rows t2 = -edge, edge interleaved along t1, then
+    columns t1 = -edge, edge interleaved along t2 in -radius..radius.
+
+    Along a side p, q and p + q are affine in the free offset t, and the
+    free offset is positive exactly for t >= 1.  Validity depends on t
+    only through these four signs, which are constant on the runs that
+    the points f and f + 1, f = floor(-c / b), of each affine c + b t
+    (with c + b t = t - 1 for the offset's own sign) cut a side into; so
+    the first valid point of a side is its first point or a breakpoint.
+    """
+    edge = radius + 1
+    columns = 2 * (2 * edge + 1)
+    sides = (
+        (lambda t: (t, -edge), -edge, edge, 0),
+        (lambda t: (t, edge), -edge, edge, 1),
+        (lambda t: (-edge, t), -radius, radius, columns),
+        (lambda t: (edge, t), -radius, radius, columns + 1),
+    )
+    points = {}
+    for point, lo, hi, start in sides:
+
+        def pq(t):
+            t1, t2 = point(t)
+            return a1 + 1 + 2 * t1 - t2, a2 + 1 - t1 + 2 * t2
+
+        (p0, q0), (p1, q1) = pq(0), pq(1)
+        ts = {lo}
+        for c, b in ((p0, p1 - p0), (q0, q1 - q0), (p0 + q0, p1 + q1 - p0 - q0), (-1, 1)):
+            if b:
+                ts.update((-c // b, -c // b + 1))
+        for t in ts:
+            if lo <= t <= hi:
+                points[start + 2 * (t - lo)] = point(t)
+    return next(
+        (points[k] for k in sorted(points) if layer_point_valid(a1, a2, *points[k])),
+        None,
+    )
+
+
+def shell_message(first, radius):
+    """The message ``_shell_clear`` raises for the layer's first valid
+    point ``first``, or None when the layer holds none."""
+    if first is None:
+        return None
+    return (
+        f"a candidate at offsets {first} just outside the box "
+        f"of radius {radius} still satisfies the sign "
+        "constraints; enlarge the box"
+    )
+
+
+def shell_outcome(a1, a2, radius):
+    """The message ``_shell_clear`` raises, or None when it passes."""
+    try:
+        _shell_clear(a1, a2, radius)
+    except BoxTooSmallError as exc:
+        return str(exc)
+    return None
+
+
 def descent_components(lam):
     """Second oracle: Weyl descent on the four-coordinate weights.
 
@@ -293,62 +366,89 @@ class TestComponentEnumeration:
             _shell_clear(6, 6, 3)
         _shell_clear(6, 6, 12)
 
-        # oracle: every point of the layer in plain (p, q) arithmetic, in
-        # scan order (the rows t2 = -edge, edge interleaved along t1, then
-        # the columns t1 = -edge, edge interleaved along t2); the check
-        # must raise exactly when some point is valid, naming the first
+        # oracle: every point of the layer, in scan order; the check must
+        # raise exactly when some point is valid, naming the first
         def first_valid(a1, a2, radius):
             edge = radius + 1
             signs = (-1, 1)
             layer = [(t, s * edge) for t in range(-edge, edge + 1) for s in signs]
             layer += [(s * edge, t) for t in range(-radius, radius + 1) for s in signs]
-            for t1, t2 in layer:
-                p = a1 + 1 + 2 * t1 - t2
-                q = a2 + 1 - t1 + 2 * t2
-                if p == 0 or q == 0 or p + q == 0:
-                    continue
-                if (t1 >= 1) == (p < 0) and (t2 >= 1) == (q < 0):
-                    return t1, t2
-            return None
+            return next((pt for pt in layer if layer_point_valid(a1, a2, *pt)), None)
 
         cases = raising = 0
         for a1, a2 in itertools.product(range(-20, 21), repeat=2):
             for radius in (*range(13), 3 * (1 + abs(a1) + abs(a2))):
-                want = first_valid(a1, a2, radius)
-                if want is not None:
-                    want = (
-                        f"a candidate at offsets {want} just outside the box "
-                        f"of radius {radius} still satisfies the sign "
-                        "constraints; enlarge the box"
-                    )
-                try:
-                    _shell_clear(a1, a2, radius)
-                    got = None
-                except BoxTooSmallError as exc:
-                    got = str(exc)
-                assert got == want, (a1, a2, radius)
+                first = first_valid(a1, a2, radius)
+                assert breakpoint_first_valid(a1, a2, radius) == first, (a1, a2, radius)
+                want = shell_message(first, radius)
+                assert shell_outcome(a1, a2, radius) == want, (a1, a2, radius)
                 cases += 1
                 raising += want is not None
         assert (cases, raising) == (23534, 12224)
 
+    def test_shell_scan_matches_breakpoint_oracle_on_large_coefficients(self):
+        # the breakpoint oracle's cost does not grow with the coefficients
+        # or the radius, so it reaches what the point-by-point scan cannot:
+        # half the draws sit below the required radius, half at or above it
+        rng = random.Random(31)
+        outcomes = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
+        for k in range(2000):
+            a1, a2 = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            needed = _required_radius(a1, a2)
+            below = bool(k % 2 and needed)
+            radius = rng.randrange(needed) if below else rng.randint(needed, 10**9)
+            want = shell_message(breakpoint_first_valid(a1, a2, radius), radius)
+            assert shell_outcome(a1, a2, radius) == want, (a1, a2, radius)
+            outcomes[below, want is not None] += 1
+        # (below the required radius, raised): counts
+        assert outcomes == {
+            (False, False): 1000, (False, True): 0, (True, False): 413, (True, True): 587,
+        }
+
+    def test_shell_clear_at_the_required_radius(self):
+        # the analytic bound and the layer check agree: at the required
+        # radius the first layer outside the box holds no valid candidate
+        for a1, a2 in itertools.product(range(-40, 41), repeat=2):
+            _shell_clear(a1, a2, _required_radius(a1, a2))
+
     def test_shell_scan_cost_does_not_grow_with_radius(self, monkeypatch):
         # the layer has 8 radius + 8 points; the check hands the predicate
-        # only its breakpoints, at most nine per side and the same number
-        # at any radius
-        sizes = []
+        # at most the first valid point of each side, found without a
+        # per-point loop, so radius 10**18 costs what radius 100 does
+        handed = []
 
         def counting(a1, a2, offsets):
             offsets = list(offsets)
-            sizes.append(len(offsets))
+            handed.append(offsets)
             return valid(a1, a2, offsets)
 
         valid = wondercoh._valid_candidates
         monkeypatch.setattr(wondercoh, "_valid_candidates", counting)
-        for a1, a2 in ((0, 0), (6, 6), (-7, 3), (2, -11), (-9, -9)):
-            for radius in (10**2, 10**6):
-                _shell_clear(a1, a2, radius)
-            small, large = sizes[-2:]
-            assert small == large <= 36, (a1, a2)
+        big = 10**20
+        pairs = {
+            (0, 0): 0, (6, 6): 0, (-7, 3): 0, (2, -11): 0, (-9, -9): 0,
+            (big, big): 2, (-big, 3): 1, (5, -big): 1, (-big, -big): 2,
+            (big, -big): 2, (-big, big): 2,
+        }
+        for (a1, a2), count in pairs.items():
+            for radius in (10**2, 10**6, 10**18):
+                try:
+                    _shell_clear(a1, a2, radius)
+                except BoxTooSmallError:
+                    pass
+                points = handed[-1]
+                edge = radius + 1
+                sides = {
+                    (t2, None) if abs(t2) == edge else (None, t1)
+                    for t1, t2 in points
+                }
+                assert len(points) == len(sides) == count, (a1, a2, radius)
+
+    def test_cache_is_bounded_above_an_acceptance_run(self):
+        # working set measured on one default acceptance run: 1042 bundles,
+        # 1041 of them c7's radius-5 coefficient box
+        cache = wondercoh._graded_components
+        assert 1042 < cache.cache_info().maxsize < 8 * 1042
 
     def test_non_diagonal_rejected(self):
         with pytest.raises(ValueError, match="block-diagonal"):
