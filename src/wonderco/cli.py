@@ -27,13 +27,15 @@ across reruns with the same flags and seed; timings are omitted for that
 reason.  Exit codes: 0 success, 1 value mismatch, 2 certification
 failure (a truncation window or search box too small to decide), 3
 invalid input (a bad flag value or diagram), 4 internal error (a
-consistency guard or any other value check inside the library failed).
+consistency guard or any other value check inside the library failed),
+141 when the reader of the output closes it early (``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from contextlib import redirect_stdout
@@ -73,6 +75,7 @@ EXIT_MISMATCH = 1
 EXIT_CERTIFICATION = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 # exit status of a failed acceptance criterion by its kind; a run with both
 # kinds reports the mismatch, whose code is the lower one
@@ -146,12 +149,13 @@ def _check_shared_flags(args: argparse.Namespace) -> None:
 
 def _write(args: argparse.Namespace, payload: dict, rows, out: TextIOBase) -> None:
     """Print ``payload`` as JSON, or ``rows``, an iterable rendered from it,
-    as tab-separated lines."""
+    as tab-separated lines; flushing shows a closed reader here, not at exit."""
     if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2), file=out)
-        return
-    for row in rows:
-        print("\t".join(str(x) for x in row), file=out)
+    else:
+        for row in rows:
+            print("\t".join(str(x) for x in row), file=out)
+    out.flush()
 
 
 def _joined(values, sep: str = ",") -> str:
@@ -694,6 +698,10 @@ def main(
             args = parser.parse_args(_merge_signed_values(argv))
         _check_shared_flags(args)
         return args.func(args, out)
+    except BrokenPipeError:
+        if out is sys.stdout:  # keep the interpreter's final flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_BROKEN_PIPE
     except SystemExit as exc:  # argparse --help
         return exc.code if isinstance(exc.code, int) else 0
     except BoxTooSmallError as exc:

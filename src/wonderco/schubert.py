@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterator, Mapping
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property, lru_cache, partial, reduce
 from types import MappingProxyType
 
@@ -47,6 +48,7 @@ from .rootsys import (
     Root,
     Weight,
     WeylElement,
+    _cartan_inverse,
     _record,
     act,
     build_root_system,
@@ -287,9 +289,9 @@ def _key(vec: tuple[int, ...], bits: int) -> int:
 
 class _Cone(tuple):
     """The pair ``(bits, packed)`` of :func:`_cone_keys` and the read-off all
-    levels on its relative window share, each built on first use: the
-    offsets unpacked per simple root in ``packed`` order (``columns``),
-    their Cartan image and its block swap.  All tuples; none can be set."""
+    levels on its relative window share, as tuples built once and never set:
+    the offsets per simple root in ``packed`` order (``columns``), their
+    heights (nondecreasing), their Cartan image and its block swap."""
 
     def __new__(cls, bits: int, packed: Mapping[int, int]):
         return super().__new__(cls, (bits, MappingProxyType(packed)))
@@ -302,6 +304,12 @@ class _Cone(tuple):
         bits, packed = self
         mask, fields = (1 << bits) - 1, range(0, bits * GRASS_SYSTEM.rank, bits)
         return tuple(tuple([key >> sh & mask for key in packed]) for sh in fields)
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        heights = tuple(reduce(partial(map, operator.add), self.columns))
+        assert all(map(operator.le, heights, heights[1:])), "packed out of height order"
+        return heights
 
     @cached_property
     def image(self) -> tuple[tuple[int, ...], ...]:
@@ -370,12 +378,13 @@ class TruncatedSeries:
         num, image = self.numerator_exponent, self.cone.image
         if swapped:
             num, image = swap_blocks_weight(num), self.cone.swapped_image
+        if kept is not None:
+            image = [list(itertools.compress(col, kept)) for col in image]
         cols = [
             col if not b else map(operator.add, col, itertools.repeat(b))
             for b, col in zip(num, image)
         ]
-        rows = zip(*cols)
-        return map(Weight, rows if kept is None else itertools.compress(rows, kept))
+        return map(Weight, zip(*cols))
 
     def terms(self) -> dict[Weight, int]:
         """The stored terms keyed by their weights."""
@@ -398,12 +407,6 @@ class TruncatedSeries:
         if min(offset) < 0 or max(offset) >> self.bits:
             return None
         return _key(offset, self.bits)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TruncatedSeries({len(self.packed)} terms, window {self.window}, "
-            f"H {self.height_cutoff})"
-        )
 
 
 @lru_cache(maxsize=64)
@@ -430,7 +433,8 @@ def _cone_keys(
     full cone's terms with height at most the cutoff and degree inside the
     window.  No coordinate exceeds the cutoff, which sets the field width,
     and the degree field sits on top, so a step along a root is a single
-    addition and the window is a range of keys.
+    addition and the window is a range of keys.  Keys come by height, one
+    layer after another, and :attr:`_Cone.heights` relies on it.
     """
     lo, hi = window
     per_root = CSTAR_GRADING.simple_root_degrees
@@ -568,8 +572,8 @@ class UnstableStratum:
     weight exactly when its degree is in the window and its offset height
     over the open cell's numerator is at most the cutoff plus ``slack``,
     the least height of a boundary numerator's shift (0 if none is
-    negative).  The open cell's numerator is read once, and offsets from
-    it are solved once per weight and kept.
+    negative).  The open cell's numerator is read once; offsets from it are
+    solved, and kept, only for the packed keys :meth:`bounds_at` reads.
     """
 
     def __init__(self, component: str, level: int):
@@ -592,10 +596,25 @@ class UnstableStratum:
             self._offsets[w] = root_lattice_coords(GRASS_SYSTEM, mu - self._top)
         return self._offsets[w]
 
-    def cutoff_for(self, w: Weight) -> int | None:
-        """The least cutoff certifying ``w``; None off the root lattice."""
-        off = self._offset(w)
-        return None if off is None else sum(off) - self.slack
+    def auto_cutoff(self, weights: Iterable[Weight]) -> int:
+        """The least cutoff, at least the default, certifying ``weights`` on
+        the root lattice (off it they are exact at zero): offset heights are
+        the column sums of the integer inverse Cartan matrix, and for A5 its
+        first row decides the lattice (row j is j times it modulo the
+        denominator), both folded with the frame's swap and the numerator."""
+        rows, den = _cartan_inverse(GRASS_SYSTEM)
+        for j, row in enumerate(rows, 1):
+            assert {(x - j * y) % den for x, y in zip(row, rows[0])} == {0}, "A5"
+        dot = partial(map, operator.mul)
+        frame = swap_blocks_weight if self.component == "F2" else Weight
+        units = [frame(Weight(int(i == j) for j in range(5))) for i in range(5)]
+        sums = [sum(col) for col in zip(*rows)]
+        ht, lat = ([sum(dot(f, u)) for u in units] for f in (sums, rows[0]))
+        ht0, lat0 = (sum(dot(f, self._top)) for f in (sums, rows[0]))
+        return max([DEFAULT_HEIGHT_CUTOFF, *(
+            (sum(dot(ht, w)) - ht0) // den - self.slack
+            for w in weights if (sum(dot(lat, w)) - lat0) % den == 0
+        )])
 
     def certifies(self, w: Weight, window: tuple[int, int], height_cutoff: int) -> bool:
         """Whether all three covering-cell series certify ``w``; off the root
@@ -609,18 +628,15 @@ class UnstableStratum:
         """The terms with a positive lower bound, split by certification: a
         dict of the certified ones, ``(lower, upper, True)`` at each weight,
         and a list of the weights of the rest, which carry no bounds.  Only
-        these terms become weights, certified by the sum of their offset
-        columns."""
+        these terms become weights; the certified ones precede one cut in
+        the cone's heights, at the cutoff plus ``slack``."""
         top, lower = self._read(window, height_cutoff)
         kept = [m > 0 for m in lower]
         weights = list(top.weights(self.component == "F2", kept))
-        limit = height_cutoff + self.slack
-        heights = map(sum, itertools.compress(zip(*top.cone.columns), kept))
-        ok = [h <= limit for h in heights]
-        rows = itertools.compress(zip(lower, top.packed.values()), kept)
-        pairs = itertools.compress(zip(weights, rows), ok)
-        certified = {w: (m, up, True) for w, (m, up) in pairs}
-        return certified, [w for w, c in zip(weights, ok) if not c]
+        cut = bisect_right(top.cone.heights, height_cutoff + self.slack)
+        rows = itertools.compress(zip(lower[:cut], top.packed.values()), kept)
+        certified = {w: (m, up, True) for w, (m, up) in zip(weights, rows)}
+        return certified, weights[len(certified):]
 
     def bounds_at(self, w: Weight, window: tuple[int, int], height_cutoff: int):
         """(0, upper, certified) at a weight without a certified positive

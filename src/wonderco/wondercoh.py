@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .charring import DEFAULT_HEIGHT_CUTOFF, Character, direct_sum_character
+from .charring import Character, direct_sum_character
 from .gitgrass import _diagonal_coords, sheaf_correspondence
 from .rootsys import (
     RootSystem,
@@ -408,11 +408,13 @@ def cross_validate_h3(
     listed under ``unverified`` in bulk, by set difference, and sorted.
     Failures are reported rather than passed.  The auto cutoff is the
     least one, and at least the default, that certifies every formula
-    weight.  Only grade n is compared, so the bounds are asked on the
-    single-grade window whatever ``window`` is.  This is exact: the cone
-    pruning keeps every term of degree n whenever the window contains n,
-    and every formula weight has degree n.  ``window`` only decides
-    whether grade n is covered at all, and is reported.
+    weight, read off one height functional per open stratum with no
+    offset solved (``UnstableStratum.auto_cutoff``).  Only grade n is
+    compared, so the bounds are asked on the single-grade window whatever
+    ``window`` is.  This is exact: the cone pruning keeps every term of
+    degree n whenever the window contains n, and every formula weight has
+    degree n.  ``window`` only decides whether grade n is covered at all,
+    and is reported.
     """
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
@@ -464,8 +466,7 @@ def cross_validate_h3(
     strata = {c: UnstableStratum(c, k) for c in opened}
     cutoff = height_cutoff
     if cutoff is None:
-        heights = (s.cutoff_for(nu) for s in strata.values() for nu in needed)
-        cutoff = max([DEFAULT_HEIGHT_CUTOFF, *(h for h in heights if h is not None)])
+        cutoff = max(s.auto_cutoff(needed) for s in strata.values())
     grade = (n, n)
     positive, listed = {}, set()
     for comp, s in strata.items():

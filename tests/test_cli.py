@@ -14,6 +14,7 @@ import wonderco
 from wonderco import schubert
 from wonderco.acceptance import AcceptanceConfig, AcceptanceReport, CriterionResult
 from wonderco.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CERTIFICATION,
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -355,17 +356,31 @@ class TestCohomology:
             ("-2,-2,-2,2", (), "json", "e731adefd741b2a513625d9898e005be", EXIT_OK),
             ("-2,-2,2,-2", (), "tsv", "35691dfea833d21f1d6157f61c1d643b", EXIT_OK),
             ("-2,-2,2,-2", (), "json", "7765b1d8c2eb0c5ee22d7049cf76cabe", EXIT_OK),
+            ("-5,6,0,0", (), "tsv", "9f0ff264b9ba02677ea375fad4fe680f", EXIT_OK),
+            ("-5,6,0,0", (), "json", "36a8cc6423951258fe6707cdaeeb7296", EXIT_OK),
+            ("6,-4,0,0", (), "tsv", "b59946a45814740eeb8be2ad6d43e9e4", EXIT_OK),
+            ("6,-4,0,0", (), "json", "3a321e233e69f3b0c3b3eff1b96f227d", EXIT_OK),
+            ("5,-5,0,0", (), "tsv", "4fb01b10c648371a00b31e4fffdb3468", EXIT_OK),
+            ("5,-5,0,0", (), "json", "de4194c27df8d17864bc202178a89031", EXIT_OK),
+            ("-4,-4,0,0", (), "tsv", "8e8557e615e144ad0f7cff8543707fe7", EXIT_OK),
+            ("-4,-4,0,0", (), "json", "7e7f73f380328822cf5af22125dd59f5", EXIT_OK),
         ],
         ids=[
             "both-tsv", "both-json", "cutoff8-tsv", "cutoff8-json",
             "F1-tsv", "F1-json", "F2-tsv", "F2-json",
+            "F1-auto17-tsv", "F1-auto17-json", "F2-auto16-tsv", "F2-auto16-json",
+            "F2-auto13-tsv", "F2-auto13-json",
+            "both-slack-tsv", "both-slack-json",
         ],
     )
     def test_cross_check_output_is_byte_identical(self, lam, extra, fmt, md5, exit_code):
         # recorded output, byte for byte: a bundle both strata reach (936
         # unverified weights), an uncertified low cutoff, a first-stratum
         # bundle with one certified row beside 139 unverified weights, and
-        # its mirror, which only the second stratum reaches
+        # its mirror, which only the second stratum reaches; then bundles
+        # whose auto cutoff is above the default (17 on the first stratum,
+        # 16 and 13 on the second), and one both strata reach at slack -5
+        # (936 unverified weights)
         code, out, _ = run_cli(
             "cohomology", "--lambda", lam, "--i", "3", *extra, "--format", fmt
         )
@@ -480,6 +495,42 @@ class TestPlumbing:
             assert code == EXIT_OK
             assert out.startswith(usage) and err == ""
         assert capsys.readouterr() == ("", "")
+
+    def test_closed_reader_exits_quietly(self):
+        # a reader that leaves early (``| head``) ends the run with the
+        # shell's SIGPIPE status and nothing on stderr
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        argv = ["cohomology", "--lambda", "-5,6,0,0", "--i", "3"]
+        assert main(argv, out=ClosedPipe(), err=err) == EXIT_BROKEN_PIPE == 141
+        assert err.getvalue() == ""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("git", "module"), ("cohomology", "--lambda=-5,6,0,0", "--i", "3")],
+        ids=["short", "long"],
+    )
+    def test_closed_reader_of_a_child_exits_quietly(self, argv, unbuffered):
+        # the pipe's read end is closed before the child starts, so its
+        # first write or flush fails; output short enough to sit in the
+        # buffer fails at the flush, and the interpreter's final flush
+        # must not print the error either
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wonderco", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                env=child_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == ""
 
     def test_missing_subcommand(self):
         code, _, err = run_cli()

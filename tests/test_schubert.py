@@ -18,6 +18,7 @@ from wonderco.schubert import (
     GRASS_SYSTEM,
     LEVI,
     TruncatedSeries,
+    UnstableStratum,
     _cone_keys,
     _stratum_bounds,
     cell_exponent,
@@ -160,6 +161,24 @@ def weight_space_bounds(component, k, window, cutoff):
         lower = {swap_blocks_weight(w): m for w, m in lower.items()}
         upper = {swap_blocks_weight(w): m for w, m in upper.items()}
     return lower, upper
+
+
+def per_term_positive_bounds(stratum, window, cutoff):
+    """``UnstableStratum.positive_bounds`` term by term: every weight, then
+    each term with a positive lower bound certified by the sum of its
+    offset columns against the cutoff plus the slack."""
+    top, lower = stratum._read(window, cutoff)
+    weights = top.weights(stratum.component == "F2")
+    offsets = zip(*top.cone.columns)
+    certified, rest = {}, []
+    for w, m, up, off in zip(weights, lower, top.packed.values(), offsets):
+        if m <= 0:
+            continue
+        if sum(off) <= cutoff + stratum.slack:
+            certified[w] = (m, up, True)
+        else:
+            rest.append(w)
+    return certified, rest
 
 
 def series_fields(s):
@@ -533,6 +552,25 @@ class TestKempfSeries:
                     got = _cone_keys(tuple(shuffled), (lo - base, hi - base), cutoff)
                     assert got == (bits, want), (cell.fixed_point, (lo, hi))
 
+    def test_cone_comes_by_height(self):
+        # _cone_keys lays its terms out one height layer after another, so
+        # packed order never goes down in offset height, and the cone's
+        # heights are the per-term sums of its offset columns: on the J set
+        # of every cell, at relative windows on one grade, below and across
+        # the numerator degree, and every cutoff from a single layer up
+        layered = 0
+        for cell in enumerate_cells():
+            roots = kl_sets(cell.w).J
+            for window in ((0, 0), (2, 2), (-8, 2), (-8, 32)):
+                for cutoff in (0, 1, 4, 12, 17):
+                    cone = _cone_keys.__wrapped__(roots, window, cutoff)
+                    sums = [sum(off) for off in zip(*cone.columns)]
+                    assert sums == sorted(sums), (cell.fixed_point, window, cutoff)
+                    assert cone.heights == tuple(sums)
+                    assert len(sums) == len(cone[1])
+                    layered += len(set(sums)) > 1
+        assert layered > 100
+
     def test_cone_without_roots(self):
         for window, want in (((2, 5), {0: 1}), ((3, 5), {}), ((0, 1), {})):
             assert _cone_keys((), (window[0] - 2, window[1] - 2), 6) == (3, want)
@@ -599,6 +637,8 @@ class TestKempfSeries:
                     got = getattr(low.cone, name)
                     assert got is getattr(high.cone, name), (name, (lo, hi))
                     assert all(type(col) is tuple for col in got)
+                assert low.cone.heights is high.cone.heights
+                assert all(type(h) is int for h in low.cone.heights)
             window = (bases[-4], bases[-4] + 12)
             low, high = (built(k, window) for k in bases)
             assert low.packed and high.packed and low.packed != high.packed
@@ -734,12 +774,14 @@ class TestUnstableBounds:
         assert series_fields(top) == series_fields(uncached)
         assert lower == uncached_lower
         assert lower and len(cols) == GRASS_SYSTEM.rank == len(image)
-        for seq in (cols, cols[0], image, image[0], lower):
+        heights = top.cone.heights
+        assert type(heights) is tuple and all(type(h) is int for h in heights)
+        for seq in (cols, cols[0], image, image[0], lower, heights):
             with pytest.raises(TypeError):
                 seq[0] = 0
         with pytest.raises(TypeError):
             top.packed[0] = 1
-        for name in ("columns", "image", "swapped_image", "bits"):
+        for name in ("columns", "heights", "image", "swapped_image", "bits"):
             with pytest.raises(AttributeError):
                 setattr(top.cone, name, ())
 
@@ -783,3 +825,33 @@ class TestUnstableBounds:
                     )
                     assert upper.terms == want_upper, (comp, k, window)
                     assert lower.terms == want_lower, (comp, k, window)
+
+    def test_positive_bounds_match_per_term_heights(self):
+        # the certified entries are the prefix of the cone's heights at the
+        # cutoff plus the slack: the same entries, in the same order, as the
+        # per-term rule, for both strata on levels where the slack is 0 and
+        # where it is negative, on the single grades the cross-check reads
+        # and one wide window
+        seen = set()
+        for cutoff in (4, 8, 12, 17):
+            for k in range(-12, 13):
+                windows = [(k + d, k + d) for d in range(8, 13)] + [(k + 8, k + 14)]
+                for comp in ("F1", "F2"):
+                    stratum = UnstableStratum(comp, k)
+                    for lo, hi in windows:
+                        window = (lo, hi) if comp == "F1" else (-hi, -lo)
+                        certified, rest = stratum.positive_bounds(window, cutoff)
+                        want = per_term_positive_bounds(stratum, window, cutoff)
+                        assert list(certified.items()) == list(want[0].items())
+                        assert rest == want[1], (comp, k, window, cutoff)
+                        heights = stratum._read(window, cutoff)[0].cone.heights
+                        limit = cutoff + stratum.slack
+                        seen.add((stratum.slack < 0, bool(certified), bool(rest)))
+                        seen.add(("at the limit", limit in heights))
+        # with no slack every positive entry is certified; with a negative
+        # one, on these levels, none is
+        assert seen == {
+            (False, False, False), (False, True, False),
+            (True, False, False), (True, False, True),
+            ("at the limit", True), ("at the limit", False),
+        }

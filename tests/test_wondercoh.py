@@ -334,6 +334,37 @@ class TestComponentEnumeration:
                 got = [w.coords for w in tchoudjem_components(lam, i)]
                 assert got == want.get(i, []), (lam.coords, i)
 
+    def test_de_concini_procesi_degrees_0_and_8(self):
+        # De Concini-Procesi: the sections of (f1, f2, f1, f2) hold each
+        # dominant (f1, f2) - c1 (2, -1) - c2 (-1, 2), c1, c2 >= 0, once;
+        # Serre duality (shift (3, 3, 3, 3), dimension 8) makes that set of
+        # the mirror -lam - (3, 3, 3, 3), with (x, y) -> (y, x), degree 8
+        def sections(f1, f2):
+            reach = range(max(0, f1 + f2) + 1)  # x + y = f1 + f2 - c1 - c2
+            return sorted(
+                (x, y)
+                for c1, c2 in itertools.product(reach, repeat=2)
+                for x, y in [(f1 - 2 * c1 + c2, f2 + c1 - 2 * c2)]
+                if x >= 0 and y >= 0
+            )
+
+        bundles = {
+            spanning_weight(*c) for c in itertools.product(range(-5, 6), repeat=4)
+        }
+        assert len(bundles) == 1041
+        nonzero = [0, 0]
+        for lam in bundles:
+            f1, f2 = lam[:2]
+            top, bottom = (
+                [(w[0], w[1]) for w in tchoudjem_components(lam, i)] for i in (0, 8)
+            )
+            assert top == sections(f1, f2), lam.coords
+            mirror = sections(-f1 - 3, -f2 - 3)
+            assert bottom == sorted((y, x) for x, y in mirror), lam.coords
+            nonzero[0] += bool(top)
+            nonzero[1] += bool(bottom)
+        assert nonzero == [321, 162]
+
     def test_sign_pattern_ranges_cover_every_valid_offset(self):
         # the offsets the descent oracle shares with the module, checked
         # against a brute-force scan of each coefficient-box bundle's
@@ -1000,3 +1031,37 @@ class TestSlackCertification:
                 assert rep.height_cutoff == want, (f1, f2)
                 seen.add((rep.component, UnstableStratum("F1", k).slack < 0))
         assert seen == {("F1", True), ("F1", False), ("F2", True), ("F2", False)}
+
+    def test_batch_auto_cutoff_matches_every_numerator(self):
+        # the batch cutoff over all formula weights, by one height
+        # functional per stratum, on the 133 reached bundles of the radius-3
+        # box with |f1| + |f2| <= 13 (cutoffs 12..28), against every
+        # covering-cell numerator's offset solved weight by weight; probes
+        # moved off the root lattice, with the height functional unchanged
+        # (OFF_LATTICE) or moved by 4.5 either way (varpi_3), are ignored
+        varpi3 = Weight((0, 0, 1, 0, 0))
+        span = range(-3, 4)
+        cutoffs, seen = [], set()
+        for f1, f2 in sorted({
+            (a1 + 2 * b1 - b2, a2 - b1 + 2 * b2)
+            for a1, a2, b1, b2 in itertools.product(span, repeat=4)
+        }):
+            if abs(f1) + abs(f2) > 13:
+                continue
+            desc = sheaf_correspondence(diag(f1, f2))
+            k, n = desc.k, desc.n
+            f1_open, f2_open = n >= k + 8, n <= -k - 8
+            opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]
+            if not opened:
+                continue
+            probes = {_ambient_weight(w, n) for w in h_character(diag(f1, f2), 3).terms}
+            probes.discard(None)
+            off = {p + d for p in probes for d in (self.OFF_LATTICE, varpi3, -varpi3)}
+            want = every_numerator_cutoff(k, probes, f1_open, f2_open)
+            got = max(UnstableStratum(c, k).auto_cutoff(probes | off) for c in opened)
+            assert got == want, (f1, f2)
+            cutoffs.append(want)
+            seen.add(("+".join(opened), UnstableStratum("F1", k).slack < 0))
+        assert len(cutoffs) == 133
+        assert (min(cutoffs), max(cutoffs)) == (DEFAULT_HEIGHT_CUTOFF, 28)
+        assert {("F1", True), ("F1", False), ("F2", True), ("F2", False)} <= seen
