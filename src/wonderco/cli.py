@@ -695,7 +695,10 @@ def main(
     try:
         parser = build_parser()
         with redirect_stdout(out):  # argparse prints --help itself
-            args = parser.parse_args(_merge_signed_values(argv))
+            try:
+                args = parser.parse_args(_merge_signed_values(argv))
+            finally:  # argparse exits after --help: a closed reader shows here
+                out.flush()
         _check_shared_flags(args)
         return args.func(args, out)
     except BrokenPipeError:

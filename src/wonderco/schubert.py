@@ -28,10 +28,11 @@ terms below the window dropped, then the degree-0 roots, which leave every
 degree as it is.  The cone is level-free: it is cached per window relative
 to the numerator degree, and every level on that relative window shares
 it, with its read-off (:class:`_Cone`): a level's weights are the cone's
-Cartan image plus its numerator.  :class:`UnstableStratum` owns the
-read-off of both strata: their frame, their cached bounds (shared by a
-stratum and its mirror) and their certification.  No other module reads
-packed series.
+Cartan image plus its numerator.  A window with its floor below the
+numerator degree, whatever its top, is a cut of one full cone per cell and
+cutoff, read-off included.  :class:`UnstableStratum` owns the read-off of
+both strata: their frame, their cached bounds (shared by a stratum and its
+mirror) and their certification.  No other module reads packed series.
 """
 
 from __future__ import annotations
@@ -291,16 +292,30 @@ class _Cone(tuple):
     """The pair ``(bits, packed)`` of :func:`_cone_keys` and the read-off all
     levels on its relative window share, as tuples built once and never set:
     the offsets per simple root in ``packed`` order (``columns``), their
-    heights (nondecreasing), their Cartan image and its block swap."""
+    heights (nondecreasing), their Cartan image and its block swap.  A cone
+    is folded, or :meth:`cut` from a parent, whose read-offs it compresses."""
 
     def __new__(cls, bits: int, packed: Mapping[int, int]):
         return super().__new__(cls, (bits, MappingProxyType(packed)))
 
+    _of_parent = None  # on a cut: read-off name -> the parent's, compressed
+
     def __setattr__(self, name, value):
         raise AttributeError(f"_Cone.{name} is read-only")
 
+    def cut(self, limit: int) -> _Cone:
+        """The keys below ``limit``, in order, as a cone cut from this one."""
+        kept = tuple([key < limit for key in self[1]])
+        cone = _Cone(self[0], dict(itertools.compress(self[1].items(), kept)))
+        cone.__dict__["_of_parent"] = lambda name: tuple(
+            tuple(itertools.compress(col, kept)) for col in getattr(self, name)
+        )
+        return cone
+
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
+        if self._of_parent:
+            return self._of_parent("columns")
         bits, packed = self
         mask, fields = (1 << bits) - 1, range(0, bits * GRASS_SYSTEM.rank, bits)
         return tuple(tuple([key >> sh & mask for key in packed]) for sh in fields)
@@ -313,6 +328,8 @@ class _Cone(tuple):
 
     @cached_property
     def image(self) -> tuple[tuple[int, ...], ...]:
+        if self._of_parent:
+            return self._of_parent("image")
         # row i of the Cartan matrix against the offsets, chained lazily from
         # the diagonal; every other entry is 0 or -1
         assert set(itertools.chain(*GRASS_SYSTEM.cartan)) <= {2, 0, -1}, "A5 Cartan"
@@ -327,6 +344,8 @@ class _Cone(tuple):
 
     @cached_property
     def swapped_image(self) -> tuple[tuple[int, ...], ...]:
+        if self._of_parent:
+            return self._of_parent("swapped_image")
         return tuple(map(tuple, _swap_blocks(self.image)))
 
 
@@ -434,7 +453,11 @@ def _cone_keys(
     window.  No coordinate exceeds the cutoff, which sets the field width,
     and the degree field sits on top, so a step along a root is a single
     addition and the window is a range of keys.  Keys come by height, one
-    layer after another, and :attr:`_Cone.heights` relies on it.
+    layer after another, and :attr:`_Cone.heights` relies on it.  A window
+    with ``lo < 0`` is the full cone cut at ``hi``, as its floor binds
+    nothing.  The full cone is the window ``(0, reach)``, ``reach`` the top
+    ``cutoff * deg // ht`` of a root, so that no term within the cutoff lies
+    above it; degrees never fall, so the cut keeps the direct fold's order.
     """
     lo, hi = window
     per_root = CSTAR_GRADING.simple_root_degrees
@@ -447,6 +470,10 @@ def _cone_keys(
         return _Cone(bits, {})
     deg_shift = bits * GRASS_SYSTEM.rank
     limit = (hi + 1) << deg_shift
+    if lo < 0:
+        reach = max((cutoff * d // sum(beta) for d, beta in zip(degrees, roots)), default=0)
+        full = _cone_keys(roots, (0, reach), cutoff)
+        return full if hi >= reach else full.cut(limit)
     floor = lo << deg_shift
 
     def fold(beta: Root) -> None:

@@ -241,6 +241,33 @@ class TestSchubert:
         assert hashlib.md5(out.encode()).hexdigest() == md5
 
     @pytest.mark.parametrize(
+        "cell,k,window,cutoff,fmt,md5",
+        [
+            ("F1", -3, (-3, 7), 9, "tsv", "49924bf22c726b0e7ce12b53b14c686a"),
+            ("F1", -3, (-3, 7), 9, "json", "6d3a28a2e941734793ca3ea2ed82cc6b"),
+            ("F2", 4, (-6, 4), 16, "tsv", "4ec02b2a256c09eec9d3f9e3ba58f5eb"),
+            ("F1", 0, (0, 20), 20, "tsv", "a571d0b68b203b7ebd80c071d28b1cab"),
+        ],
+        ids=["F1-tsv", "F1-json", "F2-tsv", "F1-wide-tsv"],
+    )
+    def test_cut_window_output_is_byte_identical(self, cell, k, window, cutoff, fmt, md5):
+        # recorded output, byte for byte, on windows that start below the
+        # open cell's numerator degree and end inside its full cone at the
+        # cutoff, so every covering-cell series is a cut of a full cone
+        lo, hi = window
+        code, out, err = run_cli(
+            "schubert", "kempf", "--cell", cell, "--k", str(k),
+            f"--window={lo}:{hi}", "--height-cutoff", str(cutoff), "--format", fmt,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+        # the second stratum reads the first at -k on the reversed window
+        level, cell_window = (k, window) if cell == "F1" else (-k, (-hi, -lo))
+        for c in schubert.covering_cells():
+            cone = schubert.kempf_character(c.w, level, cell_window, cutoff).cone
+            assert cone._of_parent is not None, c.fixed_point
+
+    @pytest.mark.parametrize(
         "alter,message",
         [
             (off_lattice, "boundary numerator off the open cell's lattice coset"),
@@ -519,16 +546,18 @@ class TestPlumbing:
         # first write or flush fails; output short enough to sit in the
         # buffer fails at the flush, and the interpreter's final flush
         # must not print the error either
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "wonderco", *argv],
-                stdout=write, stderr=subprocess.PIPE, text=True,
-                env=child_env(PYTHONUNBUFFERED=unbuffered),
-            )
-        finally:
-            os.close(write)
+        proc = run_child_into_closed_pipe(argv, PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("schubert", "--help")], ids=["help", "subcommand-help"]
+    )
+    def test_help_to_closed_reader_of_a_child_exits_quietly(self, argv):
+        # argparse prints the help into the buffer and exits before any
+        # command runs, so the failed flush must come before that exit.
+        # (Unbuffered, argparse drops the failed write itself and exits 0.)
+        proc = run_child_into_closed_pipe(argv, PYTHONUNBUFFERED="")
         assert proc.returncode == EXIT_BROKEN_PIPE
         assert proc.stderr == ""
 
@@ -747,6 +776,20 @@ if __name__ == "__main__":
     sys.argv[0] = re.sub(r"(-script\\.pyw|\\.exe)?$", "", sys.argv[0])
     sys.exit({attr}())
 """
+
+
+def run_child_into_closed_pipe(argv, **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child whose stdout pipe had its read end closed
+    before the child started, capturing its stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "wonderco", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=child_env(**env),
+        )
+    finally:
+        os.close(write)
 
 
 def child_env(**extra: str) -> dict[str, str]:

@@ -3,9 +3,11 @@
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+from wonderco import schubert
 from wonderco.rootsys import (
     Root,
     Weight,
@@ -683,6 +685,115 @@ class TestKempfSeries:
         }
         assert narrow.terms() == sliced
         assert narrow.terms()
+
+
+def reach_of(roots, cutoff):
+    """The highest degree a term of offset height at most the cutoff can
+    have: the cutoff times the steepest degree-per-height ratio, floored."""
+    per_root = CSTAR_GRADING.simple_root_degrees
+    return max(
+        cutoff * sum(d * c for d, c in zip(per_root, beta)) // sum(beta)
+        for beta in roots
+    )
+
+
+class TestConeCut:
+    @pytest.mark.parametrize("cutoff", [0, 1, 4, 12, 17])
+    def test_cut_matches_direct_fold(self, cutoff):
+        # a window starting below the numerator degree is the full cone at
+        # its cutoff cut at the window top; on the J set of every cell it
+        # equals the direct fold from the numerator degree, key for key in
+        # packed order, with the same read-offs.  Folds only grow with the
+        # window top, so from the reach up one direct fold at the widest top
+        # stands for all: equal to the full cone there, they are equal between
+        cuts = 0
+        for cell in enumerate_cells():
+            roots = kl_sets(cell.w).J
+            reach = reach_of(roots, cutoff)
+            full = _cone_keys(roots, (0, reach), cutoff)
+            tops = sorted({-1, 0, 1, 2, 12, reach - 1, reach, reach + 1, 40})
+            widest = _cone_keys.__wrapped__(roots, (0, tops[-1]), cutoff)
+            for hi in tops:
+                want = widest
+                if hi < reach:
+                    want = _cone_keys.__wrapped__(roots, (0, hi), cutoff)
+                for lo in (-9, -1):
+                    got = _cone_keys(roots, (lo, hi), cutoff)
+                    where = (cell.fixed_point, (lo, hi))
+                    assert got[0] == want[0], where
+                    assert list(got[1].items()) == list(want[1].items()), where
+                    for name in ("columns", "image", "swapped_image", "heights"):
+                        assert getattr(got, name) == getattr(want, name), (name, where)
+                    if hi >= reach:
+                        assert got is full, where
+                    cuts += 0 <= hi < reach and 0 < len(got[1]) < len(full[1])
+        # at cutoff 0 the full cone is its one term at offset 0: nothing to cut
+        assert (cuts > 20) == (cutoff > 0)
+
+    def test_cut_is_read_only(self):
+        roots = kl_sets(f1_cell().w).J
+        cone = _cone_keys(roots, (-8, 2), 12)
+        full = _cone_keys(roots, (0, reach_of(roots, 12)), 12)
+        assert 0 < len(cone[1]) < len(full[1])
+        for name in ("columns", "image", "swapped_image"):
+            got = getattr(cone, name)
+            assert type(got) is tuple and all(type(col) is tuple for col in got)
+            assert len(got) == GRASS_SYSTEM.rank
+            assert all(len(col) == len(cone[1]) for col in got)
+            with pytest.raises(TypeError):
+                got[0] = ()
+        assert type(cone.heights) is tuple
+        names = ("columns", "heights", "image", "swapped_image", "cut", "_of_parent")
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(cone, name, ())
+        key = next(iter(cone[1]))
+        with pytest.raises(TypeError):
+            cone[1][key] = 7
+        with pytest.raises(TypeError):
+            del cone[1][key]
+        assert _cone_keys(roots, (-8, 2), 12) is cone
+
+    def test_window_widths_fold_once_per_cell(self, monkeypatch):
+        # the bounds queries of widths 10-40 at cutoff 12, F1 on (k, k+w)
+        # and F2 on (k-w, k) at levels in [-8, 8], ask for four relative
+        # windows per covering cell, all starting below the numerator
+        # degree: they fold each cell's full cone once, and unpack offset
+        # columns and build the Cartan image on the open cell's alone
+        folded, served = [], []
+        direct = schubert._cone_keys.__wrapped__
+
+        @lru_cache(maxsize=None)
+        def counted(roots, window, cutoff):
+            cone = direct(roots, window, cutoff)
+            (folded if window[0] >= 0 else served).append(cone)
+            return cone
+
+        # per width, levels a, b, c as the benchmark deals them: F1 at a and
+        # F2 at -a share their cell series, then F1 at b and F2 at -c
+        levels = {10: (-8, 0, 8), 20: (5, -4, 1), 30: (-2, 7, -6), 40: (3, -7, 2)}
+        queries = [
+            query
+            for width, (a, b, c) in levels.items()
+            for query in (("F1", a, width), ("F2", -a, width), ("F1", b, width),
+                          ("F2", -c, width))
+        ]
+        for cache in (kempf_character, _stratum_bounds):
+            cache.cache_clear()
+        monkeypatch.setattr(schubert, "_cone_keys", counted)
+        try:
+            for comp, k, width in queries:
+                window = (k, k + width) if comp == "F1" else (k - width, k)
+                unstable_character_bounds(comp, k, window, 12)
+        finally:
+            for cache in (kempf_character, _stratum_bounds):
+                cache.cache_clear()
+        assert len(folded) == len(covering_cells()) == 3
+        assert len(served) == 12
+        assert all(cone._of_parent is None for cone in folded)
+        assert sum("columns" in vars(cone) for cone in folded) == 1
+        assert sum("image" in vars(cone) for cone in folded) == 1
+        assert sum("swapped_image" in vars(cone) for cone in folded) == 1
 
 
 class TestBlockSwap:
