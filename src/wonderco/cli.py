@@ -64,6 +64,7 @@ from .satake import (
 from .schubert import CSTAR_GRADING, unstable_character_bounds
 from .wondercoh import (
     BoxTooSmallError,
+    certify_box,
     cross_validate_h3,
     h_character,
     spanning_weight,
@@ -441,19 +442,19 @@ def _cmd_cohomology(args, out: TextIOBase) -> int:
     if not 0 <= degree <= 8:
         raise InputError(f"degree must lie in 0..8, got {degree}")
     lam = spanning_weight(*coeffs)
-    ch = h_character(lam, degree, args.box_radius)
+    if args.box_radius is not None:
+        certify_box(lam, args.box_radius)
+    ch = h_character(lam, degree)
     payload: dict = {
         "coefficients": list(coeffs),
         "weight": list(lam.coords),
         "degree": degree,
-        "profile": sorted(vanishing_profile(lam, args.box_radius)),
+        "profile": sorted(vanishing_profile(lam)),
         "character": _character_payload(ch),
     }
     status = EXIT_OK
     if degree == 3:
-        report = cross_validate_h3(
-            lam, args.window, args.box_radius, args.height_cutoff
-        )
+        report = cross_validate_h3(lam, args.window, args.height_cutoff)
         payload["cross_check"] = _cross_payload(report)
         if not report.certified:
             status = EXIT_CERTIFICATION
@@ -507,6 +508,13 @@ class _Parser(argparse.ArgumentParser):
         # argparse would exit(2); route to the invalid-input exit code
         raise InputError(message)
 
+    def _print_message(self, message, file):
+        # argparse drops a failed write and exits 0; flush before that
+        # exit so that main sees a closed reader as a BrokenPipeError
+        if message:
+            file.write(message)
+            file.flush()
+
 
 # the flags that several subcommands read, each registered only on those
 _SHARED_FLAGS = {
@@ -515,7 +523,9 @@ _SHARED_FLAGS = {
         metavar="H", type=int, help="denominator height cutoff for series expansions"
     ),
     "--box-radius": dict(
-        metavar="R", type=int, help="search box radius for the cohomology enumeration"
+        metavar="R",
+        type=int,
+        help="radius of the offset box (cohomology) or coefficient box (acceptance)",
     ),
 }
 
@@ -695,10 +705,7 @@ def main(
     try:
         parser = build_parser()
         with redirect_stdout(out):  # argparse prints --help itself
-            try:
-                args = parser.parse_args(_merge_signed_values(argv))
-            finally:  # argparse exits after --help: a closed reader shows here
-                out.flush()
+            args = parser.parse_args(_merge_signed_values(argv))
         _check_shared_flags(args)
         return args.func(args, out)
     except BrokenPipeError:

@@ -36,6 +36,7 @@ __all__ = [
     "BoxTooSmallError",
     "CrossCheckReport",
     "SphericalData",
+    "certify_box",
     "cross_validate_h3",
     "h_character",
     "serre_dual_check",
@@ -138,8 +139,26 @@ def _required_radius(a1: int, a2: int) -> int:
     the offsets: p, q >= 1 gives -(t1 + t2) <= a1 + a2, p <= -1 alone
     2 t1 - t2 <= -a1 - 2 (q <= -1 alone: -a2 - 2), and p, q <= -1 gives
     t1 + t2 <= -a1 - a2 - 4.
+
+    The bound is sound but not tight: (-30, -30) gives 56, while its
+    farthest valid offset is 28.
     """
     return max(0, a1 + a2, -a1 - 2, -a2 - 2, -a1 - a2 - 4)
+
+
+def certify_box(lam: Weight, radius: int) -> None:
+    """Raise ``BoxTooSmallError`` unless every valid offset of ``lam`` lies
+    in the box of ``radius``.  The enumeration itself needs no box.  The
+    bound ``_required_radius`` is the certificate; its oracle, a scan of
+    the offset layers outside the box, lives in the tests."""
+    a1, a2 = _diagonal_coords(lam)
+    needed = _required_radius(a1, a2)
+    if radius < needed:
+        raise BoxTooSmallError(
+            f"box radius {radius} cannot certify completeness for weight "
+            f"({a1}, {a2}); the sign constraints stay satisfiable out to "
+            f"radius {needed}"
+        )
 
 
 def _sign_pattern_ranges(a1: int, a2: int):
@@ -175,78 +194,8 @@ def _sign_pattern_ranges(a1: int, a2: int):
                 yield c1, c2
 
 
-def _positive_run(c: int, b: int, first: int, last: int) -> tuple[int, int]:
-    """The run of t in first..last where c + b t >= 1, as (first, last);
-    empty when first > last."""
-    if b > 0:
-        return max(first, (b - c) // b), last
-    if b < 0:
-        return first, min(last, (c - 1) // -b)
-    return (first, last) if c >= 1 else (first, first - 1)
-
-
-def _shell_clear(a1: int, a2: int, radius: int) -> None:
-    """Check the first offset layer outside the box for valid candidates.
-
-    The analytic bound says none exist once the box covers the required
-    radius; this checks the layer anyway and refuses to certify if a
-    candidate slips through, naming the first one in the layer's scan
-    order: the rows t2 = -edge, edge interleaved along t1 in -edge..edge,
-    then the columns t1 = -edge, edge interleaved along t2 in
-    -radius..radius, with edge = radius + 1.
-
-    Each side's first valid point is found by arithmetic.  Along a side
-    the free offset t enters the pairings p and q as affine functions
-    c + b t.  On either half of the side, t <= 0 or t >= 1, the sign of
-    each offset is fixed, so validity is two strict inequalities, one on
-    p and one on q, each bounding t on one side, and p + q != 0.  The
-    least t of the interval they leave is the side's first valid point,
-    unless p + q vanishes there: then it is the next t, as an affine
-    p + q vanishes at most once (or everywhere, leaving no point).
-    ``_valid_candidates`` judges the at most four points so found.
-    """
-    edge = radius + 1
-    (g11, g12), (g21, g22), (r1, r2) = _block_coords()
-    # the pairings u, v whose signs the free and the fixed offset set (p, q
-    # on the rows, q, p on the columns): (base, fixed slope, free slope)
-    rows = ((a1 + r1, g21, g11), (a2 + r2, g22, g12))
-    cols = ((a2 + r2, g12, g22), (a1 + r1, g11, g21))
-    columns = 2 * (2 * edge + 1)
-    # (pairings, fixed offset, first t, last t, scan position of first t)
-    sides = (
-        (rows, -edge, -edge, edge, 0),
-        (rows, edge, -edge, edge, 1),
-        (cols, -edge, -radius, radius, columns),
-        (cols, edge, -radius, radius, columns + 1),
-    )
-    firsts = []
-    for pairings, fixed, lo, hi, start in sides:
-        (u, fu, bu), (v, fv, bv) = pairings
-        cu, cv = u + fixed * fu, v + fixed * fv
-        # a positive offset needs a negative pairing, the others positive
-        sv = -1 if fixed >= 1 else 1
-        lo_v, hi_v = _positive_run(sv * cv, sv * bv, lo, hi)
-        for su, first, last in ((1, lo_v, min(hi_v, 0)), (-1, max(lo_v, 1), hi_v)):
-            first, last = _positive_run(su * cu, su * bu, first, last)
-            if cu + cv + (bu + bv) * first == 0:
-                first = first + 1 if bu + bv else last + 1
-            if first <= last:
-                point = (first, fixed) if pairings is rows else (fixed, first)
-                firsts.append((start + 2 * (first - lo), point))
-                break
-    layer = (point for _, point in sorted(firsts))
-    for t1, t2, _, _ in _valid_candidates(a1, a2, layer):
-        raise BoxTooSmallError(
-            f"a candidate at offsets ({t1}, {t2}) just outside the "
-            f"box of radius {radius} still satisfies the sign "
-            "constraints; enlarge the box"
-        )
-
-
 @lru_cache(maxsize=2048)
-def _graded_components(
-    lam: Weight, box: int | None
-) -> tuple[tuple[int, tuple[Weight, ...]], ...]:
+def _graded_components(lam: Weight) -> tuple[tuple[int, tuple[Weight, ...]], ...]:
     """All contributions of a bundle weight, grouped by cohomological degree.
 
     Returns (degree, dominant highest weights) pairs; the weight lists
@@ -258,15 +207,6 @@ def _graded_components(
     both factors of the doubled group and adds two to the length.
     """
     a1, a2 = _diagonal_coords(lam)
-    radius = 3 * (1 + abs(a1) + abs(a2)) if box is None else int(box)
-    needed = _required_radius(a1, a2)
-    if radius < needed:
-        raise BoxTooSmallError(
-            f"box radius {radius} cannot certify completeness for weight "
-            f"({a1}, {a2}); the sign constraints stay satisfiable out to "
-            f"radius {needed}"
-        )
-    _shell_clear(a1, a2, radius)
     r1, r2 = _block_coords()[2]
     found: dict[int, list[tuple[int, int]]] = {}
     offsets = _sign_pattern_ranges(a1, a2)
@@ -283,36 +223,30 @@ def _graded_components(
     )
 
 
-def tchoudjem_components(
-    lam: Weight, i: int, box: int | None = None
-) -> tuple[Weight, ...]:
+def tchoudjem_components(lam: Weight, i: int) -> tuple[Weight, ...]:
     """Dominant highest weights contributing in one cohomological degree.
 
     The result is a multiset, sorted on coordinates: the degree-i group
     is the direct sum of the duals of the listed irreducible modules.
     """
-    return dict(_graded_components(lam, box)).get(i, ())
-
-
-def h_character(lam: Weight, i: int, box: int | None = None) -> Character:
-    """Character of the degree-i cohomology of the line bundle of ``lam``:
-    the sum of the V(mu)* = V(-w0 mu) over its components mu.  The last
-    few groups are kept (read-only, one key however ``box`` is passed):
-    the degree-3 cross-check reads the group its caller just read."""
-    return _h_character(lam, i, box)
+    return dict(_graded_components(lam)).get(i, ())
 
 
 @lru_cache(maxsize=4)
-def _h_character(lam: Weight, i: int, box: int | None) -> Character:
+def h_character(lam: Weight, i: int) -> Character:
+    """Character of the degree-i cohomology of the line bundle of ``lam``:
+    the sum of the V(mu)* = V(-w0 mu) over its components mu.  The last
+    few groups are kept (read-only): the degree-3 cross-check reads the
+    group its caller just read."""
     lattice = spherical_data().lattice
-    components = tchoudjem_components(lam, i, box)
+    components = tchoudjem_components(lam, i)
     duals = (dominant_representative(lattice, -mu) for mu in components)
     return direct_sum_character(lattice, duals)
 
 
-def vanishing_profile(lam: Weight, box: int | None = None) -> frozenset[int]:
+def vanishing_profile(lam: Weight) -> frozenset[int]:
     """The set of cohomological degrees with a nonzero group."""
-    return frozenset(i for i, _ in _graded_components(lam, box))
+    return frozenset(i for i, _ in _graded_components(lam))
 
 
 def serre_dual_check(lam: Weight, i: int) -> bool:
@@ -387,7 +321,6 @@ def _ambient_weight(omega: Weight, n: int) -> Weight | None:
 def cross_validate_h3(
     lam: Weight,
     window: tuple[int, int] | None = None,
-    box: int | None = None,
     height_cutoff: int | None = None,
 ) -> CrossCheckReport:
     """Compare the degree-3 character against the unstable-locus slices.
@@ -418,7 +351,7 @@ def cross_validate_h3(
     """
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
-    h3 = h_character(lam, 3, box)
+    h3 = h_character(lam, 3)
     f1_open = n >= k + 8
     f2_open = n <= -k - 8
     opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]

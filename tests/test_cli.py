@@ -31,6 +31,7 @@ from wonderco.cli import (
 from wonderco.rootsys import Weight
 from wonderco.satake import catalog_names
 from wonderco.schubert import TruncatedSeries
+from wonderco.wondercoh import certify_box
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -431,6 +432,36 @@ class TestCohomology:
         assert code == EXIT_CERTIFICATION
         assert "certification failure" in err
 
+    def test_box_radius_is_certified_once_before_any_computation(self, monkeypatch):
+        # (3, 3) needs radius 6: the CLI refuses radius 5 with the library's
+        # message before it computes anything, checks the degree first, and
+        # names no radius when the flag is absent
+        certified = []
+
+        def certify(lam, radius):
+            certified.append(radius)
+            certify_box(lam, radius)
+
+        def no_computation(*args):
+            raise AssertionError("computed before the box was certified")
+
+        monkeypatch.setattr(wonderco.cli, "certify_box", certify)
+        with monkeypatch.context() as m:
+            m.setattr(wonderco.cli, "h_character", no_computation)
+            coh = ("cohomology", "--lambda", "3,3,0,0")
+            code, out, err = run_cli(*coh, "--i", "0", "--box-radius", "5")
+            assert (code, out, certified) == (EXIT_CERTIFICATION, "", [5])
+            assert err == (
+                "certification failure: box radius 5 cannot certify completeness "
+                "for weight (3, 3); the sign constraints stay satisfiable out to "
+                "radius 6\n"
+            )
+            assert run_cli(*coh, "--i", "9", "--box-radius", "5")[0] == EXIT_INPUT
+            assert certified == [5]
+        assert run_cli(*coh, "--i", "0", "--box-radius", "6")[0] == EXIT_OK
+        assert run_cli(*coh, "--i", "0")[0] == EXIT_OK
+        assert certified == [5, 6]
+
     def test_huge_box_matches_default_box(self):
         # the layer check costs the same at any radius, so a box of
         # radius 10**6 answers at once, and as the default box does
@@ -551,13 +582,21 @@ class TestPlumbing:
         assert proc.stderr == ""
 
     @pytest.mark.parametrize(
-        "argv", [("--help",), ("schubert", "--help")], ids=["help", "subcommand-help"]
+        "argv, unbuffered",
+        [
+            pytest.param(argv, unbuffered, id=name + suffix)
+            for name, argv in (
+                ("help", ("--help",)),
+                ("subcommand-help", ("schubert", "--help")),
+            )
+            for unbuffered, suffix in (("", ""), ("1", "-unbuffered"))
+        ],
     )
-    def test_help_to_closed_reader_of_a_child_exits_quietly(self, argv):
-        # argparse prints the help into the buffer and exits before any
-        # command runs, so the failed flush must come before that exit.
-        # (Unbuffered, argparse drops the failed write itself and exits 0.)
-        proc = run_child_into_closed_pipe(argv, PYTHONUNBUFFERED="")
+    def test_help_to_closed_reader_of_a_child_exits_quietly(self, argv, unbuffered):
+        # argparse prints the help and exits before any command runs, and
+        # drops a failed write itself, so the write must fail (unbuffered)
+        # or be flushed (buffered) where main sees it
+        proc = run_child_into_closed_pipe(argv, PYTHONUNBUFFERED=unbuffered)
         assert proc.returncode == EXIT_BROKEN_PIPE
         assert proc.stderr == ""
 

@@ -30,8 +30,8 @@ from wonderco.wondercoh import (
     SphericalData,
     _ambient_weight,
     _required_radius,
-    _shell_clear,
     _sign_pattern_ranges,
+    certify_box,
     cross_validate_h3,
     h_character,
     serre_dual_check,
@@ -118,6 +118,18 @@ def layer_point_valid(a1, a2, t1, t2):
     return (t1 >= 1) == (p < 0) and (t2 >= 1) == (q < 0)
 
 
+def first_valid(a1, a2, radius):
+    """The first valid point of the layer just outside the box, point by
+    point in the layer's scan order: rows t2 = -edge, edge interleaved
+    along t1 in -edge..edge, then columns t1 = -edge, edge interleaved
+    along t2 in -radius..radius, with edge = radius + 1."""
+    edge = radius + 1
+    signs = (-1, 1)
+    layer = [(t, s * edge) for t in range(-edge, edge + 1) for s in signs]
+    layer += [(s * edge, t) for t in range(-radius, radius + 1) for s in signs]
+    return next((pt for pt in layer if layer_point_valid(a1, a2, *pt)), None)
+
+
 def breakpoint_first_valid(a1, a2, radius):
     """The first valid point of the layer just outside the box, from its
     breakpoints alone: rows t2 = -edge, edge interleaved along t1, then
@@ -159,25 +171,22 @@ def breakpoint_first_valid(a1, a2, radius):
     )
 
 
-def shell_message(first, radius):
-    """The message ``_shell_clear`` raises for the layer's first valid
-    point ``first``, or None when the layer holds none."""
-    if first is None:
-        return None
-    return (
-        f"a candidate at offsets {first} just outside the box "
-        f"of radius {radius} still satisfies the sign "
-        "constraints; enlarge the box"
-    )
-
-
-def shell_outcome(a1, a2, radius):
-    """The message ``_shell_clear`` raises, or None when it passes."""
+def box_outcome(a1, a2, radius):
+    """The message ``certify_box`` raises, or None when it certifies."""
     try:
-        _shell_clear(a1, a2, radius)
+        certify_box(diag(a1, a2), radius)
     except BoxTooSmallError as exc:
         return str(exc)
     return None
+
+
+def radius_message(a1, a2, radius):
+    """The message of a box below the required radius."""
+    return (
+        f"box radius {radius} cannot certify completeness for weight "
+        f"({a1}, {a2}); the sign constraints stay satisfiable out to "
+        f"radius {_required_radius(a1, a2)}"
+    )
 
 
 def descent_components(lam):
@@ -370,7 +379,8 @@ class TestComponentEnumeration:
         # against a brute-force scan of each coefficient-box bundle's
         # (a1, a2) = lam + b1 g1 + b2 g2 in block coordinates: the sign
         # constraints keep valid offsets within |a1| + |a2|, so the box
-        # below has slack on every side
+        # below has slack on every side; each valid offset also lies
+        # within the required radius that certify_box checks
         pairs = {
             (a1 + 2 * b1 - b2, a2 - b1 + 2 * b2)
             for a1, a2, b1, b2 in itertools.product(range(-5, 6), repeat=4)
@@ -378,6 +388,7 @@ class TestComponentEnumeration:
         assert len(pairs) == 1041
         for a1, a2 in pairs:
             ranges = set(_sign_pattern_ranges(a1, a2))
+            needed = _required_radius(a1, a2)
             radius = abs(a1) + abs(a2) + 6
             for t1 in range(-radius, radius + 1):
                 for t2 in range(-radius, radius + 1):
@@ -388,36 +399,33 @@ class TestComponentEnumeration:
                     if (t1 >= 1) != (p < 0) or (t2 >= 1) != (q < 0):
                         continue
                     assert (t1, t2) in ranges, (a1, a2, t1, t2)
+                    assert max(abs(t1), abs(t2)) <= needed, (a1, a2, t1, t2)
 
-    def test_shell_scan_catches_candidate_outside_box(self):
+    def test_certify_box_matches_the_layer_oracles(self):
         # (6, 6) needs radius 12; at radius 3 its valid offset (-4, -4)
         # lies on the first layer outside the box
         assert _required_radius(6, 6) == 12
-        with pytest.raises(BoxTooSmallError, match=r"\(-4, -4\) just outside"):
-            _shell_clear(6, 6, 3)
-        _shell_clear(6, 6, 12)
+        assert first_valid(6, 6, 3) == (-4, -4)
+        assert box_outcome(6, 6, 3) == radius_message(6, 6, 3)
 
-        # oracle: every point of the layer, in scan order; the check must
-        # raise exactly when some point is valid, naming the first
-        def first_valid(a1, a2, radius):
-            edge = radius + 1
-            signs = (-1, 1)
-            layer = [(t, s * edge) for t in range(-edge, edge + 1) for s in signs]
-            layer += [(s * edge, t) for t in range(-radius, radius + 1) for s in signs]
-            return next((pt for pt in layer if layer_point_valid(a1, a2, *pt)), None)
-
+        # the box is refused exactly below the required radius, and no
+        # layer outside the required radius holds a valid point
         cases = raising = 0
         for a1, a2 in itertools.product(range(-20, 21), repeat=2):
+            needed = _required_radius(a1, a2)
+            assert first_valid(a1, a2, needed) is None, (a1, a2)
             for radius in (*range(13), 3 * (1 + abs(a1) + abs(a2))):
                 first = first_valid(a1, a2, radius)
                 assert breakpoint_first_valid(a1, a2, radius) == first, (a1, a2, radius)
-                want = shell_message(first, radius)
-                assert shell_outcome(a1, a2, radius) == want, (a1, a2, radius)
+                below = radius < needed
+                assert below or first is None, (a1, a2, radius)
+                want = radius_message(a1, a2, radius) if below else None
+                assert box_outcome(a1, a2, radius) == want, (a1, a2, radius)
                 cases += 1
-                raising += want is not None
-        assert (cases, raising) == (23534, 12224)
+                raising += below
+        assert (cases, raising) == (23534, 17878)
 
-    def test_shell_scan_matches_breakpoint_oracle_on_large_coefficients(self):
+    def test_required_radius_is_sound_on_large_coefficients(self):
         # the breakpoint oracle's cost does not grow with the coefficients
         # or the radius, so it reaches what the point-by-point scan cannot:
         # half the draws sit below the required radius, half at or above it
@@ -428,52 +436,20 @@ class TestComponentEnumeration:
             needed = _required_radius(a1, a2)
             below = bool(k % 2 and needed)
             radius = rng.randrange(needed) if below else rng.randint(needed, 10**9)
-            want = shell_message(breakpoint_first_valid(a1, a2, radius), radius)
-            assert shell_outcome(a1, a2, radius) == want, (a1, a2, radius)
-            outcomes[below, want is not None] += 1
-        # (below the required radius, raised): counts
+            want = radius_message(a1, a2, radius) if below else None
+            assert box_outcome(a1, a2, radius) == want, (a1, a2, radius)
+            found = breakpoint_first_valid(a1, a2, radius) is not None
+            outcomes[below, found] += 1
+        # (below the required radius, a valid layer point found): counts
         assert outcomes == {
             (False, False): 1000, (False, True): 0, (True, False): 413, (True, True): 587,
         }
 
     def test_shell_clear_at_the_required_radius(self):
-        # the analytic bound and the layer check agree: at the required
+        # the analytic bound and the layer oracle agree: at the required
         # radius the first layer outside the box holds no valid candidate
         for a1, a2 in itertools.product(range(-40, 41), repeat=2):
-            _shell_clear(a1, a2, _required_radius(a1, a2))
-
-    def test_shell_scan_cost_does_not_grow_with_radius(self, monkeypatch):
-        # the layer has 8 radius + 8 points; the check hands the predicate
-        # at most the first valid point of each side, found without a
-        # per-point loop, so radius 10**18 costs what radius 100 does
-        handed = []
-
-        def counting(a1, a2, offsets):
-            offsets = list(offsets)
-            handed.append(offsets)
-            return valid(a1, a2, offsets)
-
-        valid = wondercoh._valid_candidates
-        monkeypatch.setattr(wondercoh, "_valid_candidates", counting)
-        big = 10**20
-        pairs = {
-            (0, 0): 0, (6, 6): 0, (-7, 3): 0, (2, -11): 0, (-9, -9): 0,
-            (big, big): 2, (-big, 3): 1, (5, -big): 1, (-big, -big): 2,
-            (big, -big): 2, (-big, big): 2,
-        }
-        for (a1, a2), count in pairs.items():
-            for radius in (10**2, 10**6, 10**18):
-                try:
-                    _shell_clear(a1, a2, radius)
-                except BoxTooSmallError:
-                    pass
-                points = handed[-1]
-                edge = radius + 1
-                sides = {
-                    (t2, None) if abs(t2) == edge else (None, t1)
-                    for t1, t2 in points
-                }
-                assert len(points) == len(sides) == count, (a1, a2, radius)
+            assert breakpoint_first_valid(a1, a2, _required_radius(a1, a2)) is None
 
     def test_cache_is_bounded_above_an_acceptance_run(self):
         # working set measured on one default acceptance run: 1042 bundles,
@@ -487,14 +463,14 @@ class TestComponentEnumeration:
 
     def test_box_too_small(self):
         with pytest.raises(BoxTooSmallError, match="radius 3"):
-            tchoudjem_components(diag(6, 6), 0, box=3)
+            certify_box(diag(6, 6), 3)
 
     def test_exact_box_suffices(self):
-        # the certified radius for (6, 6) is 12; at that box the answer
-        # matches the default box
-        assert tchoudjem_components(diag(6, 6), 0, box=12) == (
-            tchoudjem_components(diag(6, 6), 0)
-        )
+        # the certified radius for (6, 6) is 12: that box certifies, one
+        # less does not
+        assert certify_box(diag(6, 6), 12) is None
+        with pytest.raises(BoxTooSmallError, match="radius 11 "):
+            certify_box(diag(6, 6), 11)
 
 
 class TestHCharacter:
@@ -568,10 +544,10 @@ class TestHCharacter:
 
         monkeypatch.setattr(wondercoh, "direct_sum_character", counted)
         lam = diag(-5, 4)
-        wondercoh._h_character.cache_clear()
+        wondercoh.h_character.cache_clear()
         assert h_character(lam, 3) and cross_validate_h3(lam).ok
         assert len(calls) == 1
-        wondercoh._h_character.cache_clear()
+        wondercoh.h_character.cache_clear()
         out, err = io.StringIO(), io.StringIO()
         argv = ["cohomology", "--lambda", "-5,4,0,0", "--i", "3"]
         code = main(argv, out=out, err=err)
@@ -851,8 +827,8 @@ class TestCrossValidation:
         kinds = set()
         for change in (drop_component, raise_multiplicity):
 
-            def perturbed(lam, i, box=None, change=change):
-                ch = real(lam, i, box)
+            def perturbed(lam, i, change=change):
+                ch = real(lam, i)
                 return Character(change(lam, dict(ch.terms))) if i == 3 else ch
 
             with monkeypatch.context() as m:
