@@ -8,10 +8,9 @@ and Serre duality of the compactified-group cohomology, the cross-route
 multiplicity bounds, and agreement of every computation route with an
 independent oracle.
 
-Golden values live as JSON files in the package ``fixtures`` directory; the
-``WONDERCO_FIXTURES`` environment variable overrides that location.  Every
-randomized check draws from a seeded generator, so a report is reproducible
-from its configuration alone.
+Golden values live as JSON files in the package ``fixtures`` directory.
+Every randomized check draws from a seeded generator, so a report is
+reproducible from its seed alone.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-import os
 import random
 import time
 from collections.abc import Callable
@@ -68,7 +66,6 @@ from .wondercoh import (
 )
 
 __all__ = [
-    "AcceptanceConfig",
     "AcceptanceReport",
     "CriterionResult",
     "FixtureError",
@@ -78,6 +75,13 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260823
+
+# the published settings: the width of the criterion-4 windows (expanded
+# at ``DEFAULT_HEIGHT_CUTOFF``), the radius of the coefficient box that
+# criteria 7-9 draw from, and the number of criterion-8 duality samples
+WINDOW_WIDTH = 40
+BOX_RADIUS = 5
+DUALITY_SAMPLES = 50
 
 ALLOWED_DEGREES = frozenset({0, 3, 5, 8})
 
@@ -109,9 +113,6 @@ class _Uncertified(Exception):
 
 
 def fixtures_dir() -> Path:
-    override = os.environ.get("WONDERCO_FIXTURES")
-    if override:
-        return Path(override)
     return Path(__file__).resolve().parent / "fixtures"
 
 
@@ -128,42 +129,6 @@ def load_fixture(name: str) -> dict:
     if not isinstance(data, dict):
         raise FixtureError(f"fixture {path} must hold a JSON object")
     return data
-
-
-@_record
-class AcceptanceConfig:
-    """Tunable knobs of the suite; the defaults are the published settings."""
-
-    seed: int = DEFAULT_SEED
-    window_width: int = 40
-    height_cutoff: int = DEFAULT_HEIGHT_CUTOFF
-    box_radius: int = 5
-    sample_count: int = 50
-
-    def __post_init__(self) -> None:
-        if self.window_width < 1 or self.height_cutoff < 1:
-            raise ValueError("window width and height cutoff must be positive")
-        if self.box_radius < 0 or self.sample_count < 1:
-            raise ValueError("box radius and sample count must be positive")
-        # the sampled checks draw distinct points of the box until they
-        # have enough, so a box with too few points would never finish
-        side = 2 * self.box_radius + 1
-        if side**4 < self.sample_count:
-            raise ValueError(
-                f"box radius {self.box_radius} has room for {side**4} "
-                f"duality samples, not {self.sample_count}"
-            )
-        spare = side**2 - sum(
-            max(map(abs, pair)) <= self.box_radius for pair in NONZERO_H3_SAMPLES
-        )
-        if spare < _CROSS_ROUTE_DRAWS:
-            raise ValueError(
-                f"box radius {self.box_radius} has room for {spare} "
-                f"cross-route draws, not {_CROSS_ROUTE_DRAWS}"
-            )
-
-    def rng(self, criterion: int) -> random.Random:
-        return random.Random(self.seed * 101 + criterion)
 
 
 @_record
@@ -186,7 +151,7 @@ class CriterionResult:
 
 @_record
 class AcceptanceReport:
-    config: AcceptanceConfig
+    seed: int
     results: tuple[CriterionResult, ...]
 
     @property
@@ -203,7 +168,7 @@ class AcceptanceReport:
 
     def to_dict(self, timed: bool = True) -> dict:
         return {
-            "seed": self.config.seed,
+            "seed": self.seed,
             "passed": self.passed,
             "criteria": [
                 {
@@ -223,7 +188,7 @@ class AcceptanceReport:
 # criterion 1: operator classification sweep
 
 
-def _check_operator_sweep(cfg: AcceptanceConfig) -> str:
+def _check_operator_sweep(rng: random.Random) -> str:
     sweep = abstract_sweep(max_rank=8)
     exists = {label for label, ok in sweep.items() if ok}
     if exists != {"A1", "A2", "BC1"}:
@@ -246,7 +211,7 @@ def _check_operator_sweep(cfg: AcceptanceConfig) -> str:
 # criterion 2: decomposition of the degree-three exterior power
 
 
-def _check_module_decomposition(cfg: AcceptanceConfig) -> str:
+def _check_module_decomposition(rng: random.Random) -> str:
     golden = load_fixture("module_summands.json")
     want = sorted(tuple(pair) for pair in golden["summands"])
     got = sorted((s.dim, s.cstar) for s in decompose_module())
@@ -271,7 +236,7 @@ def _covering_elements() -> dict[str, WeylElement]:
     return dict(zip(("w", "s5w", "s1w"), (c.w for c in covering_cells())))
 
 
-def _check_inversion_sets(cfg: AcceptanceConfig) -> str:
+def _check_inversion_sets(rng: random.Random) -> str:
     golden = load_fixture("inversion_sets.json")
     for name, w in _covering_elements().items():
         data = kl_sets(w)
@@ -287,14 +252,13 @@ def _check_inversion_sets(cfg: AcceptanceConfig) -> str:
 # criterion 4: extremal degrees of the unstable-stratum series
 
 
-def _check_weight_bounds(cfg: AcceptanceConfig) -> str:
+def _check_weight_bounds(rng: random.Random) -> str:
     golden = load_fixture("weight_bound_offsets.json")
-    width = cfg.window_width
     for k in range(0, 7):
-        windows = {"F1": (k, k + width), "F2": (k - width, k)}
+        windows = {"F1": (k, k + WINDOW_WIDTH), "F2": (k - WINDOW_WIDTH, k)}
         for comp in ("F1", "F2"):
             _, upper = unstable_character_bounds(
-                comp, k, windows[comp], height_cutoff=cfg.height_cutoff
+                comp, k, windows[comp], height_cutoff=DEFAULT_HEIGHT_CUTOFF
             )
             if not upper.terms:
                 raise _Mismatch(f"{comp} series empty at level {k}")
@@ -306,7 +270,7 @@ def _check_weight_bounds(cfg: AcceptanceConfig) -> str:
                     f"{comp} extremal degree {extreme} != {want} at level {k}"
                 )
     return (
-        f"for levels 0..6 on width-{width} windows, the F1 series starts at "
+        f"for levels 0..6 on width-{WINDOW_WIDTH} windows, the F1 series starts at "
         "k + 8 and the F2 series ends at k - 8"
     )
 
@@ -315,7 +279,7 @@ def _check_weight_bounds(cfg: AcceptanceConfig) -> str:
 # criterion 5: leading exponents of the boundary cells
 
 
-def _check_leading_exponents(cfg: AcceptanceConfig) -> str:
+def _check_leading_exponents(rng: random.Random) -> str:
     golden = load_fixture("leading_exponent_slopes.json")
     slopes = {name: tuple(golden[name]) for name in ("w", "s1w", "s5w")}
     combos = {
@@ -350,7 +314,7 @@ def _check_leading_exponents(cfg: AcceptanceConfig) -> str:
 # criterion 6: fixed-point combinatorics
 
 
-def _check_fixed_points(cfg: AcceptanceConfig) -> str:
+def _check_fixed_points(rng: random.Random) -> str:
     reps = coset_reps(GRASS_SYSTEM, LEVI)
     if len(reps) != 20:
         raise _Mismatch(f"|W^P| = {len(reps)} != 20")
@@ -406,10 +370,10 @@ def _coefficient_box(radius: int):
     return itertools.product(span, span, span, span)
 
 
-def _check_vanishing_profiles(cfg: AcceptanceConfig) -> str:
+def _check_vanishing_profiles(rng: random.Random) -> str:
     seen: set[Weight] = set()
     profiles: set[frozenset[int]] = set()
-    for coeffs in _coefficient_box(cfg.box_radius):
+    for coeffs in _coefficient_box(BOX_RADIUS):
         lam = spanning_weight(*coeffs)
         if lam in seen:
             continue
@@ -422,7 +386,7 @@ def _check_vanishing_profiles(cfg: AcceptanceConfig) -> str:
                 f"{sorted(ALLOWED_DEGREES)}"
             )
     return (
-        f"{len(seen)} line bundles in the radius-{cfg.box_radius} coefficient "
+        f"{len(seen)} line bundles in the radius-{BOX_RADIUS} coefficient "
         f"box; every nonvanishing degree lies in {{0, 3, 5, 8}} "
         f"({len(profiles)} distinct profiles)"
     )
@@ -447,9 +411,8 @@ def _sampled_coefficients(
     return out
 
 
-def _check_serre_duality(cfg: AcceptanceConfig) -> str:
-    rng = cfg.rng(8)
-    samples = _sampled_coefficients(rng, cfg.sample_count, cfg.box_radius)
+def _check_serre_duality(rng: random.Random) -> str:
+    samples = _sampled_coefficients(rng, DUALITY_SAMPLES, BOX_RADIUS)
     for coeffs in samples:
         lam = spanning_weight(*coeffs)
         for i in range(0, 9):
@@ -465,9 +428,9 @@ def _check_serre_duality(cfg: AcceptanceConfig) -> str:
 # criterion 9: cross-route multiplicity bounds
 
 
-def _check_cross_route(cfg: AcceptanceConfig) -> str:
+def _check_cross_route(rng: random.Random) -> str:
     drawn = _sampled_coefficients(
-        cfg.rng(9), _CROSS_ROUTE_DRAWS, cfg.box_radius, 2, NONZERO_H3_SAMPLES
+        rng, _CROSS_ROUTE_DRAWS, BOX_RADIUS, 2, NONZERO_H3_SAMPLES
     )
     pairs = [*NONZERO_H3_SAMPLES, *drawn]
     with_content = 0
@@ -573,7 +536,7 @@ def _characters_agree(
     return all(mu in produced.terms for mu in dominant)
 
 
-def _check_oracles(cfg: AcceptanceConfig) -> str:
+def _check_oracles(rng: random.Random) -> str:
     # irreducible characters against the alternating partition-count sum
     char_checks = 0
     for label in ("A1", "A2", "A2xA2"):
@@ -593,7 +556,6 @@ def _check_oracles(cfg: AcceptanceConfig) -> str:
     # those factors.  The floor sits in turn at the numerator degree and
     # one above it, where a clipped or overreaching floor shows; nothing
     # may be stored outside the certified region.
-    rng = cfg.rng(10)
     series_checks = 0
     for i, cell in enumerate(rng.sample(enumerate_cells(), 8)):
         k = rng.randint(-4, 4)
@@ -659,20 +621,19 @@ _CRITERIA: tuple[tuple[int, str, Callable, float | None], ...] = (
 
 
 def run_acceptance(
-    config: AcceptanceConfig | None = None,
-    stream: TextIOBase | None = None,
+    seed: int = DEFAULT_SEED, stream: TextIOBase | None = None
 ) -> AcceptanceReport:
     """Run all ten criteria and return the report.
 
+    Criterion ``number`` draws from ``random.Random(seed * 101 + number)``.
     When ``stream`` is given, one pass/fail line per criterion is written as
     soon as that criterion finishes, followed by a summary line.
     """
-    cfg = config or AcceptanceConfig()
     results: list[CriterionResult] = []
     for number, title, func, limit in _CRITERIA:
         start = time.perf_counter()
         try:
-            kind, detail = "ok", func(cfg)
+            kind, detail = "ok", func(random.Random(seed * 101 + number))
         except _Uncertified as exc:
             kind, detail = "certification", str(exc)
         except (FixtureError, _Mismatch) as exc:
@@ -687,7 +648,7 @@ def run_acceptance(
         results.append(result)
         if stream is not None:
             print(result.line(), file=stream, flush=True)
-    report = AcceptanceReport(cfg, tuple(results))
+    report = AcceptanceReport(seed, tuple(results))
     if stream is not None:
         print(report.lines()[-1], file=stream, flush=True)
     return report

@@ -25,7 +25,7 @@ Output is tab-separated rows whose first field names the row, or JSON
 (``--format json``) with sorted keys.  Either form is byte-identical
 across reruns with the same flags and seed; timings are omitted for that
 reason.  Exit codes: 0 success, 1 value mismatch, 2 certification
-failure (a truncation window or search box too small to decide), 3
+failure (a height cutoff or search box too small to decide), 3
 invalid input (a bad flag value or diagram), 4 internal error (a
 consistency guard or any other value check inside the library failed),
 141 when the reader of the output closes it early (``| head``).
@@ -42,7 +42,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from io import TextIOBase
 
-from .acceptance import DEFAULT_SEED, AcceptanceConfig, AcceptanceReport, run_acceptance
+from .acceptance import DEFAULT_SEED, AcceptanceReport, run_acceptance
 from .charring import DEFAULT_HEIGHT_CUTOFF, Character
 from .gitgrass import (
     all_plucker_indices,
@@ -132,9 +132,9 @@ def _parse_matrix(text: str) -> list[list[Fraction]]:
     return rows
 
 
-def _check_shared_flags(args: argparse.Namespace) -> None:
-    """Parse a given ``--window`` in place and range-check the
-    ``_SHARED_FLAGS`` the subcommand registers."""
+def _check_flags(args: argparse.Namespace) -> None:
+    """Parse a given ``--window`` in place and range-check the numeric
+    flags the subcommand registers."""
     if getattr(args, "window", None) is not None:
         args.window = _parse_window(args.window)
         if args.window[0] > args.window[1]:
@@ -242,11 +242,9 @@ def _cmd_classify(args, out: TextIOBase) -> int:
     if args.diagram is not None:
         label = args.diagram
         d = catalog_diagram(label)
-    elif args.spec is not None:
+    else:
         label = "(inline)"
         d = parse_diagram(args.spec.replace(";", "\n"))
-    else:
-        raise InputError("classify needs --diagram NAME or --spec TEXT")
     c = classify(d, bound=args.bound)
     payload = {
         "diagram": label,
@@ -454,7 +452,7 @@ def _cmd_cohomology(args, out: TextIOBase) -> int:
     }
     status = EXIT_OK
     if degree == 3:
-        report = cross_validate_h3(lam, args.window, args.height_cutoff)
+        report = cross_validate_h3(lam, args.height_cutoff)
         payload["cross_check"] = _cross_payload(report)
         if not report.certified:
             status = EXIT_CERTIFICATION
@@ -481,20 +479,7 @@ def _report_payload(report: AcceptanceReport) -> dict:
 
 
 def _cmd_acceptance(args, out: TextIOBase) -> int:
-    kwargs: dict = {"seed": args.seed}
-    if args.window is not None:
-        kwargs["window_width"] = args.window[1] - args.window[0]
-    if args.height_cutoff is not None:
-        kwargs["height_cutoff"] = args.height_cutoff
-    if args.box_radius is not None:
-        kwargs["box_radius"] = args.box_radius
-    if args.samples is not None:
-        kwargs["sample_count"] = args.samples
-    try:
-        config = AcceptanceConfig(**kwargs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    report = run_acceptance(config)
+    report = run_acceptance(args.seed)
     lines = ((line,) for line in report.lines(timed=False))
     _write(args, _report_payload(report), lines, out)
     return _acceptance_exit(report)
@@ -516,23 +501,8 @@ class _Parser(argparse.ArgumentParser):
             file.flush()
 
 
-# the flags that several subcommands read, each registered only on those
-_SHARED_FLAGS = {
-    "--window": dict(metavar="LO:HI", help="truncation window in scaling degrees"),
-    "--height-cutoff": dict(
-        metavar="H", type=int, help="denominator height cutoff for series expansions"
-    ),
-    "--box-radius": dict(
-        metavar="R",
-        type=int,
-        help="radius of the offset box (cohomology) or coefficient box (acceptance)",
-    ),
-}
-
-
-def _add_common(p: argparse.ArgumentParser, *flags: str, fmt: str = "tsv") -> None:
-    """Register ``--format``, defaulting to ``fmt``, and the named
-    ``_SHARED_FLAGS`` on ``p``."""
+def _add_format(p: argparse.ArgumentParser, fmt: str = "tsv") -> None:
+    """Register ``--format`` on ``p``, defaulting to ``fmt``."""
     p.add_argument(
         "--format",
         dest="fmt",
@@ -540,8 +510,6 @@ def _add_common(p: argparse.ArgumentParser, *flags: str, fmt: str = "tsv") -> No
         default=fmt,
         help="output format (default: tsv)",
     )
-    for flag in flags:
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -561,16 +529,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--diagram", metavar="NAME", help="show one catalog entry"
     )
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_satake)
 
     p = sub.add_parser(
         "classify", help="operator-existence verdict for a diagram"
     )
-    p.add_argument(
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument(
         "--diagram", metavar="NAME", help="catalog entry to classify"
     )
-    p.add_argument(
+    given.add_argument(
         "--spec",
         metavar="TEXT",
         help="inline diagram, ';'-separated directives "
@@ -582,13 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BOUND,
         help="exponent box for solution listing (default: %(default)s)",
     )
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser(
         "git", help="stability and strata of the 3-plane quotient model"
     )
-    _add_common(p)
+    _add_format(p)
     actions = p.add_subparsers(
         dest="action",
         required=True,
@@ -602,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         a = actions.add_parser(action)
         # --format may come before the action too; only a given one overrides
-        _add_common(a, fmt=argparse.SUPPRESS)
+        _add_format(a, argparse.SUPPRESS)
         a.set_defaults(func=func)
     actions.choices["stratify"].add_argument(
         "--matrix",
@@ -625,7 +594,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k", required=True, type=int, help="line bundle power"
     )
-    _add_common(p, "--window", "--height-cutoff")
+    _add_format(p)
+    p.add_argument(
+        "--window",
+        metavar="LO:HI",
+        help="truncation window in scaling degrees",
+    )
+    p.add_argument(
+        "--height-cutoff",
+        metavar="H",
+        type=int,
+        help="denominator height cutoff for series expansions",
+    )
     p.set_defaults(func=_cmd_schubert)
 
     p = sub.add_parser(
@@ -646,19 +626,27 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="cohomological degree (0..8)",
     )
-    _add_common(p, "--window", "--height-cutoff", "--box-radius")
+    _add_format(p)
+    p.add_argument(
+        "--height-cutoff",
+        metavar="H",
+        type=int,
+        help="denominator height cutoff of the degree-3 cross-check "
+        f"(default: the least from {DEFAULT_HEIGHT_CUTOFF} up that certifies "
+        "it); other degrees ignore it",
+    )
+    p.add_argument(
+        "--box-radius",
+        metavar="R",
+        type=int,
+        help="radius of the offset box to certify the enumeration in",
+    )
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser(
         "acceptance", help="run the end-to-end check suite"
     )
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="number of sampled weights for the duality check",
-    )
-    _add_common(p, "--window", "--height-cutoff", "--box-radius")
+    _add_format(p)
     p.add_argument(
         "--seed",
         type=int,
@@ -706,7 +694,7 @@ def main(
         parser = build_parser()
         with redirect_stdout(out):  # argparse prints --help itself
             args = parser.parse_args(_merge_signed_values(argv))
-        _check_shared_flags(args)
+        _check_flags(args)
         return args.func(args, out)
     except BrokenPipeError:
         if out is sys.stdout:  # keep the interpreter's final flush quiet

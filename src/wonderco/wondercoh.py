@@ -276,16 +276,17 @@ class CrossCheckReport:
     """Outcome of one degree-3 cross-check.
 
     ``rows`` holds (ambient weight, lower, found, upper) with ``found``
-    the multiplicity from the character formula; ``component`` names the
-    unstable strata whose scaling windows reach the grade; ``certified``
-    is False when a weight carrying formula content fell outside a
-    series' certified region, and ``ok`` means certified with every
-    comparison passing.  A subtracted-series lower bound is only valid
-    where its series are certified; elsewhere the sound lower bound is
-    zero and the raw positive entry is listed under ``unverified``
-    instead of being compared.  ``rows`` are in increasing order of their
-    weights and ``unverified`` is sorted, both as coordinate tuples, so
-    callers print them as they are.
+    the multiplicity from the character formula; ``window`` is the one
+    grade compared, ``(n, n)``; ``component`` names the unstable strata
+    whose scaling windows reach the grade; ``certified`` is False when
+    a weight carrying formula content fell outside a series' certified
+    region, and ``ok`` means certified with every comparison passing.
+    A subtracted-series lower bound is only valid where its series are
+    certified; elsewhere the sound lower bound is zero and the raw
+    positive entry is listed under ``unverified`` instead of being
+    compared.  ``rows`` are in increasing order of their weights and
+    ``unverified`` is sorted, both as coordinate tuples, so callers print
+    them as they are.
     """
 
     weight: Weight
@@ -319,9 +320,7 @@ def _ambient_weight(omega: Weight, n: int) -> Weight | None:
 
 
 def cross_validate_h3(
-    lam: Weight,
-    window: tuple[int, int] | None = None,
-    height_cutoff: int | None = None,
+    lam: Weight, height_cutoff: int | None = None
 ) -> CrossCheckReport:
     """Compare the degree-3 character against the unstable-locus slices.
 
@@ -342,12 +341,9 @@ def cross_validate_h3(
     Failures are reported rather than passed.  The auto cutoff is the
     least one, and at least the default, that certifies every formula
     weight, read off one height functional per open stratum with no
-    offset solved (``UnstableStratum.auto_cutoff``).  Only grade n is
-    compared, so the bounds are asked on the single-grade window whatever
-    ``window`` is.  This is exact: the cone pruning keeps every term of
-    degree n whenever the window contains n, and every formula weight has
-    degree n.  ``window`` only decides whether grade n is covered at all,
-    and is reported.
+    offset solved (``UnstableStratum.auto_cutoff``).  Every formula
+    weight has degree n, so the bounds are asked on the single-grade
+    window ``(n, n)``, which the report carries as its ``window``.
     """
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
@@ -356,22 +352,8 @@ def cross_validate_h3(
     f2_open = n <= -k - 8
     opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]
     component = "+".join(opened) or None
-    if window is None:
-        window = (n, n)
-    lo, hi = window
+    grade = (n, n)
     issues: list[str] = []
-
-    if not lo <= hi:
-        raise ValueError(f"empty window {window}")
-    if not lo <= n <= hi:
-        issues.append(
-            f"window {window} does not contain the scaling grade {n}; "
-            "nothing is certified"
-        )
-        return CrossCheckReport(
-            lam, k, n, window, height_cutoff or 0, component,
-            False, True, False, tuple(issues), (),
-        )
 
     if component is None:
         if h3:
@@ -380,7 +362,7 @@ def cross_validate_h3(
                 "the degree-3 character is nonzero"
             )
         return CrossCheckReport(
-            lam, k, n, window, height_cutoff or 0, component,
+            lam, k, n, grade, height_cutoff or 0, component,
             True, True, not issues, tuple(issues), (),
         )
 
@@ -400,7 +382,6 @@ def cross_validate_h3(
     cutoff = height_cutoff
     if cutoff is None:
         cutoff = max(s.auto_cutoff(needed) for s in strata.values())
-    grade = (n, n)
     positive, listed = {}, set()
     for comp, s in strata.items():
         positive[comp], uncertified = s.positive_bounds(grade, cutoff)
@@ -450,7 +431,7 @@ def cross_validate_h3(
 
     ok = certified and not issues
     return CrossCheckReport(
-        lam, k, n, window, cutoff, component,
+        lam, k, n, grade, cutoff, component,
         certified, at_most_one, ok, tuple(issues), tuple(rows),
         tuple(unverified),
     )

@@ -1,9 +1,8 @@
 """Test-side degree-3 cross-check that certifies weight by weight.
 
 An oracle for ``wondercoh.cross_validate_h3`` on bundles that an unstable
-stratum reaches, with a window containing the scaling grade.  It reads the
-bounds through ``unstable_character_bounds`` as ``Weight``-keyed characters
-and certifies every compared weight with ``is_certified`` in each of the
+stratum reaches.  It reads the bounds on the single-grade window through
+``unstable_character_bounds`` as ``Weight``-keyed characters and certifies every compared weight with ``is_certified`` in each of the
 three covering-cell series (swapped into the first stratum's frame for the
 mirror), and takes the auto cutoff as the largest offset height of a
 formula weight over all three numerators.  ``cross_validate_h3`` reads the
@@ -54,8 +53,8 @@ def every_numerator_cutoff(k, probes, f1_open, f2_open):
     return cutoff
 
 
-def reference_cross_h3(lam, window=None, height_cutoff=None):
-    """The report of ``cross_validate_h3(lam, window, height_cutoff=...)``."""
+def reference_cross_h3(lam, height_cutoff=None):
+    """The report of ``cross_validate_h3(lam, height_cutoff)``."""
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
     h3 = h_character(lam, 3)
@@ -63,8 +62,6 @@ def reference_cross_h3(lam, window=None, height_cutoff=None):
     labels = {(True, True): "F1+F2", (True, False): "F1", (False, True): "F2"}
     component = labels.get((f1_open, f2_open))
     assert component is not None, "the reference covers reached grades only"
-    window = window or (n, n)
-    assert window[0] <= n <= window[1]
     issues = []
     needed = {}
     for omega in sorted(h3.terms, key=lambda w: w.coords):
@@ -152,7 +149,7 @@ def reference_cross_h3(lam, window=None, height_cutoff=None):
     if not at_most_one:
         issues.append("both unstable strata carry certified content at this grade")
     return CrossCheckReport(
-        lam, k, n, window, cutoff, component,
+        lam, k, n, (n, n), cutoff, component,
         certified, at_most_one, certified and not issues, tuple(issues),
         tuple(rows), tuple(unverified),
     )

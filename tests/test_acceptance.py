@@ -10,7 +10,7 @@ import pytest
 
 from wonderco import acceptance, satake
 from wonderco.acceptance import (
-    AcceptanceConfig,
+    NONZERO_H3_SAMPLES,
     AcceptanceReport,
     FixtureError,
     _sampled_coefficients,
@@ -116,50 +116,52 @@ class TestDeterminism:
         assert len(set(a)) == 20
         assert all(abs(c) <= 5 for t in a for c in t)
 
-    def test_config_rng_isolated_per_criterion(self):
-        cfg = AcceptanceConfig(seed=3)
-        assert cfg.rng(8).random() == cfg.rng(8).random()
-        assert cfg.rng(8).random() != cfg.rng(9).random()
+    def test_config_rng_isolated_per_criterion(self, monkeypatch):
+        # criterion n draws from its own random.Random(seed * 101 + n),
+        # fresh on each run
+        drawn = []
+
+        def check(rng):
+            drawn.append(rng.random())
+            return "drawn"
+
+        criteria = ((8, "eight", check, None), (9, "nine", check, None))
+        monkeypatch.setattr(acceptance, "_CRITERIA", criteria)
+        run_acceptance(seed=3)
+        run_acceptance(seed=3)
+        eight, nine = (random.Random(3 * 101 + n).random() for n in (8, 9))
+        assert drawn == [eight, nine, eight, nine]
+        assert eight != nine
 
 
 class TestConfig:
     def test_defaults_match_published_settings(self):
-        cfg = AcceptanceConfig()
-        assert cfg.window_width == 40
-        assert cfg.height_cutoff == 12
-        assert cfg.box_radius == 5
-        assert cfg.sample_count == 50
-
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            AcceptanceConfig(window_width=0)
-        with pytest.raises(ValueError):
-            AcceptanceConfig(sample_count=0)
-
-    def test_rejects_box_too_small_for_its_draws(self):
-        # Serre duality draws distinct 4-tuples, the cross-route check 20
-        # distinct pairs besides its fixed samples, each from the box
-        for radius, samples in ((0, 1), (1, 2)):
-            with pytest.raises(ValueError, match="cross-route draws"):
-                AcceptanceConfig(box_radius=radius, sample_count=samples)
-        with pytest.raises(ValueError, match="room for 625 duality samples"):
-            AcceptanceConfig(box_radius=2, sample_count=626)
-        # at radius 2 each draw still finishes: 625 tuples, 25 pairs
-        cfg = AcceptanceConfig(box_radius=2, sample_count=625)
-        assert len(_sampled_coefficients(cfg.rng(8), 625, 2)) == 625
-        pairs = acceptance.NONZERO_H3_SAMPLES
-        assert len(_sampled_coefficients(cfg.rng(9), 20, 2, 2, pairs)) == 20
+        assert acceptance.WINDOW_WIDTH == 40
+        assert acceptance.DEFAULT_HEIGHT_CUTOFF == 12
+        assert acceptance.BOX_RADIUS == 5
+        assert acceptance.DUALITY_SAMPLES == 50
+        # the box has room for the distinct draws of both samplers, so each
+        # finishes: 50 of its 11**4 4-tuples for Serre duality, and 20 of
+        # its 11**2 pairs besides the fixed samples for the cross-route check
+        radius, seed = acceptance.BOX_RADIUS, acceptance.DEFAULT_SEED
+        samples = _sampled_coefficients(random.Random(seed * 101 + 8), 50, radius)
+        assert len(set(samples)) == 50
+        pairs = _sampled_coefficients(
+            random.Random(seed * 101 + 9), 20, radius, 2, NONZERO_H3_SAMPLES
+        )
+        assert len(set(pairs)) == 20 and not set(pairs) & set(NONZERO_H3_SAMPLES)
 
 
 class TestFixtures:
     def test_directory_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WONDERCO_FIXTURES", str(tmp_path))
-        assert fixtures_dir() == tmp_path
+        # load_fixture reads from fixtures_dir(); an empty one has nothing
+        assert fixtures_dir().name == "fixtures"
+        monkeypatch.setattr(acceptance, "fixtures_dir", lambda: tmp_path)
         with pytest.raises(FixtureError, match="cannot read"):
             load_fixture("inversion_sets.json")
 
     def test_malformed_fixture_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WONDERCO_FIXTURES", str(tmp_path))
+        monkeypatch.setattr(acceptance, "fixtures_dir", lambda: tmp_path)
         (tmp_path / "broken.json").write_text("[1, 2", encoding="utf-8")
         with pytest.raises(FixtureError, match="not valid JSON"):
             load_fixture("broken.json")
@@ -174,10 +176,10 @@ class TestFixtures:
         data = json.loads((tmp_path / "inversion_sets.json").read_text())
         data["w"]["K"][0] = [1, 1, 1, 1, 1]
         (tmp_path / "inversion_sets.json").write_text(json.dumps(data))
-        monkeypatch.setenv("WONDERCO_FIXTURES", str(tmp_path))
+        monkeypatch.setattr(acceptance, "fixtures_dir", lambda: tmp_path)
         # the engine alone, on the one criterion the tampered fixture feeds
         monkeypatch.setattr(acceptance, "_CRITERIA", acceptance._CRITERIA[2:3])
-        (result,) = run_acceptance(AcceptanceConfig()).results
+        (result,) = run_acceptance().results
         assert not result.passed
         assert result.kind == "mismatch"
         assert "K(w)" in result.detail
@@ -191,7 +193,7 @@ class TestFixtures:
         monkeypatch.setattr(acceptance, "_characters_agree", lambda *_: True)
         monkeypatch.setattr(acceptance, "_convolved_terms", lambda s: s.terms())
         monkeypatch.setattr(acceptance, "_CRITERIA", acceptance._CRITERIA[9:10])
-        (result,) = run_acceptance(AcceptanceConfig()).results
+        (result,) = run_acceptance().results
         satake.catalog_diagram.cache_clear()
         assert result.number == 10 and result.kind == "mismatch"
         assert result.detail == "bad-A3 does not induce an involution"
