@@ -365,15 +365,15 @@ def _check_fixed_points(rng: random.Random) -> str:
 # criterion 7: vanishing degrees over the coefficient box
 
 
-def _coefficient_box(radius: int):
-    span = range(-radius, radius + 1)
+def _coefficient_box():
+    span = range(-BOX_RADIUS, BOX_RADIUS + 1)
     return itertools.product(span, span, span, span)
 
 
 def _check_vanishing_profiles(rng: random.Random) -> str:
     seen: set[Weight] = set()
     profiles: set[frozenset[int]] = set()
-    for coeffs in _coefficient_box(BOX_RADIUS):
+    for coeffs in _coefficient_box():
         lam = spanning_weight(*coeffs)
         if lam in seen:
             continue
@@ -397,14 +397,14 @@ def _check_vanishing_profiles(rng: random.Random) -> str:
 
 
 def _sampled_coefficients(
-    rng: random.Random, count: int, radius: int, size: int = 4, taken=()
+    rng: random.Random, count: int, size: int = 4, taken=()
 ) -> list[tuple[int, ...]]:
-    """``count`` distinct draws from ``[-radius, radius]**size`` outside
-    ``taken``, in the order drawn."""
+    """``count`` distinct draws from ``[-BOX_RADIUS, BOX_RADIUS]**size``
+    outside ``taken``, in the order drawn."""
     seen = set(taken)
     out = []
     while len(out) < count:
-        coeffs = tuple(rng.randint(-radius, radius) for _ in range(size))
+        coeffs = tuple(rng.randint(-BOX_RADIUS, BOX_RADIUS) for _ in range(size))
         if coeffs not in seen:
             seen.add(coeffs)
             out.append(coeffs)
@@ -412,7 +412,7 @@ def _sampled_coefficients(
 
 
 def _check_serre_duality(rng: random.Random) -> str:
-    samples = _sampled_coefficients(rng, DUALITY_SAMPLES, BOX_RADIUS)
+    samples = _sampled_coefficients(rng, DUALITY_SAMPLES)
     for coeffs in samples:
         lam = spanning_weight(*coeffs)
         for i in range(0, 9):
@@ -429,9 +429,7 @@ def _check_serre_duality(rng: random.Random) -> str:
 
 
 def _check_cross_route(rng: random.Random) -> str:
-    drawn = _sampled_coefficients(
-        rng, _CROSS_ROUTE_DRAWS, BOX_RADIUS, 2, NONZERO_H3_SAMPLES
-    )
+    drawn = _sampled_coefficients(rng, _CROSS_ROUTE_DRAWS, 2, NONZERO_H3_SAMPLES)
     pairs = [*NONZERO_H3_SAMPLES, *drawn]
     with_content = 0
     for a1, a2 in pairs:

@@ -42,7 +42,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from io import TextIOBase
 
-from .acceptance import DEFAULT_SEED, AcceptanceReport, run_acceptance
+from .acceptance import DEFAULT_SEED, WINDOW_WIDTH, AcceptanceReport, run_acceptance
 from .charring import DEFAULT_HEIGHT_CUTOFF, Character
 from .gitgrass import (
     all_plucker_indices,
@@ -366,12 +366,9 @@ def _kempf_rows(payload: dict):
 def _cmd_schubert(args, out: TextIOBase) -> int:
     cell, k = args.cell, args.k
     cutoff = DEFAULT_HEIGHT_CUTOFF if args.height_cutoff is None else args.height_cutoff
-    if args.window is not None:
-        window = args.window
-    elif cell == "F1":
-        window = (k, k + 40)
-    else:
-        window = (k - 40, k)
+    window = args.window
+    if window is None:
+        window = (k, k + WINDOW_WIDTH) if cell == "F1" else (k - WINDOW_WIDTH, k)
     lower, upper = unstable_character_bounds(cell, k, window, cutoff)
     lower_dims = _degree_dimensions(lower)
     upper_dims = _degree_dimensions(upper)
@@ -592,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="unstable stratum",
     )
     p.add_argument(
-        "--k", required=True, type=int, help="line bundle power"
+        "--k", required=True, type=int, help="line bundle power; --cell F2 reads "
+        "the first stratum at -K, as the degree-3 check does for level -K bundles"
     )
     _add_format(p)
     p.add_argument(

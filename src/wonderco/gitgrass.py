@@ -5,9 +5,9 @@ e*_1..e*_3 (columns 1..3 and 4..6).  The one-parameter scaling group acts
 with weight +1 on V and -1 on V*; the two copies of SL_3 act on the
 blocks.  This module computes scaling weights of the 20 exterior-cube
 basis vectors, stability of 3-planes with respect to the scaling, the two
-unstable strata (too much intersection with one block), the block
-decomposition of the exterior cube, and the translation of block-diagonal
-weights into (line bundle power, scaling grade) pairs.
+unstable strata (too much intersection with one block), the exterior
+cube's blocks read off the Plucker basis, and the translation of
+block-diagonal weights into (line bundle power, scaling grade) pairs.
 
 All linear algebra is exact over rationals; points are canonicalized to
 reduced row-echelon form, so equality means equality of subspaces.
@@ -16,6 +16,7 @@ reduced row-echelon form, so equality means equality of subspaces.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .rootsys import Weight, _record, _rref
@@ -174,11 +175,13 @@ class Summand:
 
 
 def decompose_module() -> tuple[Summand, ...]:
-    return (
-        Summand(Weight((0, 0, 0, 0)), 3, 1),
-        Summand(Weight((0, 1, 0, 1)), 1, 9),
-        Summand(Weight((1, 0, 1, 0)), -1, 9),
-        Summand(Weight((0, 0, 0, 0)), -3, 1),
+    """The blocks by decreasing scaling weight: the basis vectors with ``a``
+    first-block factors span Lambda^a V (x) Lambda^(3-a) V*, of highest weight
+    the a-th fundamental weight on both factors (zero for a = 0 and 3)."""
+    blocks = Counter((cstar_weight(p), len(p.first)) for p in all_plucker_indices())
+    return tuple(
+        Summand(Weight((int(a == 1), int(a == 2)) * 2), cstar, dim)
+        for (cstar, a), dim in blocks.items()
     )
 
 
@@ -187,10 +190,9 @@ def decompose_module() -> tuple[Summand, ...]:
 
 @_record
 class SheafDescriptor:
-    """A block-diagonal weight together with its (line bundle power,
-    scaling grade) translation."""
+    """The (line bundle power, scaling grade) translation of a
+    block-diagonal weight."""
 
-    weight: Weight
     k: int
     n: int
 
@@ -211,4 +213,4 @@ def sheaf_correspondence(lam: Weight) -> SheafDescriptor:
     (1,-3) and (1,3).
     """
     f1, f2 = _diagonal_coords(lam)
-    return SheafDescriptor(lam, f1 + f2, f2 - f1)
+    return SheafDescriptor(f1 + f2, f2 - f1)

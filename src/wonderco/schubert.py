@@ -349,6 +349,7 @@ class _Cone(tuple):
         return tuple(map(tuple, _swap_blocks(self.image)))
 
 
+@_record
 class TruncatedSeries:
     """Windowed expansion of a cell character; see the module docstring.
 
@@ -357,32 +358,23 @@ class TruncatedSeries:
     ``bits``.  A term's degree is the numerator's plus
     ``key >> bits * rank``, and its offset height is the sum of its fields.
     ``cone`` holds ``(bits, packed)`` with their level-free read-off.
-    Fields are set once and ``packed`` is read-only, so a cached series
+    Fields cannot be set and ``packed`` is read-only, so a cached series
     cannot be altered.
     """
 
-    __slots__ = (
-        "numerator_exponent", "denominator", "window", "height_cutoff",
-        "cone", "bits", "packed",
-    )
+    numerator_exponent: Weight
+    denominator: tuple[Root, ...]
+    window: tuple[int, int]
+    height_cutoff: int
+    cone: _Cone
 
-    def __init__(
-        self, numerator_exponent: Weight, denominator: tuple[Root, ...],
-        window: tuple[int, int], height_cutoff: int, cone: _Cone,
-    ):
-        self.numerator_exponent = numerator_exponent
-        self.denominator = tuple(sorted(denominator))
-        self.window = window
-        self.height_cutoff = height_cutoff
-        self.cone = cone
-        self.bits, self.packed = cone
+    @property
+    def bits(self) -> int:
+        return self.cone[0]
 
-    def __setattr__(self, name, value):
-        if hasattr(self, name):
-            raise AttributeError(f"TruncatedSeries.{name} is read-only")
-        object.__setattr__(self, name, value)
-
-    # -- bookkeeping helpers
+    @property
+    def packed(self) -> Mapping[int, int]:
+        return self.cone[1]
 
     def weight_of(self, offset: tuple[int, ...]) -> Weight:
         return Weight(
@@ -524,7 +516,7 @@ def kempf_character(
     roots = kl_sets(w).J
     base = CSTAR_GRADING.degree(num)
     cone = _cone_keys(roots, (lo - base, hi - base), height_cutoff)
-    return TruncatedSeries(num, roots, window, height_cutoff, cone)
+    return TruncatedSeries(num, tuple(sorted(roots)), window, height_cutoff, cone)
 
 
 def _swap_blocks(cols: list) -> list:
@@ -623,6 +615,11 @@ class UnstableStratum:
             self._offsets[w] = root_lattice_coords(GRASS_SYSTEM, mu - self._top)
         return self._offsets[w]
 
+    def reaches(self, n: int) -> bool:
+        """Whether the series reach grade ``n``: the first stratum's start at
+        the open cell's numerator degree, ``k + 8``; the second's end at minus it."""
+        return (-n if self.component == "F2" else n) >= CSTAR_GRADING.degree(self._top)
+
     def auto_cutoff(self, weights: Iterable[Weight]) -> int:
         """The least cutoff, at least the default, certifying ``weights`` on
         the root lattice (off it they are exact at zero): offset heights are
@@ -683,7 +680,8 @@ def unstable_character_bounds(
 
     The upper bound is the character of the covering cell closure; the
     lower bound subtracts the two boundary-cell characters and floors at
-    zero; the second stratum at ``k`` is read off the first at ``-k``.
+    zero; the second stratum at ``k`` is read off the first at ``-k``, the
+    side the degree-3 cross-check reads for the bundles at level ``-k``.
     Bounds are exact zero below the first stratum's degree floor and above
     the second's ceiling; elsewhere they are valid within the height cutoff.
     """

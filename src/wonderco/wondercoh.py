@@ -326,11 +326,11 @@ def cross_validate_h3(
 
     The sheaf dictionary maps the bundle weight to a level k and scaling
     grade n; the degree-3 group equals the grade-n slice of the degree-4
-    local cohomology along the unstable strata.  The first stratum
-    reaches grades at or above k+8; the mirror stratum is the swapped
-    image of the first at the same level, so it reaches grades at or
-    below -k-8.  Each is read through :class:`schubert.UnstableStratum`,
-    which owns the frame, the bounds and their certification.
+    local cohomology along the unstable strata, read through
+    :class:`schubert.UnstableStratum`, which owns their reach, frame, bounds
+    and certification.  The mirror stratum is the swapped image of the
+    first at the same level, so it reaches the grades the first reaches,
+    negated.
 
     The compared weights are the formula weights and those with a
     certified positive lower bound on some open side; each side's bounds
@@ -348,10 +348,11 @@ def cross_validate_h3(
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
     h3 = h_character(lam, 3)
-    f1_open = n >= k + 8
-    f2_open = n <= -k - 8
-    opened = [c for c, is_open in (("F1", f1_open), ("F2", f2_open)) if is_open]
-    component = "+".join(opened) or None
+    # the mirror stratum at level k is the swapped first stratum at level k
+    strata = {
+        c: s for c in ("F1", "F2") if (s := UnstableStratum(c, k)).reaches(n)
+    }
+    component = "+".join(strata) or None
     grade = (n, n)
     issues: list[str] = []
 
@@ -377,8 +378,6 @@ def cross_validate_h3(
             continue
         needed[nu] = h3.terms[omega]
 
-    # the mirror stratum at level k is the swapped first stratum at level k
-    strata = {c: UnstableStratum(c, k) for c in opened}
     cutoff = height_cutoff
     if cutoff is None:
         cutoff = max(s.auto_cutoff(needed) for s in strata.values())

@@ -110,8 +110,8 @@ class TestReport:
 
 class TestDeterminism:
     def test_sampler_reproducible(self):
-        a = _sampled_coefficients(random.Random(7), 20, 5)
-        b = _sampled_coefficients(random.Random(7), 20, 5)
+        a = _sampled_coefficients(random.Random(7), 20)
+        b = _sampled_coefficients(random.Random(7), 20)
         assert a == b
         assert len(set(a)) == 20
         assert all(abs(c) <= 5 for t in a for c in t)
@@ -143,11 +143,11 @@ class TestConfig:
         # the box has room for the distinct draws of both samplers, so each
         # finishes: 50 of its 11**4 4-tuples for Serre duality, and 20 of
         # its 11**2 pairs besides the fixed samples for the cross-route check
-        radius, seed = acceptance.BOX_RADIUS, acceptance.DEFAULT_SEED
-        samples = _sampled_coefficients(random.Random(seed * 101 + 8), 50, radius)
+        seed = acceptance.DEFAULT_SEED
+        samples = _sampled_coefficients(random.Random(seed * 101 + 8), 50)
         assert len(set(samples)) == 50
         pairs = _sampled_coefficients(
-            random.Random(seed * 101 + 9), 20, radius, 2, NONZERO_H3_SAMPLES
+            random.Random(seed * 101 + 9), 20, 2, NONZERO_H3_SAMPLES
         )
         assert len(set(pairs)) == 20 and not set(pairs) & set(NONZERO_H3_SAMPLES)
 

@@ -696,7 +696,9 @@ CLI_OPTIONS = {
     "git module": {"--format": "JSON for scripts that read the summands"},
     "schubert": {
         "--cell": "names the stratum whose series is expanded",
-        "--k": "the line bundle power",
+        "--k": "the line bundle power; with --cell F2 the first stratum is read "
+        "at -k, the side the degree-3 cross-check reads for the bundles at "
+        "level -k",
         "--window": "the degrees shown; the windows of criterion 4 by default",
         "--height-cutoff": "widens the certified region of the expansion",
         "--format": "JSON for scripts that read the bounds",

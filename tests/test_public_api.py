@@ -296,22 +296,23 @@ UNPASSED_PARAMETERS = {
 }
 
 
-def unpassed_parameters() -> set[str]:
-    """``module.function(parameter)`` or ``module.Class.method(parameter)``
-    of each defaulted parameter of a module-level function or a method that
-    no call in the package passes, by keyword or by position.
+def signatures_and_calls(paths) -> tuple[list, dict]:
+    """The definitions and calls that the parameter scans read.
 
-    Only a parameter with a default can go unpassed by a call that runs.
-    Calls go by the callee's name, as the method scan goes by attribute
-    name: ``f(...)`` (through the module's ``from .x import`` names) and
-    ``x.f(...)`` both count for every function or method named ``f``, and
-    ``C(...)`` for ``C.__init__`` and ``C.__new__``, whose first parameter,
-    like a method's receiver, is not in the call.  A ``*args`` passes every
-    positional parameter from its place on, a ``**kwargs`` every parameter.
+    ``defs`` holds ``(key, called, arguments, receiver)`` for each
+    module-level function and method: ``module.function`` or
+    ``module.Class.method``, the name a call uses, its ``ast.arguments``,
+    and 1 where a call leaves out the first parameter (a method's receiver,
+    or ``C.__init__`` and ``C.__new__`` called as ``C(...)``), else 0.
+    ``calls`` maps a called name to the ``(args, keywords)`` of each call,
+    keywords by name (``None`` for a ``**kwargs``).  Calls go by the
+    callee's name, as the method scan goes by attribute name: ``f(...)``
+    (through the module's ``from .x import`` names) and ``x.f(...)`` both
+    count for every function or method named ``f``.
     """
     defs: list[tuple[str, str, ast.arguments, int]] = []
-    calls: dict[str, list[tuple[int, bool, set]]] = {}
-    for path in pathlib.Path(wonderco.__file__).parent.glob("*.py"):
+    calls: dict[str, list[tuple[list, dict]]] = {}
+    for path in paths:
         mod, tree = path.stem, ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -341,10 +342,26 @@ def unpassed_parameters() -> set[str]:
                 name = bound.get(func.id, func.id)
             else:
                 name = getattr(func, "attr", None)
-            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
-            given = starred[0] if starred else len(node.args)
-            keywords = {k.arg for k in node.keywords}  # None is a **kwargs
-            calls.setdefault(name, []).append((given, bool(starred), keywords))
+            keywords = {k.arg: k.value for k in node.keywords}
+            calls.setdefault(name, []).append((node.args, keywords))
+    return defs, calls
+
+
+def package_paths():
+    return pathlib.Path(wonderco.__file__).parent.glob("*.py")
+
+
+def unpassed_parameters() -> set[str]:
+    """``module.function(parameter)`` or ``module.Class.method(parameter)``
+    of each defaulted parameter of a module-level function or a method that
+    no call in the package passes, by keyword or by position.
+
+    Only a parameter with a default can go unpassed by a call that runs.
+    Calls go by name (:func:`signatures_and_calls`).  A ``*args`` passes
+    every positional parameter from its place on, a ``**kwargs`` every
+    parameter.
+    """
+    defs, calls = signatures_and_calls(package_paths())
     unpassed = set()
     for key, name, args, receiver in defs:
         positional = args.posonlyargs + args.args
@@ -357,8 +374,10 @@ def unpassed_parameters() -> set[str]:
             if not any(
                 param in keywords
                 or None in keywords
-                or (place is not None and (place < given or starred))
-                for given, starred, keywords in calls.get(name, ())
+                or (place is not None and (
+                    place < len(given) or any(isinstance(a, ast.Starred) for a in given)
+                ))
+                for given, keywords in calls.get(name, ())
             ):
                 unpassed.add(f"{key}({param})")
     return unpassed
@@ -368,6 +387,97 @@ def test_every_parameter_is_passed_or_has_a_reason():
     # a new defaulted parameter that no package call passes needs an entry
     # above
     assert unpassed_parameters() == set(UNPASSED_PARAMETERS)
+
+
+# parameters that every package call passes as one constant, each with why
+# it stays a parameter
+CONSTANT_PARAMETERS = {
+    "opcrit.joint_solution_set(bound)": "criterion 1 states its bound 12 at the "
+    "call; tests ask bounds 3 to 50 against a brute-force scan",
+    "opcrit.abstract_sweep(max_rank)": "criterion 1 states its rank 8 at the "
+    "call, next to the 'rank <= 8' of its detail line",
+    "schubert.component_cell(component)": "perfbench/queries.py calls "
+    "component_cell(\"F1\"); tests check that \"F2\" is refused",
+    "acceptance.AcceptanceReport.to_dict(timed)": "the CLI leaves the run times "
+    "out for byte-stable output; tests read them, and ROADMAP item 5 puts "
+    "counters behind timed=True",
+}
+
+
+def is_constant(node: ast.expr) -> bool:
+    """A literal, or an upper-case name: a module constant."""
+    if isinstance(node, ast.Name):
+        return node.id.isupper()
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def constant_parameters(paths) -> set[str]:
+    """``module.function(parameter)`` or ``module.Class.method(parameter)``
+    of each parameter that every call in ``paths`` passes explicitly, by
+    position or by keyword, as one and the same constant (:func:`is_constant`).
+
+    Calls go by name (:func:`signatures_and_calls`).  A parameter that no
+    call reaches, or that some call leaves to its default or passes through
+    ``*args`` or ``**kwargs``, is not flagged.
+    """
+    defs, calls = signatures_and_calls(paths)
+    flagged = set()
+    for key, name, args, receiver in defs:
+        positional = [a.arg for a in args.posonlyargs + args.args][receiver:]
+        places = dict(zip(positional, range(len(positional))))
+        for param in positional + [a.arg for a in args.kwonlyargs]:
+            values = []
+            for given, keywords in calls.get(name, ()):
+                starred = [i for i, a in enumerate(given) if isinstance(a, ast.Starred)]
+                explicit = given[: starred[0] if starred else len(given)]
+                if param in keywords:
+                    values.append(keywords[param])
+                elif places.get(param, len(explicit)) < len(explicit):
+                    values.append(explicit[places[param]])
+                else:
+                    break
+            else:
+                if all(map(is_constant, values)) and len({*map(ast.dump, values)}) == 1:
+                    flagged.add(f"{key}({param})")
+    return flagged
+
+
+def test_every_constant_parameter_has_a_reason():
+    # a parameter that every package call passes as one constant is a
+    # setting no caller varies; a new one needs an entry above
+    assert constant_parameters(package_paths()) == set(CONSTANT_PARAMETERS)
+
+
+def test_constant_parameter_scan_flags_each_form(tmp_path):
+    # a literal, an upper-case constant and a keyword pass are flagged; a
+    # varied, defaulted, starred or lower-case pass is not
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "LIMIT = 3\n"
+        "limit = 3\n"
+        "def f(a, b, c=0, d=1): pass\n"
+        "def g(x, y=2): pass\n"
+        "def h(u): pass\n"
+        "def k(v): pass\n"
+        "class K:\n"
+        "    def m(self, z): pass\n"
+        "f(1, LIMIT, c=None, d=limit)\n"
+        "f(1, LIMIT, c=None)\n"
+        "g(1)\n"
+        "g(2, 5)\n"
+        "h(1)\n"
+        "h(*[1])\n"
+        "k(limit)\n"
+        "K().m(-4)\n"
+        "K().m(z=-4)\n"
+    )
+    assert constant_parameters([probe]) == {
+        "probe.f(a)", "probe.f(b)", "probe.f(c)", "probe.K.m(z)",
+    }
 
 
 def unused_imports(path: pathlib.Path) -> list[str]:

@@ -554,7 +554,9 @@ def dataclass_twin(cls: type, body: set[str]) -> type:
 
 
 def test_record_scan_finds_the_package_records():
-    assert {"RootSystem", "WeylElement", "Grading", "PluckerIndex"} <= set(RECORDS)
+    assert {
+        "RootSystem", "WeylElement", "Grading", "PluckerIndex", "TruncatedSeries",
+    } <= set(RECORDS)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

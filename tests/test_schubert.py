@@ -868,6 +868,16 @@ class TestUnstableBounds:
         d2 = {CSTAR_GRADING.degree(w) for w in up2.terms}
         assert not d1 & d2
 
+    def test_reach_is_the_open_cell_numerator_degree(self):
+        # the grades the degree-3 cross-check opens a stratum at: the first
+        # from k + 8 up, the second, the swapped first at the same level,
+        # from -k - 8 down
+        for k in range(-30, 31):
+            first, second = UnstableStratum("F1", k), UnstableStratum("F2", k)
+            for n in range(-50, 51):
+                assert first.reaches(n) == (n >= k + 8), (k, n)
+                assert second.reaches(n) == (n <= -k - 8), (k, n)
+
     def test_cached_bounds_are_read_only(self):
         # the second stratum at -k on the reversed window reads the first
         # stratum's cached bounds at k

@@ -23,6 +23,7 @@ from wonderco.schubert import (
     covering_cells,
     kempf_character,
     swap_blocks_weight,
+    unstable_character_bounds,
 )
 from wonderco.wondercoh import (
     BoxTooSmallError,
@@ -704,6 +705,24 @@ class TestCrossValidation:
         assert rep.ok
         assert len(rep.rows) == 9
         assert all(low == found == up == 1 for _, low, found, up in rep.rows)
+
+    def test_mirror_side_is_f2_bounds_at_minus_the_level(self):
+        # unstable_character_bounds("F2", K, ...), which schubert kempf
+        # --cell F2 --k K prints, reads the first stratum at -K: the side
+        # the cross-check reads on the second stratum for the bundles at
+        # level -K.  Criterion 9's mirror samples, row by row
+        for coeffs, k, n, count in (((2, -4), -2, -6, 1), ((3, -4), -1, -7, 9)):
+            rep = cross_validate_h3(spanning_weight(*coeffs, 0, 0))
+            assert (rep.component, rep.k, rep.n, len(rep.rows)) == ("F2", k, n, count)
+            lower, upper = unstable_character_bounds(
+                "F2", -k, (n, n), rep.height_cutoff
+            )
+            assert [(nu, low, up) for nu, low, _, up in rep.rows] == [
+                (nu, lower.terms.get(nu, 0), upper.terms.get(nu, 0))
+                for nu, *_ in rep.rows
+            ]
+            _, same_level = unstable_character_bounds("F2", k, (n, n), rep.height_cutoff)
+            assert not same_level.terms
 
     def test_grade_matches_stratum_floor(self):
         # the smallest first-stratum example sits exactly on the
