@@ -213,11 +213,11 @@ def _check_operator_sweep(rng: random.Random) -> str:
 
 def _check_module_decomposition(rng: random.Random) -> str:
     golden = load_fixture("module_summands.json")
-    want = sorted(tuple(pair) for pair in golden["summands"])
-    got = sorted((s.dim, s.cstar) for s in decompose_module())
+    want = sorted((d, c, tuple(hw)) for d, c, hw in golden["summands"])
+    got = sorted((s.dim, s.cstar, s.highest_weight.coords) for s in decompose_module())
     if got != want:
-        raise _Mismatch(f"(dim, weight) pairs {got} != {want}")
-    total = sum(d for d, _ in got)
+        raise _Mismatch(f"(dim, weight, highest weight) summands {got} != {want}")
+    total = sum(d for d, *_ in got)
     if total != 20:
         raise _Mismatch(f"total dimension {total} != 20")
     return (

@@ -580,6 +580,22 @@ def _stratum_bounds(
     return top, tuple(lower)
 
 
+@lru_cache(maxsize=64)
+def _height_functionals(component: str, top: Weight) -> tuple:
+    """A stratum's offset-height and root-lattice functionals on ambient weights,
+    each with its value at ``top``, the open cell's numerator, and their
+    denominator: the integer inverse Cartan matrix's column sums and first row
+    (for A5 row j is j times the first modulo ``den``), composed with the frame."""
+    rows, den = _cartan_inverse(GRASS_SYSTEM)
+    for j, row in enumerate(rows, 1):
+        assert {(x - j * y) % den for x, y in zip(row, rows[0])} == {0}, "A5"
+    frame = swap_blocks_weight if component == "F2" else Weight
+    units = [frame(Weight(int(i == j) for j in range(5))) for i in range(5)]
+    dot = partial(map, operator.mul)
+    fs = ([sum(col) for col in zip(*rows)], rows[0])
+    return *((tuple(sum(dot(f, u)) for u in units), sum(dot(f, top))) for f in fs), den
+
+
 class UnstableStratum:
     """An unstable stratum read off the first-stratum series at ``level``:
     the one owner of the stratum read-off, in the first stratum's frame.
@@ -622,23 +638,20 @@ class UnstableStratum:
 
     def auto_cutoff(self, weights: Iterable[Weight]) -> int:
         """The least cutoff, at least the default, certifying ``weights`` on
-        the root lattice (off it they are exact at zero): offset heights are
-        the column sums of the integer inverse Cartan matrix, and for A5 its
-        first row decides the lattice (row j is j times it modulo the
-        denominator), both folded with the frame's swap and the numerator."""
-        rows, den = _cartan_inverse(GRASS_SYSTEM)
-        for j, row in enumerate(rows, 1):
-            assert {(x - j * y) % den for x, y in zip(row, rows[0])} == {0}, "A5"
-        dot = partial(map, operator.mul)
-        frame = swap_blocks_weight if self.component == "F2" else Weight
-        units = [frame(Weight(int(i == j) for j in range(5))) for i in range(5)]
-        sums = [sum(col) for col in zip(*rows)]
-        ht, lat = ([sum(dot(f, u)) for u in units] for f in (sums, rows[0]))
-        ht0, lat0 = (sum(dot(f, self._top)) for f in (sums, rows[0]))
-        return max([DEFAULT_HEIGHT_CUTOFF, *(
-            (sum(dot(ht, w)) - ht0) // den - self.slack
-            for w in weights if (sum(dot(lat, w)) - lat0) % den == 0
-        )])
+        the root lattice (off it they are exact at zero), read off the
+        stratum's :func:`_height_functionals` on the weights' columns."""
+        (ht, ht0), (lat, lat0), den = _height_functionals(self.component, self._top)
+        cols = list(zip(*weights)) or [()] * GRASS_SYSTEM.rank  # no weights: empty columns
+        # each functional on the columns, chained lazily
+        heights, lattice = (reduce(partial(map, operator.add), (
+            map(operator.mul, col, itertools.repeat(c)) for c, col in zip(f, cols)
+        )) for f in (ht, lat))
+        residues = map(operator.mod, lattice, itertools.repeat(den))
+        on = map(operator.eq, residues, itertools.repeat(lat0 % den))
+        highest = max(itertools.compress(heights, on), default=None)
+        if highest is None:
+            return DEFAULT_HEIGHT_CUTOFF
+        return max(DEFAULT_HEIGHT_CUTOFF, (highest - ht0) // den - self.slack)
 
     def certifies(self, w: Weight, window: tuple[int, int], height_cutoff: int) -> bool:
         """Whether all three covering-cell series certify ``w``; off the root
@@ -658,8 +671,8 @@ class UnstableStratum:
         kept = [m > 0 for m in lower]
         weights = list(top.weights(self.component == "F2", kept))
         cut = bisect_right(top.cone.heights, height_cutoff + self.slack)
-        rows = itertools.compress(zip(lower[:cut], top.packed.values()), kept)
-        certified = {w: (m, up, True) for w, (m, up) in zip(weights, rows)}
+        lows, ups = (itertools.compress(c, kept) for c in (lower[:cut], top.packed.values()))
+        certified = dict(zip(weights, zip(lows, ups, itertools.repeat(True))))
         return certified, weights[len(certified):]
 
     def bounds_at(self, w: Weight, window: tuple[int, int], height_cutoff: int):

@@ -18,6 +18,7 @@ reports exactly what was certified.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, repeat
 
 from .charring import Character, direct_sum_character
 from .gitgrass import _diagonal_coords, sheaf_correspondence
@@ -311,7 +312,7 @@ def _ambient_weight(omega: Weight, n: int) -> Weight | None:
     factor with the dual-side ambient block, so both factor coordinates
     flip before the middle coordinate is solved from the grade.
     """
-    g1, g2, g3, g4 = omega.coords
+    g1, g2, g3, g4 = omega
     f1, f2, f4, f5 = g2, g1, -g4, -g3
     rem = n - f1 - 2 * f2 - 2 * f4 - f5
     if rem % 3 != 0:
@@ -343,7 +344,9 @@ def cross_validate_h3(
     weight, read off one height functional per open stratum with no
     offset solved (``UnstableStratum.auto_cutoff``).  Every formula
     weight has degree n, so the bounds are asked on the single-grade
-    window ``(n, n)``, which the report carries as its ``window``.
+    window ``(n, n)``, which the report carries as its ``window``.  At
+    levels ``k <= -4`` the slack ``k + 3`` is negative and no positive entry
+    is certified: every lower bound there is 0, so the check is upper-bound only.
     """
     desc = sheaf_correspondence(lam)
     k, n = desc.k, desc.n
@@ -367,16 +370,13 @@ def cross_validate_h3(
             True, True, not issues, tuple(issues), (),
         )
 
-    needed: dict[Weight, int] = {}
-    for omega in sorted(h3.terms):
-        nu = _ambient_weight(omega, n)
-        if nu is None:
-            issues.append(
-                f"character weight {omega.coords} cannot arise at scaling "
-                f"grade {n}"
-            )
-            continue
-        needed[nu] = h3.terms[omega]
+    ambient = list(map(_ambient_weight, h3.terms, repeat(n)))
+    needed = dict(zip(ambient, h3.terms.values()))
+    if needed.pop(None, None) is not None:  # off-grade weights, sorted only then
+        issues += [
+            f"character weight {omega.coords} cannot arise at scaling grade {n}"
+            for omega in sorted(w for w, nu in zip(h3.terms, ambient) if nu is None)
+        ]
 
     cutoff = height_cutoff
     if cutoff is None:
@@ -385,30 +385,30 @@ def cross_validate_h3(
     for comp, s in strata.items():
         positive[comp], uncertified = s.positive_bounds(grade, cutoff)
         listed.update(uncertified)
-    compared = set(needed).union(*positive.values())
-    unverified = sorted(listed - compared)
+    compared = sorted(set(needed).union(*positive.values()))
+    unverified = sorted(listed.difference(compared))
 
     certified = True
     rows = []
     content_sides: set[str] = set()
-    for nu in sorted(compared):
+    # each side's bounds once per compared weight: a certified positive
+    # entry, or (0, upper, certified) read at the weight
+    sides = [
+        [pos.get(nu) or strata[comp].bounds_at(nu, grade, cutoff) for nu in compared]
+        for comp, pos in positive.items()
+    ]
+    for nu, at in zip(compared, zip(*sides)):
         found = needed.get(nu, 0)
-        # each side's bounds once: a certified positive entry, or
-        # (0, upper, certified) read at the weight
-        at = [
-            pos.get(nu) or strata[comp].bounds_at(nu, grade, cutoff)
-            for comp, pos in positive.items()
-        ]
-        if found and not all(cert for *_, cert in at):
+        lows, ups, certs = zip(*at)
+        if found and not all(certs):
             certified = False
             issues.append(
-                f"bounds at ambient weight {nu.coords} carrying "
-                f"formula content are not certified at height cutoff "
-                f"{cutoff}"
+                f"bounds at ambient weight {nu.coords} carrying formula content "
+                f"are not certified at height cutoff {cutoff}"
             )
             continue
         # only a certified positive entry has a nonzero lower bound
-        low, up = sum(m for m, *_ in at), sum(u for _, u, _ in at)
+        low, up = sum(lows), sum(ups)
         rows.append((nu, low, found, up))
         if not found:
             issues.append(
@@ -420,17 +420,14 @@ def cross_validate_h3(
                 f"multiplicity {found} at ambient weight {nu.coords} "
                 f"is outside [{low}, {up}]"
             )
-        content_sides.update(c for c, (m, *_) in zip(positive, at) if m)
+        content_sides.update(compress(positive, lows))
 
     at_most_one = len(content_sides) <= 1
     if not at_most_one:
-        issues.append(
-            "both unstable strata carry certified content at this grade"
-        )
+        issues.append("both unstable strata carry certified content at this grade")
 
-    ok = certified and not issues
     return CrossCheckReport(
         lam, k, n, grade, cutoff, component,
-        certified, at_most_one, ok, tuple(issues), tuple(rows),
+        certified, at_most_one, certified and not issues, tuple(issues), tuple(rows),
         tuple(unverified),
     )

@@ -184,6 +184,20 @@ class TestFixtures:
         assert result.kind == "mismatch"
         assert "K(w)" in result.detail
 
+    def test_swapped_block_weights_reported_as_mismatch(self, monkeypatch):
+        # the nine-dimensional blocks with their highest weights exchanged
+        # keep every (dimension, scaling weight) pair; criterion 2 compares
+        # each block's highest weight too
+        blocks = acceptance.decompose_module()
+        top = {s.cstar: s.highest_weight for s in blocks}
+        swapped = tuple(type(s)(top[-s.cstar], s.cstar, s.dim) for s in blocks)
+        assert swapped != blocks
+        monkeypatch.setattr(acceptance, "decompose_module", lambda: swapped)
+        monkeypatch.setattr(acceptance, "_CRITERIA", acceptance._CRITERIA[1:2])
+        (result,) = run_acceptance().results
+        assert result.number == 2 and result.kind == "mismatch"
+        assert result.detail.startswith("(dim, weight, highest weight) summands")
+
     def test_bad_catalog_involution_reported_as_mismatch(self, monkeypatch):
         # the arrow 1-2 of A3 squares to the identity but sends
         # alpha_2 + alpha_3 to -(alpha_1 + alpha_3), which is no root

@@ -768,21 +768,32 @@ class TestCrossValidation:
 
     def test_matches_per_weight_reference(self):
         # the radius-3 box bundles that a stratum reaches, |f1| + |f2| <= 11:
-        # a seeded sample of the one-stratum ones and every F1+F2 one, at
-        # the auto cutoff and at cutoff 8 (uncertified reports)
-        span = range(-3, 4)
-        one, both = [], []
+        # a seeded sample of the one-stratum ones, every F1+F2 one, and the
+        # row-heavy ones of the cross-h3 benchmark set (the radius-2 box,
+        # max(|f1|, |f2|) <= 6), those whose auto cutoff is above the
+        # default; at the auto cutoff and at cutoff 8 (uncertified reports)
+        one, both, heavy = [], [], []
+        radius2 = {
+            (a1 + 2 * b1 - b2, a2 - b1 + 2 * b2)
+            for a1, a2, b1, b2 in itertools.product(range(-2, 3), repeat=4)
+        }
         for f1, f2 in sorted({
             (a1 + 2 * b1 - b2, a2 - b1 + 2 * b2)
-            for a1, a2, b1, b2 in itertools.product(span, repeat=4)
+            for a1, a2, b1, b2 in itertools.product(range(-3, 4), repeat=4)
         }):
-            desc = sheaf_correspondence(diag(f1, f2))
+            lam = diag(f1, f2)
+            desc = sheaf_correspondence(lam)
             f1_open, f2_open = desc.n >= desc.k + 8, desc.n <= -desc.k - 8
             if abs(f1) + abs(f2) <= 11 and (f1_open or f2_open):
-                (both if f1_open and f2_open else one).append(diag(f1, f2))
-        assert (len(one), len(both)) == (94, 10)
+                (both if f1_open and f2_open else one).append(lam)
+                if (f1, f2) in radius2 and max(abs(f1), abs(f2)) <= 6:
+                    probes = {_ambient_weight(w, desc.n) for w in h_character(lam, 3).terms}
+                    cutoff = every_numerator_cutoff(desc.k, probes - {None}, f1_open, f2_open)
+                    if cutoff > DEFAULT_HEIGHT_CUTOFF:
+                        heavy.append(lam)
+        assert (len(one), len(both), len(heavy)) == (94, 10, 8)
         seen = set()
-        for lam in random.Random(15).sample(one, 24) + both:
+        for lam in random.Random(15).sample(one, 24) + both + heavy:
             for cutoff in (None, 8):
                 rep = cross_validate_h3(lam, height_cutoff=cutoff)
                 assert rep == reference_cross_h3(lam, cutoff), (lam, cutoff)
@@ -794,8 +805,9 @@ class TestCrossValidation:
 
     def test_failure_paths_match_reference(self, monkeypatch):
         # a wrong formula must fail the same way on both routes, issue
-        # order included: drop a component of the degree-3 module, or raise
-        # one multiplicity by one where it meets its upper bound.  The
+        # order included: drop a component of the degree-3 module, raise
+        # one multiplicity by one where it meets its upper bound, or add
+        # weights off the scaling grade, listed in reverse order.  The
         # F1+F2 bundle's group is zero; it is raised at a listed entry that
         # the first stratum cannot certify at cutoff 8 and the mirror can,
         # which makes that entry formula content: not certified at cutoff
@@ -824,9 +836,16 @@ class TestCrossValidation:
             terms[raised[lam]] = terms.get(raised[lam], 0) + 1
             return terms
 
+        def add_off_grade(lam, terms):
+            # (g, 0, 0, 0) sits at grade n only when 3 divides n - 2g
+            n = sheaf_correspondence(lam).n
+            off = [Weight((g, 0, 0, 0)) for g in range(4, -5, -1) if (n - 2 * g) % 3]
+            return {**terms, **dict.fromkeys(off, 1)}
+
         real = wondercoh.h_character
+        names = ("vanishes there", "is outside", "not certified", "cannot arise")
         kinds = set()
-        for change in (drop_component, raise_multiplicity):
+        for change in (drop_component, raise_multiplicity, add_off_grade):
 
             def perturbed(lam, i, change=change):
                 ch = real(lam, i)
@@ -845,10 +864,10 @@ class TestCrossValidation:
                         assert rep == want, (change.__name__, lam, cutoff)
                         kinds |= {
                             kind
-                            for kind in ("vanishes there", "is outside", "not certified")
+                            for kind in names
                             if any(kind in issue for issue in rep.issues)
                         }
-        assert kinds == {"vanishes there", "is outside", "not certified"}
+        assert kinds == set(names)
 
     def test_entry_certified_on_another_side_is_compared(self, monkeypatch):
         # an entry one side cannot certify is listed only while no other
