@@ -252,14 +252,17 @@ def _check_inversion_sets(rng: random.Random) -> str:
 # criterion 4: extremal degrees of the unstable-stratum series
 
 
+def bounds_window(component: str, k: int) -> tuple[int, int]:
+    """The criterion-4 window at level ``k``: up from ``k`` on F1, down on F2."""
+    return (k, k + WINDOW_WIDTH) if component == "F1" else (k - WINDOW_WIDTH, k)
+
+
 def _check_weight_bounds(rng: random.Random) -> str:
     golden = load_fixture("weight_bound_offsets.json")
     for k in range(0, 7):
-        windows = {"F1": (k, k + WINDOW_WIDTH), "F2": (k - WINDOW_WIDTH, k)}
         for comp in ("F1", "F2"):
-            _, upper = unstable_character_bounds(
-                comp, k, windows[comp], height_cutoff=DEFAULT_HEIGHT_CUTOFF
-            )
+            window = bounds_window(comp, k)
+            _, upper = unstable_character_bounds(comp, k, window, DEFAULT_HEIGHT_CUTOFF)
             if not upper.terms:
                 raise _Mismatch(f"{comp} series empty at level {k}")
             degrees = [CSTAR_GRADING.degree(w) for w in upper.terms]

@@ -42,7 +42,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from io import TextIOBase
 
-from .acceptance import DEFAULT_SEED, WINDOW_WIDTH, AcceptanceReport, run_acceptance
+from .acceptance import DEFAULT_SEED, AcceptanceReport, bounds_window, run_acceptance
 from .charring import DEFAULT_HEIGHT_CUTOFF, Character
 from .gitgrass import (
     all_plucker_indices,
@@ -366,12 +366,9 @@ def _kempf_rows(payload: dict):
 def _cmd_schubert(args, out: TextIOBase) -> int:
     cell, k = args.cell, args.k
     cutoff = DEFAULT_HEIGHT_CUTOFF if args.height_cutoff is None else args.height_cutoff
-    window = args.window
-    if window is None:
-        window = (k, k + WINDOW_WIDTH) if cell == "F1" else (k - WINDOW_WIDTH, k)
-    lower, upper = unstable_character_bounds(cell, k, window, cutoff)
-    lower_dims = _degree_dimensions(lower)
-    upper_dims = _degree_dimensions(upper)
+    window = bounds_window(cell, k) if args.window is None else args.window
+    bounds = unstable_character_bounds(cell, k, window, cutoff)
+    lower_dims, upper_dims = map(_degree_dimensions, bounds)
     payload = {
         "cell": cell,
         "k": k,

@@ -30,9 +30,10 @@ to the numerator degree, and every level on that relative window shares
 it, with its read-off (:class:`_Cone`): a level's weights are the cone's
 Cartan image plus its numerator.  A window with its floor below the
 numerator degree, whatever its top, is a cut of one full cone per cell and
-cutoff, read-off included.  :class:`UnstableStratum` owns the read-off of
-both strata: their frame, their cached bounds (shared by a stratum and its
-mirror) and their certification.  No other module reads packed series.
+cutoff, read-off included.  Both are in the first stratum's frame:
+:class:`UnstableStratum` alone maps a read-off into the second's, and owns
+the strata's cached bounds (shared by a stratum and its mirror) and their
+certification.  No other module reads packed series.
 """
 
 from __future__ import annotations
@@ -292,8 +293,8 @@ class _Cone(tuple):
     """The pair ``(bits, packed)`` of :func:`_cone_keys` and the read-off all
     levels on its relative window share, as tuples built once and never set:
     the offsets per simple root in ``packed`` order (``columns``), their
-    heights (nondecreasing), their Cartan image and its block swap.  A cone
-    is folded, or :meth:`cut` from a parent, whose read-offs it compresses."""
+    heights (nondecreasing) and their Cartan image.  A cone is folded, or
+    :meth:`cut` from a parent, whose read-offs it compresses."""
 
     def __new__(cls, bits: int, packed: Mapping[int, int]):
         return super().__new__(cls, (bits, MappingProxyType(packed)))
@@ -342,12 +343,6 @@ class _Cone(tuple):
             image.append(tuple(acc))
         return tuple(image)
 
-    @cached_property
-    def swapped_image(self) -> tuple[tuple[int, ...], ...]:
-        if self._of_parent:
-            return self._of_parent("swapped_image")
-        return tuple(map(tuple, _swap_blocks(self.image)))
-
 
 @_record
 class TruncatedSeries:
@@ -382,20 +377,17 @@ class TruncatedSeries:
             for b, row in zip(self.numerator_exponent, GRASS_SYSTEM.cartan)
         )
 
-    def weights(self, swapped: bool = False, kept=None) -> Iterator[Weight]:
-        """The weights of the terms, or of those ``kept`` selects: image
-        column i plus the numerator's coordinate i, the column itself where
-        that is 0; swapped, the swapped numerator on the swapped image."""
+    def weight_columns(self, kept=None) -> list[Iterable[int]]:
+        """The weights' coordinates, of every term or of those ``kept`` selects:
+        image column i plus numerator coordinate i (the column where that is 0)."""
         num, image = self.numerator_exponent, self.cone.image
-        if swapped:
-            num, image = swap_blocks_weight(num), self.cone.swapped_image
         if kept is not None:
-            image = [list(itertools.compress(col, kept)) for col in image]
-        cols = [
-            col if not b else map(operator.add, col, itertools.repeat(b))
-            for b, col in zip(num, image)
-        ]
-        return map(Weight, zip(*cols))
+            image = [itertools.compress(col, kept) for col in image]
+        shift = partial(map, operator.add)
+        return [shift(col, itertools.repeat(b)) if b else col for b, col in zip(num, image)]
+
+    def weights(self, kept=None) -> Iterator[Weight]:
+        return map(Weight, zip(*self.weight_columns(kept)))
 
     def terms(self) -> dict[Weight, int]:
         """The stored terms keyed by their weights."""
@@ -519,26 +511,13 @@ def kempf_character(
     return TruncatedSeries(num, tuple(sorted(roots)), window, height_cutoff, cone)
 
 
-def _swap_blocks(cols: list) -> list:
-    """The block swap on weight coordinates given as columns (sequences of
-    equal length, one per fundamental coordinate).
-
-    With eps_j = mu_j + ... + mu_5 the coordinate-line values, the swap
-    sends eps to (eps_4, eps_5, eps_6 = 0, eps_1, eps_2, eps_3); taking
-    consecutive differences again gives (mu_4, mu_5, -sum(mu), mu_1, mu_2).
-    """
-    c0, c1, _, c3, c4 = cols
-    total = reduce(partial(map, operator.add), cols)  # sum(mu), chained lazily
-    return [c3, c4, list(map(operator.neg, total)), c0, c1]
-
-
 def swap_blocks_weight(mu: Weight) -> Weight:
     """Weight action of the block swap exchanging e_i and e*_i.
 
     As a permutation of the six coordinate lines it is the product of the
     longest Weyl element with the Levi longest element, and sends ``mu`` to
-    ``(mu_4, mu_5, -sum(mu), mu_1, mu_2)``; :func:`_swap_blocks` is the
-    same map on columns.
+    ``(mu_4, mu_5, -sum(mu), mu_1, mu_2)``; ``UnstableStratum._weights``
+    is the same map on a read-off's columns.
     """
     m1, m2, m3, m4, m5 = mu
     return Weight((m4, m5, -(m1 + m2 + m3 + m4 + m5), m1, m2))
@@ -598,17 +577,16 @@ def _height_functionals(component: str, top: Weight) -> tuple:
 
 class UnstableStratum:
     """An unstable stratum read off the first-stratum series at ``level``:
-    the one owner of the stratum read-off, in the first stratum's frame.
+    the one owner of the stratum read-off and of the second stratum's frame.
 
     The second stratum at ``k`` is the block swap's image of the first at
-    ``-k`` on the reversed window, so it has ``level`` ``-k``, and
-    windows reverse and weights swap on the way in and out.  All three
-    covering-cell series share one window and one cutoff, so they certify a
-    weight exactly when its degree is in the window and its offset height
-    over the open cell's numerator is at most the cutoff plus ``slack``,
-    the least height of a boundary numerator's shift (0 if none is
-    negative).  The open cell's numerator is read once; offsets from it are
-    solved, and kept, only for the packed keys :meth:`bounds_at` reads.
+    ``-k`` on the reversed window, so it has ``level`` ``-k``; windows
+    reverse and weights swap on the way in and out.  All three covering-cell
+    series share one window and one cutoff, so they certify a weight exactly
+    when its degree is in the window and its offset height over the open
+    cell's numerator is at most the cutoff plus ``slack``, the least height
+    of a boundary numerator's shift (0 if none is negative).  No offset is
+    kept: :meth:`bounds_at` solves one per weight, for its key.
     """
 
     def __init__(self, component: str, level: int):
@@ -618,18 +596,27 @@ class UnstableStratum:
         self.level = level
         self.slack = min(0, *map(sum, _boundary_shifts(self.level)))
         self._top = _numerator(covering_cells()[0].w, self.level)
-        self._offsets: dict[Weight, tuple[int, ...] | None] = {}
 
     def _read(self, window: tuple[int, int], height_cutoff: int):
         if self.component == "F2":
             window = (-window[1], -window[0])
         return _stratum_bounds(self.level, window, height_cutoff)
 
-    def _offset(self, w: Weight) -> tuple[int, ...] | None:
-        if w not in self._offsets:
-            mu = swap_blocks_weight(w) if self.component == "F2" else w
-            self._offsets[w] = root_lattice_coords(GRASS_SYSTEM, mu - self._top)
-        return self._offsets[w]
+    def _weights(self, top: TruncatedSeries, kept=None) -> Iterator[Weight]:
+        """The weights of ``top``'s terms, or of those ``kept`` selects, in the
+        stratum's frame.  Swapped: weight columns 3, 4, 0, 1 around minus the
+        numerator's sum and offset columns 0 and 4, where Cartan columns sum to 1."""
+        if self.component == "F1":
+            return top.weights(kept)
+        sums = [sum(col) for col in zip(*GRASS_SYSTEM.cartan)]
+        assert sums == [1, 0, 0, 0, 1], "A5 Cartan column sums"
+        c0, c4 = itertools.compress(top.cone.columns, sums)
+        if kept is not None:
+            c0, c4 = (itertools.compress(col, kept) for col in (c0, c4))
+        start = itertools.repeat(-sum(top.numerator_exponent))
+        w0, w1, _, w3, w4 = top.weight_columns(kept)
+        middle = map(operator.sub, start, map(operator.add, c0, c4))
+        return map(Weight, zip(w3, w4, middle, w0, w1))
 
     def reaches(self, n: int) -> bool:
         """Whether the series reach grade ``n``: the first stratum's start at
@@ -654,12 +641,14 @@ class UnstableStratum:
         return max(DEFAULT_HEIGHT_CUTOFF, (highest - ht0) // den - self.slack)
 
     def certifies(self, w: Weight, window: tuple[int, int], height_cutoff: int) -> bool:
-        """Whether all three covering-cell series certify ``w``; off the root
-        lattice every series is exact, at zero."""
+        """Whether all three covering-cell series certify ``w``, read off the
+        :func:`_height_functionals`; off the root lattice they are exact, at zero."""
         if not window[0] <= CSTAR_GRADING.degree(w) <= window[1]:
             return False
-        off = self._offset(w)
-        return off is None or sum(off) <= height_cutoff + self.slack
+        (ht, ht0), (lat, lat0), den = _height_functionals(self.component, self._top)
+        if (sum(map(operator.mul, lat, w)) - lat0) % den:
+            return True
+        return (sum(map(operator.mul, ht, w)) - ht0) // den <= height_cutoff + self.slack
 
     def positive_bounds(self, window: tuple[int, int], height_cutoff: int) -> tuple:
         """The terms with a positive lower bound, split by certification: a
@@ -669,16 +658,17 @@ class UnstableStratum:
         the cone's heights, at the cutoff plus ``slack``."""
         top, lower = self._read(window, height_cutoff)
         kept = [m > 0 for m in lower]
-        weights = list(top.weights(self.component == "F2", kept))
+        weights = list(self._weights(top, kept))
         cut = bisect_right(top.cone.heights, height_cutoff + self.slack)
         lows, ups = (itertools.compress(c, kept) for c in (lower[:cut], top.packed.values()))
         certified = dict(zip(weights, zip(lows, ups, itertools.repeat(True))))
         return certified, weights[len(certified):]
 
     def bounds_at(self, w: Weight, window: tuple[int, int], height_cutoff: int):
-        """(0, upper, certified) at a weight without a certified positive
-        lower bound."""
-        off, top = self._offset(w), self._read(window, height_cutoff)[0]
+        """(0, upper, certified) at a weight without a certified positive lower bound."""
+        mu = swap_blocks_weight(w) if self.component == "F2" else w
+        off = root_lattice_coords(GRASS_SYSTEM, mu - self._top)
+        top = self._read(window, height_cutoff)[0]
         upper = 0 if off is None else top.packed.get(top._key_of(off), 0)
         return 0, upper, self.certifies(w, window, height_cutoff)
 
@@ -700,7 +690,7 @@ def unstable_character_bounds(
     """
     stratum = UnstableStratum(component, -k if component == "F2" else k)
     top, lower = stratum._read(window, height_cutoff)
-    weights = list(top.weights(stratum.component == "F2"))
+    weights = list(stratum._weights(top))
     return (
         Character((w, m) for w, m in zip(weights, lower) if m > 0),
         Character(zip(weights, top.packed.values())),

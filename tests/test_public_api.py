@@ -66,7 +66,7 @@ def test_character_kernel_imports_no_fractions(name):
 def test_stratum_read_off_has_one_owner():
     # schubert alone knows the packed-series format and the stratum frame;
     # the degree-3 cross-check reads them through public schubert names
-    packed = {"packed", "_key_of", "cone", "image", "swapped_image", "weights"}
+    packed = {"packed", "_key_of", "cone", "image", "weight_columns", "weights"}
     private = {"_stratum_bounds", "_stratum_weights", "_Cone", "TruncatedSeries"}
     for name in MODULES:
         if name == "schubert":

@@ -170,7 +170,9 @@ def per_term_positive_bounds(stratum, window, cutoff):
     each term with a positive lower bound certified by the sum of its
     offset columns against the cutoff plus the slack."""
     top, lower = stratum._read(window, cutoff)
-    weights = top.weights(stratum.component == "F2")
+    weights = top.weights()
+    if stratum.component == "F2":
+        weights = map(swap_blocks_weight, weights)
     offsets = zip(*top.cone.columns)
     certified, rest = {}, []
     for w, m, up, off in zip(weights, lower, top.packed.values(), offsets):
@@ -608,9 +610,8 @@ class TestKempfSeries:
         # series equals the uncached fold at its own level, on a wide
         # window, one whose floor is below the numerator degree, a single
         # grade and one wholly below the support.  They also share the
-        # cone's read-off: the same offset columns, Cartan image and
-        # swapped image.  Two levels on one absolute window get different
-        # cones.
+        # cone's read-off: the same offset columns and Cartan image.  Two
+        # levels on one absolute window get different cones.
         cutoff = 9
         for cell in covering_cells():
             roots = kl_sets(cell.w).J
@@ -635,7 +636,7 @@ class TestKempfSeries:
             for lo, hi in ((0, 12), (-5, 6), (4, 4), (-12, -3)):
                 low, high = (built(k, (b + lo, b + hi)) for k, b in bases.items())
                 assert low.packed is high.packed, (cell.fixed_point, (lo, hi))
-                for name in ("columns", "image", "swapped_image"):
+                for name in ("columns", "image"):
                     got = getattr(low.cone, name)
                     assert got is getattr(high.cone, name), (name, (lo, hi))
                     assert all(type(col) is tuple for col in got)
@@ -722,7 +723,7 @@ class TestConeCut:
                     where = (cell.fixed_point, (lo, hi))
                     assert got[0] == want[0], where
                     assert list(got[1].items()) == list(want[1].items()), where
-                    for name in ("columns", "image", "swapped_image", "heights"):
+                    for name in ("columns", "image", "heights"):
                         assert getattr(got, name) == getattr(want, name), (name, where)
                     if hi >= reach:
                         assert got is full, where
@@ -735,7 +736,7 @@ class TestConeCut:
         cone = _cone_keys(roots, (-8, 2), 12)
         full = _cone_keys(roots, (0, reach_of(roots, 12)), 12)
         assert 0 < len(cone[1]) < len(full[1])
-        for name in ("columns", "image", "swapped_image"):
+        for name in ("columns", "image"):
             got = getattr(cone, name)
             assert type(got) is tuple and all(type(col) is tuple for col in got)
             assert len(got) == GRASS_SYSTEM.rank
@@ -743,7 +744,7 @@ class TestConeCut:
             with pytest.raises(TypeError):
                 got[0] = ()
         assert type(cone.heights) is tuple
-        names = ("columns", "heights", "image", "swapped_image", "cut", "_of_parent")
+        names = ("columns", "heights", "image", "cut", "_of_parent")
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(cone, name, ())
@@ -793,7 +794,6 @@ class TestConeCut:
         assert all(cone._of_parent is None for cone in folded)
         assert sum("columns" in vars(cone) for cone in folded) == 1
         assert sum("image" in vars(cone) for cone in folded) == 1
-        assert sum("swapped_image" in vars(cone) for cone in folded) == 1
 
 
 class TestBlockSwap:
@@ -827,6 +827,38 @@ class TestBlockSwap:
             assert CSTAR_GRADING.degree(
                 swap_blocks_weight(mu)
             ) == -CSTAR_GRADING.degree(mu)
+
+    @pytest.mark.parametrize("cutoff", [0, 4, 12, 17])
+    def test_stratum_frame_matches_weight_swap(self, cutoff):
+        # the second stratum maps a read-off into its frame column by
+        # column; weight by weight, it is the block swap of each first-frame
+        # weight, on every cell's J set, on folded cones (floor at or above
+        # the numerator degree) and on cuts (floor below it, top below the
+        # reach), for every term and through a mask keeping every third
+        second = UnstableStratum("F2", 2)
+        seen = set()
+        for i, cell in enumerate(enumerate_cells()):
+            reach = reach_of(kl_sets(cell.w).J, cutoff)
+            k = (-5, 2)[i % 2]
+            base = CSTAR_GRADING.degree(numerator_weight(cell.w, k))
+            for lo, hi in ((0, 4), (3, 5), (-5, 3), (-9, 1)):
+                top = kempf_character(cell.w, k, (base + lo, base + hi), cutoff)
+                offsets = list(zip(*top.cone.columns))
+                third = [j % 3 == 0 for j in range(len(offsets))]
+                first = list(top.weights())
+                assert first == list(map(top.weight_of, offsets))
+                for kept, want in ((None, first), (third, itertools.compress(first, third))):
+                    got = list(second._weights(top, kept))
+                    where = (cell.fixed_point, k, (lo, hi), kept is None)
+                    assert got == list(map(swap_blocks_weight, want)), where
+                cut = top.cone._of_parent is not None
+                assert cut == (lo < 0 and hi < reach), (cell.fixed_point, (lo, hi))
+                seen.add((cut, len(offsets) > 3))
+        # at cutoff 0 every cone is its one term at offset 0: nothing to cut
+        if cutoff:
+            assert {(False, True), (True, True)} <= seen
+        else:
+            assert seen == {(False, False)}
 
 
 class TestUnstableBounds:
@@ -902,7 +934,7 @@ class TestUnstableBounds:
                 seq[0] = 0
         with pytest.raises(TypeError):
             top.packed[0] = 1
-        for name in ("columns", "heights", "image", "swapped_image", "bits"):
+        for name in ("columns", "heights", "image", "bits"):
             with pytest.raises(AttributeError):
                 setattr(top.cone, name, ())
 

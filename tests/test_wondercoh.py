@@ -16,9 +16,15 @@ from wonderco.charring import (
     weyl_character,
 )
 from wonderco.gitgrass import sheaf_correspondence
-from wonderco.rootsys import Weight, build_root_system, dominant_representative
+from wonderco.rootsys import (
+    Weight,
+    build_root_system,
+    dominant_representative,
+    root_lattice_coords,
+)
 from wonderco.schubert import (
     CSTAR_GRADING,
+    GRASS_SYSTEM,
     UnstableStratum,
     covering_cells,
     kempf_character,
@@ -1001,6 +1007,36 @@ class TestSlackCertification:
                     verdicts.add(want)
                 # the probes reach both sides of the rule
                 assert verdicts == {True, False}, (k, window)
+
+    @pytest.mark.parametrize("width", [0, 6])
+    def test_bounds_at_reads_the_open_cell_terms(self, width):
+        # on the same probes, bounds_at reads the open cell's stored
+        # multiplicity, or 0, as the upper bound and certifies as certifies
+        # does, on both strata; the probes below a numerator leave the packed
+        # fields, where no key is read
+        cut = 6
+        seen = set()
+        for k in range(-9, 10):
+            starts = (k + 8, k + 12) if width == 0 else (k + 8,)
+            first, second = UnstableStratum("F1", k), UnstableStratum("F2", k)
+            for start in starts:
+                window = (start, start + width)
+                mirror = (-window[1], -window[0])
+                top = kempf_character(covering_cells()[0].w, k, window, cut)
+                upper = top.terms()
+                swapped = {swap_blocks_weight(w): m for w, m in upper.items()}
+                probes = set(upper)
+                for w in upper:
+                    probes |= {w + self.OFF_LATTICE, w + self.ALPHA3, w - self.ALPHA3}
+                for p in probes:
+                    want = (0, upper.get(p, 0), first.certifies(p, window, cut))
+                    assert first.bounds_at(p, window, cut) == want, (k, window, p)
+                    q = swap_blocks_weight(p)
+                    want = (0, swapped.get(q, 0), second.certifies(q, mirror, cut))
+                    assert second.bounds_at(q, mirror, cut) == want, ("F2", k, window, p)
+                    off = root_lattice_coords(GRASS_SYSTEM, p - top.numerator_exponent)
+                    seen.add("off lattice" if off is None else top._key_of(off) is None)
+        assert seen == {"off lattice", True, False}
 
     def test_auto_cutoff_matches_every_numerator(self):
         # the reached bundles of the radius-3 box with |f1| + |f2| <= 15
